@@ -15,17 +15,28 @@ Policy semantics:
 Under ``consume``, elements bound into an emitted complete match are
 tombstoned per pattern; matches containing a tombstoned element are
 rejected at emission, which is equivalent to dropping their records.
+
+Keyed buffers: each state keeps its records in buckets keyed by the SAME
+attributes all its patterns share (``PlanState.key_attrs``), so an element
+is evaluated only against the bucket of its own key.  Records of other
+keys would fail SAME for every pattern, so the outcome is the same as a
+scan of the whole state.
+
+Work units, the cost measure that synthetic latency is made of: for each
+edge an element triggers, the alive records in the edge's source state
+(all of them, not only the probed bucket, so a unit means what it meant
+for a full scan), one per start-edge evaluation, and one per record
+created.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import EvalDiagnostics, eval_predicate
 from .model import (ConsumptionPolicy, DataElement, MatchRecord,
-                    SelectionPolicy, StepKind, WindowKind, pattern_bit)
+                    SelectionPolicy, WindowKind, pattern_bit)
 from .plan import ExecutionPlan
 
 
@@ -119,35 +130,31 @@ class Engine:
             return d.seq_index - rec.first_seq <= w.size
         return d.timestamp - rec.first_ts <= w.size
 
-    def _expired(self, pid: int, rec: MatchRecord, now_seq, now_ts) -> bool:
-        w = self.windows[pid]
-        if w.kind is WindowKind.COUNT:
-            return now_seq - rec.first_seq > w.size
-        return now_ts - rec.first_ts > w.size
-
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Remove records outside every owning pattern's window; clears
         per-pattern bits on records with mixed ownership."""
         evicted = 0
+        spans = [(b, w.kind is WindowKind.COUNT, w.size)
+                 for b, w in zip(self.bit, self.windows)]
         for state in self.plan.states:
-            buf = state.buffer
-            keep = []
-            for rec in buf:
+            alive = 0
+            for rec in state.buffer:
                 if not rec.alive:
                     continue
                 bits = rec.pattern_bits
-                for i in range(self.n):
-                    b = self.bit[i]
-                    if bits & b and self._expired(i, rec, now_seq, now_ts):
+                age_seq = now_seq - rec.first_seq
+                age_ts = now_ts - rec.first_ts
+                for b, by_count, size in spans:
+                    if bits & b and (age_seq if by_count else age_ts) > size:
                         bits &= ~b
                 rec.pattern_bits = bits
                 if bits == 0:
                     rec.alive = False
                     evicted += 1
-                    self.counters.pms_expired += 1
                 else:
-                    keep.append(rec)
-            buf[:] = keep
+                    alive += 1
+            state.compact(alive)
+        self.counters.pms_expired += evicted
         self._trim_history(now_seq)
         return evicted
 
@@ -184,8 +191,9 @@ class Engine:
         return True
 
     def step(self, d: DataElement) -> StepResult:
-        """Evaluate one element against all buffers; windows must already be
-        expired for d (call expire first)."""
+        """Evaluate one element against the bucket of its key in each
+        state its type triggers; windows must already be expired for d
+        (call expire first)."""
         plan = self.plan
         hist = self.history.get(d.type_tag)
         if hist is None:
@@ -218,13 +226,10 @@ class Engine:
                 continue
 
             state = plan.states[from_id]
-            buf = state.buffer
-            touched = 0
-            for rec in buf:
+            for rec in state.buckets.get(state.key_of(d), ()):
                 if not rec.alive:
                     continue
                 bits = rec.pattern_bits
-                touched += 1
                 slots = None
                 passed = 0
                 for pid, g in guards.items():
@@ -272,21 +277,22 @@ class Engine:
                             taken |= b
                     if taken:
                         taken_bits.append((rec, taken))
-            if touched:
-                work[from_id] = work.get(from_id, 0) + touched
+            # a full scan's count: every alive record of the state
+            if state.live > 0:
+                work[from_id] = work.get(from_id, 0) + state.live
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken
             if rec.pattern_bits == 0 and rec.alive:
-                rec.alive = False
+                plan.discard(rec)
                 self.counters.pms_policy_dropped += 1
 
         complete = []
         rejected = 0
         for rec in new_records:
             self.counters.pms_created += 1
+            plan.insert(rec)
             state = plan.states[rec.state_id]
-            state.buffer.append(rec)
             if state.accepting_for:
                 for pid in state.accepting_for:
                     if rec.pattern_bits & self.bit[pid]:

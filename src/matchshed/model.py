@@ -82,7 +82,6 @@ class Pattern:
     predicate: object  # expr.Expr or None
     window: Window
     latency_bound_ms: float = 1000.0
-    weight: float = 1.0
     selection: Optional[SelectionPolicy] = None
     consumption: Optional[ConsumptionPolicy] = None
     name: str = ""
@@ -114,12 +113,11 @@ class MatchRecord:
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",
                  "last_seq", "last_ts", "parent", "alive", "key",
-                 "kleene_open", "emit_index")
+                 "emit_index")
 
     def __init__(self, pattern_bits: int, slots: tuple, state_id: int,
                  first_seq: int, first_ts: float, last_seq: int,
-                 last_ts: float, parent: Optional["MatchRecord"] = None,
-                 kleene_open: bool = False):
+                 last_ts: float, parent: Optional["MatchRecord"] = None):
         self.pattern_bits = pattern_bits
         self.slots = slots
         self.state_id = state_id
@@ -130,7 +128,6 @@ class MatchRecord:
         self.parent = parent
         self.alive = True
         self.key = None  # filled by the cost module on first use
-        self.kleene_open = kleene_open
         self.emit_index = -1
 
     def elements(self) -> list:

@@ -6,7 +6,10 @@ steps appear in the signature but create no state: they compile to
 absence guards on the edge that skips over them.
 
 Guards are compiled to closures over the record's positional slot tuple,
-so the hot loop avoids building binding environments.
+so the hot loop avoids building binding environments.  Each non-start
+state is keyed on the SAME attributes common to the patterns through it;
+an edge leaving a keyed state leaves out the SAME checks on those
+attributes, because the engine only meets records of the element's key.
 """
 
 from __future__ import annotations
@@ -42,21 +45,52 @@ class EdgeGuard:
 
 
 class PlanState:
-    __slots__ = ("state_id", "signature", "buffer", "accepting_for", "psd",
-                 "is_kleene", "depth")
+    """One shared sub-pattern state and its partial-match store.
+
+    Records live in ``buffer`` in insertion order and, the same records in
+    the same order, in ``buckets`` keyed by the values of ``key_attrs`` on
+    the record's first element.  ``key_attrs`` are the SAME attributes
+    every pattern through the state has; with none the state has the one
+    bucket ``()``.  Tombstoned records stay in both until the next expiry
+    sweep compacts them; ``live`` counts the alive ones.
+    """
+
+    __slots__ = ("state_id", "signature", "buffer", "buckets", "key_attrs",
+                 "live", "accepting_for", "psd", "is_kleene", "depth")
 
     def __init__(self, state_id: int, signature: tuple):
         self.state_id = state_id
         self.signature = signature
         self.buffer = []
+        self.buckets = {}   # key tuple -> records with that key
+        self.key_attrs = ()
+        self.live = 0
         self.accepting_for = set()
         self.psd = 0
         # number of bound positional slots for records in this state
         self.depth = sum(1 for (_, k) in signature if k is not StepKind.NEGATED)
         self.is_kleene = bool(signature) and signature[-1][1] is StepKind.KLEENE_PLUS
 
-    def sub_pattern(self) -> tuple:
-        return self.signature
+    def key_of(self, el) -> tuple:
+        """Bucket key of the records whose first element is ``el``; for an
+        incoming element, the key of the records it can extend."""
+        attrs = el.attrs
+        return tuple([attrs.get(a) for a in self.key_attrs])
+
+    def compact(self, alive: int):
+        """Drop tombstoned records, keeping order; ``alive`` is the number
+        of alive records in the buffer."""
+        self.live = alive
+        if alive == len(self.buffer):
+            return
+        self.buffer[:] = [r for r in self.buffer if r.alive]
+        buckets = self.buckets
+        for k in list(buckets):
+            kept = [r for r in buckets[k] if r.alive]
+            if kept:
+                buckets[k] = kept
+            else:
+                del buckets[k]
 
     def __repr__(self):
         sig = "".join(t for t, _ in self.signature) or "start"
@@ -111,10 +145,27 @@ class ExecutionPlan:
         return len(self.patterns)
 
     def live_records(self):
+        """Alive records, state by state, each state's in insertion order."""
         for s in self.states:
             for r in s.buffer:
                 if r.alive:
                     yield r
+
+    def insert(self, rec: MatchRecord):
+        """Buffer a new record in its state and in its key's bucket."""
+        state = self.states[rec.state_id]
+        state.buffer.append(rec)
+        first = rec.slots[0]
+        el = first[0] if type(first) is tuple else first
+        state.buckets.setdefault(state.key_of(el), []).append(rec)
+        state.live += 1
+
+    def discard(self, rec: MatchRecord):
+        """Tombstone a record.  Shedding and policy drops go through here
+        so that each state's live count stays exact between sweeps."""
+        if rec.alive:
+            rec.alive = False
+            self.states[rec.state_id].live -= 1
 
     def dump(self) -> str:
         """Structured text dump of states, edges and PSD bits."""
@@ -135,7 +186,7 @@ class ExecutionPlan:
 
 # ------------------------------------------------------------ guard compiler
 
-def _compile_numeric(e, pos_of: dict, kleene_pos: set, neg_binding=None):
+def _compile_numeric(e, pos_of: dict, neg_binding=None):
     """Compile a numeric expression to (slots, neg_elem) -> float.
 
     Raises ex._MathFault at call time on div-by-zero / domain errors.
@@ -155,8 +206,8 @@ def _compile_numeric(e, pos_of: dict, kleene_pos: set, neg_binding=None):
         p = pos_of[e.binding]
         return lambda s, ne: sum(el.attrs[a] for el in s[p])
     if t is ex.Bin:
-        f = _compile_numeric(e.left, pos_of, kleene_pos, neg_binding)
-        g = _compile_numeric(e.right, pos_of, kleene_pos, neg_binding)
+        f = _compile_numeric(e.left, pos_of, neg_binding)
+        g = _compile_numeric(e.right, pos_of, neg_binding)
         op = e.op
         if op == "+":
             return lambda s, ne: f(s, ne) + g(s, ne)
@@ -174,7 +225,7 @@ def _compile_numeric(e, pos_of: dict, kleene_pos: set, neg_binding=None):
         if op == "^":
             return lambda s, ne: f(s, ne) ** g(s, ne)
     if t is ex.Func:
-        f = _compile_numeric(e.arg, pos_of, kleene_pos, neg_binding)
+        f = _compile_numeric(e.arg, pos_of, neg_binding)
         name = e.name
         fn = ex._FUNCS[name]
         if name in ("arcsin", "arccos"):
@@ -195,10 +246,10 @@ def _compile_numeric(e, pos_of: dict, kleene_pos: set, neg_binding=None):
     raise PlanError(f"cannot compile {e!r}")
 
 
-def _compile_cmp(e: ex.Cmp, pos_of, kleene_pos, neg_binding=None,
+def _compile_cmp(e: ex.Cmp, pos_of, neg_binding=None,
                  default_on_fault=False):
-    f = _compile_numeric(e.left, pos_of, kleene_pos, neg_binding)
-    g = _compile_numeric(e.right, pos_of, kleene_pos, neg_binding)
+    f = _compile_numeric(e.left, pos_of, neg_binding)
+    g = _compile_numeric(e.right, pos_of, neg_binding)
     import operator
     op = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge, "=": operator.eq}[e.op]
@@ -250,6 +301,7 @@ class _Chain:
     pattern: Pattern
     signatures: list          # state signature per positional depth (incl start)
     transitions: list         # list of dicts describing edges
+    same_attrs: tuple         # SAME attributes; their checks are added in merge
 
 
 def _chain(pattern: Pattern, n: int) -> _Chain:
@@ -332,17 +384,14 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
     transitions = []
     for j in range(m):
         step = pos_steps[j]
-        checks = [_compile_cmp(c, pos_of, kleene_pos) for c in sched[j]]
-        for a in same_attrs:
-            checks.append(_compile_same(a))
+        checks = [_compile_cmp(c, pos_of) for c in sched[j]]
         neg_checks = []
         for s in negs_before[j]:
             nb = s.binding_name
             blockers = []
             for c, decidable in neg_sched[j].get(nb, []):
                 if decidable:
-                    blockers.append(_compile_cmp(c, pos_of, kleene_pos,
-                                                 neg_binding=nb,
+                    blockers.append(_compile_cmp(c, pos_of, neg_binding=nb,
                                                  default_on_fault=False))
                 # undecidable conjuncts block conservatively: no closure
             for a in same_attrs:
@@ -359,19 +408,18 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
             "neg_checks": tuple(neg_checks),
         })
         if step.kind is StepKind.KLEENE_PLUS:
-            # self-extension loop; SAME is the only prunable check here
-            loop_checks = tuple(_compile_same(a) for a in same_attrs)
+            # self-extension loop; its only checks, SAME, are added in merge
             transitions.append({
                 "from_sig": signatures[j + 1],
                 "to_sig": signatures[j + 1],
                 "trigger": step.event_type,
                 "action": "kleene-extend",
-                "checks": loop_checks,
+                "checks": (),
                 "neg_checks": (),
             })
 
     return _Chain(pattern=pattern, signatures=signatures,
-                  transitions=transitions)
+                  transitions=transitions, same_attrs=tuple(same_attrs))
 
 
 def _refs_sum(c, binding) -> bool:
@@ -438,6 +486,10 @@ def merge(chains_or_patterns, mode: str = "view"):
                     states.append(st)
                     state_of[k] = st
 
+    paths = {c.pattern.id: [state_of[key(c.pattern.id, sig)].state_id
+                            for sig in c.signatures[1:]] for c in chains}
+    _assign_keys(states, chains, paths)
+
     edges = {}
     edge_list = []
     for c in chains:
@@ -451,14 +503,16 @@ def merge(chains_or_patterns, mode: str = "view"):
                              t["action"])
                 edges[ek] = e
                 edge_list.append(e)
-            edges[ek].guards[pid] = EdgeGuard(pid, t["checks"],
-                                              t["neg_checks"])
+            # the probe of the source state's bucket proves SAME on its key
+            checks = t["checks"] + tuple(
+                _compile_same(a) for a in c.same_attrs
+                if a not in frm.key_attrs)
+            edges[ek].guards[pid] = EdgeGuard(pid, checks, t["neg_checks"])
 
     plan = ExecutionPlan(states, edge_list, patterns, mode)
+    plan.pattern_paths = paths
     for c in chains:
         pid = c.pattern.id
-        path = [state_of[key(pid, sig)].state_id for sig in c.signatures[1:]]
-        plan.pattern_paths[pid] = path
         acc_state = state_of[key(pid, c.signatures[-1])]
         acc_state.accepting_for.add(pid)
         plan.accept_bindings[(pid, acc_state.state_id)] = tuple(
@@ -466,6 +520,19 @@ def merge(chains_or_patterns, mode: str = "view"):
 
     _check_invariants(plan, shared)
     return plan
+
+
+def _assign_keys(states, chains, paths):
+    """Key each non-start state on the SAME attributes that every pattern
+    through it has.  Every record there then agrees with its first element
+    on them, so an element need only meet the records of its own key."""
+    common = {}
+    for c in chains:
+        for sid in paths[c.pattern.id]:
+            mine = set(c.same_attrs)
+            common[sid] = common[sid] & mine if sid in common else mine
+    for sid, attrs in common.items():
+        states[sid].key_attrs = tuple(sorted(attrs))
 
 
 def _check_invariants(plan: ExecutionPlan, shared: bool):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from .model import MatchRecord, pattern_bit, render_bitmap
+from .model import MatchRecord, pattern_bit
 from .plan import ExecutionPlan
 
 log = logging.getLogger(__name__)
@@ -47,30 +47,43 @@ class ClusterIndex:
 
     Discarded and expired records are removed lazily: membership lists
     keep dead entries until the next compaction, but ``lookup`` and
-    iteration only yield live records.
+    iteration only yield live records.  A list is compacted, in order,
+    when selection reads it or when it has doubled since it was last
+    compacted, so it holds at most twice the live members it had then
+    plus a small constant.
     """
+
+    SLACK = 16  # entries a list may grow by when it had no live members
 
     def __init__(self, plan: ExecutionPlan):
         self.plan = plan
         self.n = plan.n
         self.clusters = {}  # psd bitmap -> list[MatchRecord]
+        self._compact_at = {}  # psd bitmap -> list length that compacts
         for s in plan.states:
             if s.psd != 0 and s.state_id != plan.start_id:
                 self.clusters.setdefault(s.psd, [])
 
     def insert(self, pm: MatchRecord):
         b = self.plan.states[pm.state_id].psd
-        self.clusters.setdefault(b, []).append(pm)
+        members = self.clusters.setdefault(b, [])
+        members.append(pm)
+        if len(members) >= self._compact_at.get(b, self.SLACK):
+            self._compact(b, members)
+
+    def _compact(self, b: int, members: list) -> list:
+        live = [r for r in members if r.alive]
+        if len(live) < len(members):
+            members[:] = live
+        self._compact_at[b] = 2 * len(live) + self.SLACK
+        return live
 
     def lookup(self, b: int) -> list:
         """Live members of the cluster keyed by bitmap b."""
         members = self.clusters.get(b)
         if not members:
             return []
-        live = [r for r in members if r.alive]
-        if len(live) < len(members):
-            members[:] = live
-        return live
+        return self._compact(b, members)
 
     def live_clusters(self):
         """(bitmap, live member list) for every nonempty cluster."""
@@ -78,12 +91,3 @@ class ClusterIndex:
             live = self.lookup(b)
             if live:
                 yield b, live
-
-    def live_count(self) -> int:
-        return sum(len(live) for _, live in self.live_clusters())
-
-    def describe(self) -> str:
-        parts = []
-        for b in sorted(self.clusters, reverse=True):
-            parts.append(f"{render_bitmap(b, self.n)}:{len(self.lookup(b))}")
-        return " ".join(parts)

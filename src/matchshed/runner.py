@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def shed_random_state(engine: Engine, rng, ratio: float) -> int:
     dropped = 0
     for rec in list(engine.plan.live_records()):
         if rng.random() < ratio:
-            rec.alive = False
+            engine.plan.discard(rec)
             dropped += 1
     return dropped
 

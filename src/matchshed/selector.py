@@ -113,7 +113,7 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
                         spend[i] += v.overhead[i]
                 audit.kept += 1
             else:
-                pm.alive = False
+                index.plan.discard(pm)
                 audit.discarded += 1
     audit.spend = spend
     return audit

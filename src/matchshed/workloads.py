@@ -10,6 +10,7 @@ the others untouched.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,9 +137,10 @@ class CsvFormatError(ValueError):
 def load_csv(path: str, partition_by: str = None):
     """Load ``type,ts,<attrs...>`` rows.
 
-    Stream mode (default) checks timestamps are nondecreasing and returns
-    one element list.  With ``partition_by`` the rows are treated as an
-    ordered table and returned as a dict partition-value -> element list.
+    Every value must be a finite number.  Stream mode (default) checks
+    timestamps are nondecreasing and returns one element list.  With
+    ``partition_by`` the rows are treated as an ordered table and returned
+    as a dict partition-value -> element list.
     """
     with open(path, newline="") as f:
         rd = csv.reader(f)
@@ -152,19 +154,25 @@ def load_csv(path: str, partition_by: str = None):
         if partition_by is not None and partition_by not in names:
             raise CsvFormatError(f"{path}: missing column {partition_by!r}")
         stream = []
-        prev_ts = None
+        width = len(header)
+        prev_ts = -math.inf
+        isfinite = math.isfinite
         for ln, row in enumerate(rd, start=2):
-            if len(row) != len(header):
+            if len(row) != width:
                 raise CsvFormatError(f"{path}:{ln}: expected "
-                                     f"{len(header)} columns")
+                                     f"{width} columns")
             try:
                 ts = float(row[1])
-                attrs = {nm: float(v) for nm, v in zip(names, row[2:])}
+                attrs = dict(zip(names, map(float, row[2:])))
             except ValueError:
                 raise CsvFormatError(
                     f"{path}:{ln}: non-numeric value") from None
+            # a finite sum has finite terms; only a large sum is rechecked
+            if not (isfinite(ts + sum(attrs.values()))
+                    or all(map(isfinite, (ts, *attrs.values())))):
+                raise CsvFormatError(f"{path}:{ln}: NaN or infinite value")
             if partition_by is None:
-                if prev_ts is not None and ts < prev_ts:
+                if ts < prev_ts:
                     raise CsvFormatError(f"{path}:{ln}: timestamps not "
                                          "sorted in stream mode")
                 prev_ts = ts

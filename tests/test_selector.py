@@ -36,7 +36,7 @@ def add_pm(plan, index, sketch, cluster_bits, seq, ID, pn, cn=None):
     state = next(s for s in plan.states
                  if s.psd == cluster_bits and s.state_id != plan.start_id)
     pm = rec(state.state_id, seq, cluster_bits, ID)
-    plan.states[state.state_id].buffer.append(pm)
+    plan.insert(pm)
     index.insert(pm)
     e = cost.SketchEntry(2)
     e.pn = [float(v) for v in pn]

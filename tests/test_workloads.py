@@ -124,6 +124,26 @@ def test_csv_errors(tmp_path):
         wl.load_csv(p, partition_by="ID")
 
 
+@pytest.mark.parametrize("row", ["A,nan,1", "A,2,NaN", "A,2,inf",
+                                 "A,2,-Infinity"])
+def test_csv_rejects_non_finite(tmp_path, row):
+    p = os.path.join(tmp_path, "bad.csv")
+    with open(p, "w") as f:
+        f.write(f"type,ts,ID\nA,1,1\n{row}\n")
+    with pytest.raises(wl.CsvFormatError, match=r"bad\.csv:3: NaN or infinite"):
+        wl.load_csv(p)
+    with pytest.raises(wl.CsvFormatError, match=":3:"):
+        wl.load_csv(p, partition_by="ID")
+
+
+def test_csv_accepts_finite_values_whose_sum_overflows(tmp_path):
+    p = os.path.join(tmp_path, "big.csv")
+    with open(p, "w") as f:
+        f.write("type,ts,x,y\nA,1,1e308,1e308\n")
+    (d,) = wl.load_csv(p)
+    assert d.attrs == {"x": 1e308, "y": 1e308}
+
+
 def test_templates_all_parse():
     t = wl.templates(window=500)
     assert len(t) == 38

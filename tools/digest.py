@@ -1,0 +1,62 @@
+"""Print one digest per run configuration of the checkout on PYTHONPATH.
+
+A change that must not alter what matchshed computes (a performance
+change in synthetic cost mode) shows the same lines before and after:
+
+    PYTHONPATH=src python3 tools/digest.py > after.txt
+
+Each line covers one dataset, seed, strategy and policy pair, and hashes
+the matches, counters, selection audits, mean EWMA latency and recall of
+``runner.run``.  Latency bounds are half of a ``none`` run's mean latency
+(2x overload), as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+
+from matchshed import workloads as wl
+from matchshed.runner import STRATEGIES, RunConfig, run
+
+PATTERNS = {
+    "ds1": [wl.templates(window=500)[k] for k in ("P3", "P4")],
+    "ds2": [wl.templates(window=200)[k].replace("WITHIN 200", "WITHIN 200 ms")
+            for k in ("P1", "P2", "P5", "P6")],
+}
+POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
+
+
+def digest(m) -> str:
+    audits = [a.csv_row(m.n) for a in m.audits]
+    blob = repr((m.matches, m.counters, audits, m.latency_mean, m.recall,
+                 m.triggers))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--ds1", type=int, default=15_000, help="DS1 elements")
+    ap.add_argument("--ds2", type=int, default=5_000, help="DS2 elements")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
+    args = ap.parse_args(argv)
+    sizes = {"ds1": args.ds1, "ds2": args.ds2}
+    for ds, patterns in PATTERNS.items():
+        gen = wl.gen_ds1 if ds == "ds1" else wl.gen_ds2
+        for seed in args.seeds:
+            stream = gen(sizes[ds], seed)
+            for sel, cons in POLICIES:
+                base = dict(patterns=patterns, selection=sel,
+                            consumption=cons, seed=seed)
+                calib = run(RunConfig(**base), stream)
+                bounds = [x / 2 for x in calib.latency_mean]
+                for strategy in STRATEGIES:
+                    m = (calib if strategy == "none" else
+                         run(RunConfig(**base, strategy=strategy,
+                                       bounds=bounds), stream))
+                    print(ds, seed, sel, cons, strategy, digest(m),
+                          flush=True)
+
+
+if __name__ == "__main__":
+    main()
