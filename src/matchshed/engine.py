@@ -22,6 +22,15 @@ is evaluated only against the bucket of its own key.  Records of other
 keys would fail SAME for every pattern, so the outcome is the same as a
 scan of the whole state.
 
+Expiry: every buffered record is queued by deadline, once per distinct
+window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
+O(expired), not a sweep of every buffer.  Windows are also checked at
+extension time, so when ``expire`` runs changes no match; it changes
+when ``PlanState.live`` drops, and so the work units, which is why the
+runner keeps its ``expire_every`` cadence.  Tombstoned records are
+compacted out of a state's buffers lazily, once they outnumber its alive
+records by more than a small slack.
+
 Work units, the cost measure that synthetic latency is made of: for each
 edge an element triggers, the alive records in the edge's source state
 (all of them, not only the probed bucket, so a unit means what it meant
@@ -117,10 +126,13 @@ class Engine:
         self.emit_counter = 0
         self._max_count_window = max(
             (w.size for w in self.windows if w.kind is WindowKind.COUNT),
-            default=0)
-        # seq-based trimming is only sound when every window is count-based
-        self._trim_ok = all(w.kind is WindowKind.COUNT for w in self.windows)
+            default=None)
+        self._max_time_window = max(
+            (w.size for w in self.windows if w.kind is WindowKind.TIME),
+            default=None)
         self._hist_trim_at = 0
+        self._last_ts = float("-inf")
+        self._ts_sorted = True   # no element's timestamp has decreased yet
 
     # ------------------------------------------------------------- windows
 
@@ -132,39 +144,37 @@ class Engine:
 
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Remove records outside every owning pattern's window; clears
-        per-pattern bits on records with mixed ownership."""
-        evicted = 0
-        spans = [(b, w.kind is WindowKind.COUNT, w.size)
-                 for b, w in zip(self.bit, self.windows)]
-        for state in self.plan.states:
-            alive = 0
-            for rec in state.buffer:
-                if not rec.alive:
-                    continue
-                bits = rec.pattern_bits
-                age_seq = now_seq - rec.first_seq
-                age_ts = now_ts - rec.first_ts
-                for b, by_count, size in spans:
-                    if bits & b and (age_seq if by_count else age_ts) > size:
-                        bits &= ~b
-                rec.pattern_bits = bits
-                if bits == 0:
-                    rec.alive = False
-                    evicted += 1
-                else:
-                    alive += 1
-            state.compact(alive)
+        per-pattern bits on records with mixed ownership.  Costs
+        O(expired): see ``ExecutionPlan.expire``."""
+        evicted = self.plan.expire(now_seq, now_ts)
         self.counters.pms_expired += evicted
-        self._trim_history(now_seq)
+        self._trim_history(now_seq, now_ts)
         return evicted
 
-    def _trim_history(self, now_seq: int):
-        if not self._trim_ok or now_seq < self._hist_trim_at:
+    def _trim_history(self, now_seq: int, now_ts: float):
+        """Drop history elements that no gap check can reach any more.
+
+        A gap check reads elements after a record's first element, and a
+        record whose first element is older than its window has just been
+        expired with the same ``now``.  For a time window "older" is only
+        known from the elements in between while timestamps have not
+        decreased, so time windows trim only then."""
+        if now_seq < self._hist_trim_at:
+            return
+        max_time = self._max_time_window
+        if max_time is not None and not self._ts_sorted:
             return
         self._hist_trim_at = now_seq + 512
-        lo = now_seq - max(self._max_count_window, 1) - 1
+        max_count = self._max_count_window
         for seqs, elems in self.history.values():
-            cut = bisect_left(seqs, lo)
+            cut = len(seqs)
+            if max_count is not None:
+                cut = bisect_left(seqs, now_seq - max(max_count, 1) - 1)
+            if max_time is not None:
+                k = 0
+                while k < cut and now_ts - elems[k].timestamp > max_time:
+                    k += 1
+                cut = k
             if cut:
                 del seqs[:cut]
                 del elems[:cut]
@@ -195,6 +205,9 @@ class Engine:
         state its type triggers; windows must already be expired for d
         (call expire first)."""
         plan = self.plan
+        if d.timestamp < self._last_ts:
+            self._ts_sorted = False
+        self._last_ts = d.timestamp
         hist = self.history.get(d.type_tag)
         if hist is None:
             hist = self.history[d.type_tag] = ([], [])
@@ -321,7 +334,7 @@ class Engine:
         return StepResult(new_records, complete, work, rejected)
 
     def live_pm_count(self) -> int:
-        return sum(1 for _ in self.plan.live_records())
+        return sum(s.live for s in self.plan.states)
 
 
 def golden_run(stream, plan: ExecutionPlan,

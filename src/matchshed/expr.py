@@ -5,9 +5,9 @@ arithmetic, a SUM aggregate over Kleene bindings, sqrt/trig functions, and
 a SAME shorthand (one attribute equal across all bindings).
 
 Evaluation is *partial*: a conjunct that references a binding missing from
-the environment is deferred, i.e. treated as satisfiable.  Division by zero
-and trig domain errors make the conjunct false and bump a diagnostic
-counter.
+the environment is deferred, i.e. treated as satisfiable.  Division by zero,
+trig domain errors and overflowing powers make the conjunct false and bump
+a diagnostic counter.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class And(Expr):
 class EvalDiagnostics:
     div_by_zero: int = 0
     domain_error: int = 0
+    overflow: int = 0
 
 
 class _Unbound(Exception):
@@ -164,9 +165,10 @@ def _conjunct(e: Expr, env: dict, diag: Optional[EvalDiagnostics]) -> bool:
         raise TypeError(f"not a boolean conjunct: {e!r}")
     except _Unbound:
         return True  # deferred: may still hold once the binding arrives
-    except _MathFault as f:
+    except (_MathFault, OverflowError) as f:
         if diag is not None:
-            setattr(diag, f.kind, getattr(diag, f.kind) + 1)
+            kind = f.kind if type(f) is _MathFault else "overflow"
+            setattr(diag, kind, getattr(diag, kind) + 1)
         return False
 
 

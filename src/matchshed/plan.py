@@ -14,13 +14,11 @@ attributes, because the engine only meets records of the element's key.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import expr as ex
-from .model import (ConsumptionPolicy, MatchRecord, Pattern, SelectionPolicy,
-                    StepKind, WindowKind)
+from .model import MatchRecord, Pattern, StepKind, WindowKind, pattern_bit
 
 
 class PlanError(ValueError):
@@ -51,9 +49,12 @@ class PlanState:
     the same order, in ``buckets`` keyed by the values of ``key_attrs`` on
     the record's first element.  ``key_attrs`` are the SAME attributes
     every pattern through the state has; with none the state has the one
-    bucket ``()``.  Tombstoned records stay in both until the next expiry
-    sweep compacts them; ``live`` counts the alive ones.
+    bucket ``()``.  Tombstoned records stay in both until tombstones
+    outnumber the alive records by more than ``SLACK``, when an expiry
+    call compacts the state; ``live`` counts the alive ones.
     """
+
+    SLACK = 16  # tombstones a state may hold beyond its alive count
 
     __slots__ = ("state_id", "signature", "buffer", "buckets", "key_attrs",
                  "live", "accepting_for", "psd", "is_kleene", "depth")
@@ -77,12 +78,9 @@ class PlanState:
         attrs = el.attrs
         return tuple([attrs.get(a) for a in self.key_attrs])
 
-    def compact(self, alive: int):
-        """Drop tombstoned records, keeping order; ``alive`` is the number
-        of alive records in the buffer."""
-        self.live = alive
-        if alive == len(self.buffer):
-            return
+    def compact(self):
+        """Drop tombstoned records from the buffer and buckets, keeping
+        order."""
         self.buffer[:] = [r for r in self.buffer if r.alive]
         buckets = self.buckets
         for k in list(buckets):
@@ -95,6 +93,44 @@ class PlanState:
     def __repr__(self):
         sig = "".join(t for t, _ in self.signature) or "start"
         return f"PlanState({self.state_id}, {sig})"
+
+
+class DeadlineQueue:
+    """The records of one window, ordered by when they leave it.
+
+    A record leaves a window of ``size`` once ``now - start > size``,
+    where its start is ``first_seq`` for a count window and ``first_ts``
+    for a time window.  Records are grouped by start in ``slots``, and
+    ``starts`` is a min-heap of the distinct starts, like the slots of a
+    timing wheel: popping the expired records costs O(expired), and a
+    child, which shares its parent's start, only appends to a slot.
+    """
+
+    __slots__ = ("mask", "by_count", "size", "starts", "slots")
+
+    def __init__(self, mask: int, by_count: bool, size: float):
+        self.mask = mask            # bits of the patterns with this window
+        self.by_count = by_count
+        self.size = size
+        self.starts = []            # heap of the distinct keys of slots
+        self.slots = {}             # start -> records, in insertion order
+
+    def push(self, rec: MatchRecord):
+        start = rec.first_seq if self.by_count else rec.first_ts
+        slot = self.slots.get(start)
+        if slot is None:
+            self.slots[start] = [rec]
+            heappush(self.starts, start)
+        else:
+            slot.append(rec)
+
+    def pop_expired(self, now) -> list:
+        """Remove and return the records with ``now - start > size``."""
+        starts, slots, size = self.starts, self.slots, self.size
+        out = []
+        while starts and now - starts[0] > size:
+            out.extend(slots.pop(heappop(starts)))
+        return out
 
 
 class PlanEdge:
@@ -139,6 +175,13 @@ class ExecutionPlan:
         self.pattern_paths = {}
         # (pattern_id, accepting state) -> binding names by position
         self.accept_bindings = {}
+        # one deadline queue per distinct window (kind, size)
+        masks = {}
+        for p in patterns:
+            w = (p.window.kind, p.window.size)
+            masks[w] = masks.get(w, 0) | pattern_bit(p.id, len(patterns))
+        self.deadlines = [DeadlineQueue(m, k is WindowKind.COUNT, size)
+                          for (k, size), m in masks.items()]
 
     @property
     def n(self) -> int:
@@ -152,20 +195,44 @@ class ExecutionPlan:
                     yield r
 
     def insert(self, rec: MatchRecord):
-        """Buffer a new record in its state and in its key's bucket."""
+        """Buffer a new record in its state, in its key's bucket and in
+        the deadline queue of each window its patterns have."""
         state = self.states[rec.state_id]
         state.buffer.append(rec)
         first = rec.slots[0]
         el = first[0] if type(first) is tuple else first
         state.buckets.setdefault(state.key_of(el), []).append(rec)
         state.live += 1
+        bits = rec.pattern_bits
+        for q in self.deadlines:
+            if bits & q.mask:
+                q.push(rec)
 
     def discard(self, rec: MatchRecord):
-        """Tombstone a record.  Shedding and policy drops go through here
-        so that each state's live count stays exact between sweeps."""
+        """Tombstone a record.  Every tombstone goes through here, so that
+        each state's live count stays exact."""
         if rec.alive:
             rec.alive = False
             self.states[rec.state_id].live -= 1
+
+    def expire(self, now_seq: int, now_ts: float) -> int:
+        """Clear each alive record's bits of the windows it has left, and
+        tombstone the records left with none; returns how many.  Visits
+        only the expired records, then compacts each state whose
+        tombstones outnumber its alive records by more than the slack."""
+        evicted = 0
+        for q in self.deadlines:
+            keep = ~q.mask
+            for rec in q.pop_expired(now_seq if q.by_count else now_ts):
+                if rec.alive:
+                    rec.pattern_bits &= keep
+                    if rec.pattern_bits == 0:
+                        self.discard(rec)
+                        evicted += 1
+        for state in self.states:
+            if len(state.buffer) - state.live > state.live + state.SLACK:
+                state.compact()
+        return evicted
 
     def dump(self) -> str:
         """Structured text dump of states, edges and PSD bits."""
@@ -189,7 +256,8 @@ class ExecutionPlan:
 def _compile_numeric(e, pos_of: dict, neg_binding=None):
     """Compile a numeric expression to (slots, neg_elem) -> float.
 
-    Raises ex._MathFault at call time on div-by-zero / domain errors.
+    Raises ex._MathFault at call time on div-by-zero / domain errors, and
+    OverflowError when a power leaves the float range.
     """
     t = type(e)
     if t is ex.Num:
@@ -257,7 +325,7 @@ def _compile_cmp(e: ex.Cmp, pos_of, neg_binding=None,
     def check(s, ne=None):
         try:
             return op(f(s, ne), g(s, ne))
-        except ex._MathFault:
+        except (ex._MathFault, OverflowError):
             return default_on_fault
 
     return check

@@ -45,7 +45,7 @@ class RunConfig:
     alpha: float = 0.2
     theta: str = "constant"              # or "length"
     epoch_len: int = None                # None = max count window
-    expire_every: int = 16               # full expiry sweep cadence
+    expire_every: int = 16               # expiry cadence, in elements
     select_every: int = 1                # min elements between reductions
     compute_golden: bool = True
     out_dir: str = None
@@ -154,8 +154,9 @@ def run(config: RunConfig, stream) -> Metrics:
     wall_start = time.perf_counter()
 
     for d in stream:
-        # extension-time window checks keep match semantics exact, so the
-        # full eviction sweep only needs to run periodically
+        # extension-time window checks keep match semantics exact, so
+        # expiry runs periodically; its cadence sets when expired records
+        # stop counting as alive, and so the work units
         if d.seq_index >= next_expire:
             engine.expire(d.seq_index, d.timestamp)
             next_expire = d.seq_index + config.expire_every

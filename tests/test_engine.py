@@ -180,3 +180,26 @@ def test_engine_matches_oracle(force):
             want_c = oracle.consume_filter(stream, pat, want)
             got_c = run_policy(stream, pat, sel, ConsumptionPolicy.CONSUME)
             assert got_c == want_c, ("consume", sel, pat, trial)
+
+
+def test_overflowing_guard_fails_without_crashing():
+    """A guard whose power overflows is false, as a domain error is."""
+    pat = P("SEQ(A a, B b) WHERE a.x ^ 3 < b.x WITHIN 10")
+    got = golden_run([el("A", 0, x=1e200), el("B", 1, x=1)],
+                     compile_pattern(pat))
+    assert got == {0: []}
+    got = golden_run([el("A", 0, x=1), el("B", 1, x=2)], compile_pattern(pat))
+    assert keys(got[0]) == {(0, 1)}
+
+
+def test_overflow_at_emission_is_counted():
+    """SUM over a final Kleene step is checked only at emission, by the
+    interpreter, which counts the overflow in the engine's diagnostics."""
+    pat = P("SEQ(A a, B+ b[]) WHERE SUM(b[].x) ^ 3 > a.x WITHIN 10")
+    eng = Engine(compile_pattern(pat))
+    emitted = []
+    for d in [el("A", 0, x=1), el("B", 1, x=1e200), el("B", 2, x=2)]:
+        eng.expire(d.seq_index, d.timestamp)
+        emitted += [r.seq_tuple() for _, r in eng.step(d).complete]
+    assert emitted == [(0, 2)]
+    assert eng.diag.overflow == 2   # (0, 1) and (0, 1, 2)

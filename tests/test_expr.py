@@ -68,6 +68,14 @@ def test_domain_errors_count_and_fail():
     assert diag.domain_error == 2
 
 
+def test_overflowing_power_counts_and_fails():
+    diag = ex.EvalDiagnostics()
+    p = pred("a.x ^ 3 < c.x")
+    env = {"a": el("A", 0, x=1e200), "c": el("C", 2, x=1)}
+    assert not ex.eval_predicate(p, env, diag)
+    assert diag.overflow == 1 and diag.domain_error == 0
+
+
 def test_trig_and_power():
     p = pred("sin(a.x) ^ 2 + cos(a.x) ^ 2 = 1")
     # identity holds up to fp error only for exact cases; use x = 0

@@ -100,7 +100,7 @@ def test_clusters_partition_live_records():
         if rng.random() < 0.1:  # random discard, mimicking the selector
             live = list(plan.live_records())
             if live:
-                live[int(rng.integers(0, len(live)))].alive = False
+                plan.discard(live[int(rng.integers(0, len(live)))])
     live = {id(r) for r in plan.live_records()}
     seen = []
     for b, members in index.live_clusters():

@@ -5,10 +5,12 @@ change in synthetic cost mode) shows the same lines before and after:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
 
-Each line covers one dataset, seed, strategy and policy pair, and hashes
-the matches, counters, selection audits, mean EWMA latency and recall of
-``runner.run``.  Latency bounds are half of a ``none`` run's mean latency
-(2x overload), as in the benchmark.
+Each line covers one configuration, seed, strategy and policy pair, and
+hashes the matches, counters, selection audits, mean EWMA latency and
+recall of ``runner.run``.  ``mixed`` runs DS2 under count and time
+windows of four sizes in one plan, so that records sharing a state leave
+their windows at different times.  Latency bounds are half of a ``none``
+run's mean latency (2x overload), as in the benchmark.
 """
 
 from __future__ import annotations
@@ -19,10 +21,19 @@ import hashlib
 from matchshed import workloads as wl
 from matchshed.runner import STRATEGIES, RunConfig, run
 
-PATTERNS = {
-    "ds1": [wl.templates(window=500)[k] for k in ("P3", "P4")],
-    "ds2": [wl.templates(window=200)[k].replace("WITHIN 200", "WITHIN 200 ms")
-            for k in ("P1", "P2", "P5", "P6")],
+
+def _ds2_patterns(windows):
+    """DS2 templates P1, P2, P5 and P6 with the given WITHIN clauses."""
+    t = wl.templates(window=200)
+    return [t[k].replace("WITHIN 200", f"WITHIN {w}")
+            for k, w in zip(("P1", "P2", "P5", "P6"), windows)]
+
+
+# configuration -> (dataset, patterns)
+CONFIGS = {
+    "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")]),
+    "ds2": ("ds2", _ds2_patterns(["200 ms"] * 4)),
+    "mixed": ("ds2", _ds2_patterns(["200 ms", "120 ms", "150", "80"])),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
@@ -41,7 +52,7 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
     args = ap.parse_args(argv)
     sizes = {"ds1": args.ds1, "ds2": args.ds2}
-    for ds, patterns in PATTERNS.items():
+    for name, (ds, patterns) in CONFIGS.items():
         gen = wl.gen_ds1 if ds == "ds1" else wl.gen_ds2
         for seed in args.seeds:
             stream = gen(sizes[ds], seed)
@@ -54,7 +65,7 @@ def main(argv=None):
                     m = (calib if strategy == "none" else
                          run(RunConfig(**base, strategy=strategy,
                                        bounds=bounds), stream))
-                    print(ds, seed, sel, cons, strategy, digest(m),
+                    print(name, seed, sel, cons, strategy, digest(m),
                           flush=True)
 
 
