@@ -8,8 +8,7 @@ from .parser import PatternSyntaxError, format_pattern, parse_pattern
 from .plan import ExecutionPlan, PlanError, compile_pattern, merge
 from .engine import Engine, LatencyMonitor, golden_run, measure
 from .psd import ClusterIndex, assess
-from .cost import (CostVectors, Sketch, attr_key, estimate, heap_top, order,
-                   sketch_update)
+from .cost import CostVectors, Sketch, attr_key, estimate, sketch_update
 from .selector import budgets, select, trigger
 from .runner import Metrics, RunConfig, recall, run
 
@@ -20,8 +19,7 @@ __all__ = [
     "ExecutionPlan", "PlanError", "compile_pattern", "merge",
     "Engine", "LatencyMonitor", "golden_run", "measure",
     "ClusterIndex", "assess",
-    "CostVectors", "Sketch", "attr_key", "estimate", "heap_top", "order",
-    "sketch_update",
+    "CostVectors", "Sketch", "attr_key", "estimate", "sketch_update",
     "budgets", "select", "trigger",
     "Metrics", "RunConfig", "recall", "run",
 ]

@@ -39,9 +39,6 @@ class CostVectors:
     contribution: list  # per-pattern expected CMs generated
     overhead: list      # per-pattern expected PM-processing cost
 
-    def total_contribution(self) -> float:
-        return sum(self.contribution)
-
 
 class SketchEntry:
     __slots__ = ("cn", "pn")
@@ -58,12 +55,22 @@ class Sketch:
         self.plan = plan
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
+        self._indices = {}  # pattern_bits -> pattern indices, ascending
         attrs = set()
         for p in plan.patterns:
             for c in ex.conjuncts(p.predicate):
                 if type(c) is ex.Same:
                     attrs.add(c.attr)
         self.partition_attrs = tuple(sorted(attrs))
+
+    def pattern_indices(self, bits: int) -> tuple:
+        """The patterns whose bits are set in ``bits``, in ascending order."""
+        idx = self._indices.get(bits)
+        if idx is None:
+            n = self.n
+            idx = self._indices[bits] = tuple(
+                i for i in range(n) if bits & (1 << (n - i - 1)))
+        return idx
 
 
 def attr_key(sketch: Sketch, pm: MatchRecord):
@@ -77,34 +84,36 @@ def attr_key(sketch: Sketch, pm: MatchRecord):
     return pm.key
 
 
-def _generators(new_match: MatchRecord):
-    rec = new_match
-    while rec is not None:
-        yield rec
-        rec = rec.parent
-
-
 def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
                   generators=None):
-    """Credit the new match to its generators' keys.
+    """Credit the new match to its generators' keys: its ancestor chain,
+    itself included, unless ``generators`` names them.
 
     ``cm_pids`` lists the patterns for which the match was emitted
     complete; its pattern_bits say which patterns it serves as a PM.
+    Each generator's counters get one ``+= 1`` per credited pattern, in
+    ascending pattern order, so counters stay bit-identical after decays.
     """
     n = sketch.n
-    bits = new_match.pattern_bits
-    if generators is None:
-        generators = _generators(new_match)
-    for rho in generators:
-        k = attr_key(sketch, rho)
-        entry = sketch.table.get(k)
+    table = sketch.table
+    idx = sketch.pattern_indices(new_match.pattern_bits)
+    gens = None if generators is None else iter(generators)
+    rho = new_match if gens is None else next(gens, None)
+    while rho is not None:
+        k = rho.key
+        if k is None:
+            k = attr_key(sketch, rho)
+        entry = table.get(k)
         if entry is None:
-            entry = sketch.table[k] = SketchEntry(n)
-        for i in range(n):
-            if bits & (1 << (n - i - 1)):
-                entry.pn[i] += 1
-        for i in cm_pids:
-            entry.cn[i] += 1
+            entry = table[k] = SketchEntry(n)
+        pn = entry.pn
+        for i in idx:
+            pn[i] += 1
+        if cm_pids:
+            cn = entry.cn
+            for i in cm_pids:
+                cn[i] += 1
+        rho = rho.parent if gens is None else next(gens, None)
 
 
 def estimate(sketch: Sketch, pm: MatchRecord, theta=theta_constant) -> CostVectors:
@@ -114,33 +123,6 @@ def estimate(sketch: Sketch, pm: MatchRecord, theta=theta_constant) -> CostVecto
         return CostVectors(z, list(z))
     t = theta(pm)
     return CostVectors(list(entry.cn), [p * t for p in entry.pn])
-
-
-def order(a: CostVectors, b: CostVectors) -> bool:
-    """True when a strictly exceeds b: by dominance on every component,
-    otherwise by contribution sum."""
-    if all(x > y for x, y in zip(a.contribution, b.contribution)):
-        return True
-    return a.total_contribution() > b.total_contribution()
-
-
-def heap_key(sketch: Sketch, pm: MatchRecord, theta=theta_constant):
-    """Max-heap ordering key: contribution sum, ties to the older record."""
-    v = estimate(sketch, pm, theta)
-    return (v.total_contribution(), -pm.first_ts, -pm.first_seq)
-
-
-def heap_top(cluster, sketch: Sketch, theta=theta_constant):
-    """The live PM no other member of the cluster exceeds under `order`."""
-    best = None
-    best_key = None
-    for pm in cluster:
-        if not pm.alive:
-            continue
-        k = heap_key(sketch, pm, theta)
-        if best is None or k > best_key:
-            best, best_key = pm, k
-    return best
 
 
 def decay(sketch: Sketch, factor: float = 0.5):

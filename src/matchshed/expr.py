@@ -5,9 +5,11 @@ arithmetic, a SUM aggregate over Kleene bindings, sqrt/trig functions, and
 a SAME shorthand (one attribute equal across all bindings).
 
 Evaluation is *partial*: a conjunct that references a binding missing from
-the environment is deferred, i.e. treated as satisfiable.  Division by zero,
-trig domain errors and overflowing powers make the conjunct false and bump
-a diagnostic counter.
+the environment is deferred, i.e. treated as satisfiable.  Division by zero
+(also zero to a negative power), domain errors (arcsin/arccos outside
+[-1, 1], sqrt of a negative, sin/cos of a non-finite value, a negative
+base to a fractional power) and overflowing powers make the conjunct false
+and bump a diagnostic counter.
 """
 
 from __future__ import annotations
@@ -128,13 +130,21 @@ def _num(e: Expr, env: dict) -> float:
                 raise _MathFault("div_by_zero")
             return a / b
         if e.op == "^":
-            return a ** b
+            try:
+                r = a ** b
+            except ZeroDivisionError:  # 0 to a negative power
+                raise _MathFault("div_by_zero") from None
+            if type(r) is complex:  # negative base, fractional power
+                raise _MathFault("domain_error")
+            return r
         raise ValueError(f"unknown operator {e.op!r}")
     if type(e) is Func:
         x = _num(e.arg, env)
         if e.name in ("arcsin", "arccos") and abs(x) > 1:
             raise _MathFault("domain_error")
         if e.name == "sqrt" and x < 0:
+            raise _MathFault("domain_error")
+        if e.name in ("sin", "cos") and not math.isfinite(x):
             raise _MathFault("domain_error")
         return _FUNCS[e.name](x)
     raise TypeError(f"not a numeric expression: {e!r}")

@@ -14,6 +14,7 @@ attributes, because the engine only meets records of the element's key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -256,7 +257,8 @@ class ExecutionPlan:
 def _compile_numeric(e, pos_of: dict, neg_binding=None):
     """Compile a numeric expression to (slots, neg_elem) -> float.
 
-    Raises ex._MathFault at call time on div-by-zero / domain errors, and
+    Raises ex._MathFault at call time on div-by-zero / domain errors
+    (including a non-finite sin/cos argument and a complex power), and
     OverflowError when a power leaves the float range.
     """
     t = type(e)
@@ -291,7 +293,17 @@ def _compile_numeric(e, pos_of: dict, neg_binding=None):
                 return f(s, ne) / d
             return div
         if op == "^":
-            return lambda s, ne: f(s, ne) ** g(s, ne)
+            def power(s, ne):
+                a = f(s, ne)
+                b = g(s, ne)
+                try:
+                    r = a ** b
+                except ZeroDivisionError:  # 0 to a negative power
+                    raise ex._MathFault("div_by_zero") from None
+                if type(r) is complex:  # negative base, fractional power
+                    raise ex._MathFault("domain_error")
+                return r
+            return power
     if t is ex.Func:
         f = _compile_numeric(e.arg, pos_of, neg_binding)
         name = e.name
@@ -310,7 +322,14 @@ def _compile_numeric(e, pos_of: dict, neg_binding=None):
                     raise ex._MathFault("domain_error")
                 return fn(x)
             return root
-        return lambda s, ne: fn(f(s, ne))
+        isfinite = math.isfinite
+
+        def periodic(s, ne):
+            x = f(s, ne)
+            if not isfinite(x):
+                raise ex._MathFault("domain_error")
+            return fn(x)
+        return periodic
     raise PlanError(f"cannot compile {e!r}")
 
 

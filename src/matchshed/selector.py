@@ -4,7 +4,7 @@ greedy selection of which partial matches survive a reduction.
 When some pattern's EWMA latency reaches its bound, the overloaded
 patterns form a bitmap b_OL.  Clusters whose psd does not intersect b_OL
 are untouched.  The remaining clusters are drained in descending psd
-value (most-shared first); within a cluster PMs come off a max-heap by
+value (most-shared first); within a cluster PMs are ranked by
 contribution, and a PM is kept only while every overloaded pattern it
 serves stays within its overhead budget
 
@@ -13,11 +13,15 @@ serves stays within its overhead budget
 where T_i is the current total overhead of pattern i over live PMs.
 Infeasible PMs are discarded immediately (tombstoned); skipping them
 cannot hurt later candidates because spend only grows.
-"""
+
+Cost of a reduction: ``budgets`` and ``select`` each walk the live
+clusters once.  ``select`` reads each distinct sketch key once (its
+contribution sum and its pn counters) and ranks each overloaded cluster
+with one sort; every PM then costs a few lookups, with the patterns a
+``pattern_bits`` value serves cached as an index tuple."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from . import cost
@@ -37,21 +41,35 @@ def trigger(monitor, bounds) -> int:
 
 def budgets(index: ClusterIndex, sketch, monitor, bounds,
             theta=cost.theta_constant) -> dict:
-    """B_i for each overloaded pattern i (others are unconstrained)."""
+    """B_i for each overloaded pattern i (others are unconstrained).
+
+    T_i sums, PM by PM in cluster order, the overhead ``pn_i * theta(pm)``
+    of every live PM serving pattern i; a PM whose key the sketch has not
+    seen adds nothing.
+    """
     n = monitor.n
-    totals = [0.0] * n
+    lat = monitor.latency_ms
+    over = [i for i in range(n) if lat[i] >= bounds[i] and lat[i] > 0]
+    totals = dict.fromkeys(over, 0.0)
+    table = sketch.table
+    idx_of = {}  # pattern_bits -> overloaded patterns it serves
     for _, members in index.live_clusters():
         for pm in members:
-            v = cost.estimate(sketch, pm, theta)
             bits = pm.pattern_bits
-            for i in range(n):
-                if bits & (1 << (n - i - 1)):
-                    totals[i] += v.overhead[i]
-    out = {}
-    for i in range(n):
-        if monitor.latency_ms[i] >= bounds[i] and monitor.latency_ms[i] > 0:
-            out[i] = (bounds[i] / monitor.latency_ms[i]) * totals[i]
-    return out
+            idx = idx_of.get(bits)
+            if idx is None:
+                idx = idx_of[bits] = tuple(
+                    i for i in sketch.pattern_indices(bits) if i in totals)
+            if not idx:
+                continue
+            entry = table.get(pm.key or cost.attr_key(sketch, pm))
+            if entry is None:
+                continue
+            pn = entry.pn
+            t = theta(pm)
+            for i in idx:
+                totals[i] += pn[i] * t
+    return {i: (bounds[i] / lat[i]) * totals[i] for i in over}
 
 
 @dataclass
@@ -76,44 +94,61 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
            theta=cost.theta_constant, now_ts: float = 0.0) -> SelectionAudit:
     """Greedy budgeted selection; discarded PMs are tombstoned in place.
 
-    Returns an audit record with kept/discarded counts and per-pattern
-    spend against budget.
+    Overloaded clusters are drained most-shared first.  Within one, PMs
+    are ranked by the key ``(-contribution, first_ts, first_seq, list
+    position)``: contribution sum (cn summed over patterns) descending,
+    ties to the older record, then to the earlier list entry.  The key is
+    unique, so one sort fixes the order.  A PM is kept while every
+    overloaded pattern it serves stays within budget after adding its
+    overhead ``pn_i * theta(pm)``.  Returns an audit record with
+    kept/discarded counts and per-pattern spend against budget.
     """
     n = index.n
     audit = SelectionAudit(ts=now_ts, b_ol=b_ol, budget=dict(budget_map))
     spend = {i: 0.0 for i in budget_map}
 
-    overloaded = [(b, members) for b, members in index.live_clusters()
-                  if b & b_ol]
+    overloaded = []
     for b, members in index.live_clusters():
-        if not b & b_ol:
+        if b & b_ol:
+            overloaded.append((b, members))
+        else:
             audit.kept += len(members)
     overloaded.sort(key=lambda bm: -bm[0])
 
+    table = sketch.table
+    zeros = (0.0,) * n
+    reads = {}   # key -> (contribution sum, pn), read once per reduction
+    idx_of = {}  # pattern_bits -> budgeted patterns it serves
     for _, members in overloaded:
-        heap = []
+        ranked = []
         for j, pm in enumerate(members):
-            s, neg_ts, neg_seq = cost.heap_key(sketch, pm, theta)
-            heapq.heappush(heap, (-s, -neg_ts, -neg_seq, j, pm))
-        while heap:
-            _, _, _, _, pm = heapq.heappop(heap)
+            k = pm.key or cost.attr_key(sketch, pm)
+            read = reads.get(k)
+            if read is None:
+                entry = table.get(k)
+                read = reads[k] = ((sum(entry.cn), entry.pn)
+                                   if entry is not None else (0.0, zeros))
+            # j is unique, so the sort never compares pm or pn
+            ranked.append((-read[0], pm.first_ts, pm.first_seq, j, pm,
+                           read[1]))
+        ranked.sort()
+        for _, _, _, _, pm, pn in ranked:
             if not pm.alive:
                 continue
-            v = cost.estimate(sketch, pm, theta)
             bits = pm.pattern_bits
-            ok = True
-            for i in spend:
-                if bits & (1 << (n - i - 1)):
-                    if spend[i] + v.overhead[i] > budget_map[i] + 1e-12:
-                        ok = False
-                        break
-            if ok:
-                for i in spend:
-                    if bits & (1 << (n - i - 1)):
-                        spend[i] += v.overhead[i]
-                audit.kept += 1
+            idx = idx_of.get(bits)
+            if idx is None:
+                idx = idx_of[bits] = tuple(
+                    i for i in sketch.pattern_indices(bits) if i in spend)
+            t = theta(pm)
+            for i in idx:
+                if spend[i] + pn[i] * t > budget_map[i] + 1e-12:
+                    index.plan.discard(pm)
+                    audit.discarded += 1
+                    break
             else:
-                index.plan.discard(pm)
-                audit.discarded += 1
+                for i in idx:
+                    spend[i] += pn[i] * t
+                audit.kept += 1
     audit.spend = spend
     return audit

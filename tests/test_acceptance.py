@@ -119,7 +119,7 @@ def test_acceptance_2_psd_correctness():
             if rng.random() < 0.15:
                 live = list(plan.live_records())
                 if live:
-                    live[int(rng.integers(0, len(live)))].alive = False
+                    plan.discard(live[int(rng.integers(0, len(live)))])
         live = sorted(id(r) for r in plan.live_records())
         seen = []
         for b, members in index.live_clusters():

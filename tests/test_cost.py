@@ -4,8 +4,7 @@ import numpy as np
 
 import randgen
 from matchshed import cost
-from matchshed.cost import (CostVectors, Sketch, attr_key, estimate,
-                            heap_top, order, sketch_update)
+from matchshed.cost import Sketch, attr_key, estimate, sketch_update
 from matchshed.engine import Engine
 from matchshed.model import DataElement, MatchRecord
 from matchshed.parser import parse_pattern
@@ -91,53 +90,6 @@ def test_unseen_key_is_zero():
     assert v.overhead == [0.0, 0.0, 0.0]
 
 
-def test_order_sum_and_dominance():
-    assert order(CostVectors([0, 2, 1], []), CostVectors([0, 0, 2], []))
-    assert not order(CostVectors([1, 1], []), CostVectors([1, 1], []))
-    assert order(CostVectors([2, 2], []), CostVectors([1, 1], []))
-    assert not order(CostVectors([0, 1], []), CostVectors([1, 1], []))
-
-
-def test_heap_top_max_sum_ties_older():
-    plan = shared_plan()
-    sk = Sketch(plan)
-    pms = []
-    for j, (cid, cn2) in enumerate([(2.0, 1.0), (3.0, 1.0), (4.0, 3.0)]):
-        pm = rec(1, [el("A", j, ID=cid)], bits=0b111)
-        sk.table[attr_key(sk, pm)] = cost.SketchEntry(3)
-        sk.table[attr_key(sk, pm)].cn = [0.0, cn2, 0.0]
-        pms.append(pm)
-    # same sum for ID=4 via a second entry; make ID=2 the largest
-    sk.table[attr_key(sk, pms[0])].cn = [2.0, 2.0, 1.0]
-    top = heap_top(pms, sk)
-    assert top is pms[0]
-    # tie: equal sums prefer the older (smaller first_ts)
-    sk.table[attr_key(sk, pms[1])].cn = [2.0, 2.0, 1.0]
-    assert heap_top(pms, sk) is pms[0]
-    pms[0].alive = False
-    assert heap_top(pms, sk) is pms[1]
-
-
-def test_heap_top_matches_brute_force_scan():
-    rng = np.random.default_rng(3)
-    plan = shared_plan()
-    for _ in range(20):
-        sk = Sketch(plan)
-        pms = []
-        for j in range(int(rng.integers(1, 10))):
-            pm = rec(1, [el("A", j, ID=float(j))], bits=0b111)
-            e = cost.SketchEntry(3)
-            e.cn = [float(rng.integers(0, 4)) for _ in range(3)]
-            sk.table[attr_key(sk, pm)] = e
-            pms.append(pm)
-        top = heap_top(pms, sk)
-        best = max(sum(estimate(sk, p).contribution) for p in pms)
-        assert sum(estimate(sk, top).contribution) == best
-        for p in pms:  # no live PM exceeds the top under `order`
-            assert not order(estimate(sk, p), estimate(sk, top)) or \
-                sum(estimate(sk, p).contribution) == best
-
-
 def test_decay_halves_counters():
     sk = Sketch(shared_plan())
     pm = rec(1, [el("A", 0)], bits=0b100)
@@ -199,3 +151,51 @@ def test_dump_csv(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "key,state_id,cn_1,cn_2,cn_3,pn_1,pn_2,pn_3"
     assert len(lines) == 2 and lines[1].startswith("1|7.0,1,")
+
+
+def ref_sketch_update(sk, new_match, cm_pids=()):
+    """Chain walk keying every generator and testing each pattern bit."""
+    n = sk.n
+    rho = new_match
+    while rho is not None:
+        k = attr_key(sk, rho)
+        entry = sk.table.get(k)
+        if entry is None:
+            entry = sk.table[k] = cost.SketchEntry(n)
+        for i in range(n):
+            if new_match.pattern_bits & (1 << (n - i - 1)):
+                entry.pn[i] += 1
+        for i in cm_pids:
+            entry.cn[i] += 1
+        rho = rho.parent
+
+
+def test_sketch_update_equals_chain_walk_reference():
+    """Random chains with interleaved decays leave every counter
+    bit-equal to the reference walk."""
+    rng = np.random.default_rng(41)
+    plan = shared_plan()
+    for _ in range(30):
+        sk_new, sk_ref = Sketch(plan), Sketch(plan)
+        recs = []
+        for j in range(200):
+            parent = (recs[int(rng.integers(0, len(recs)))]
+                      if recs and rng.random() < 0.8 else None)
+            first = (parent.slots[0] if parent is not None
+                     else el("A", j, ID=float(rng.integers(0, 4))))
+            r = rec(int(rng.integers(1, 5)), [first, el("B", 1000 + j)],
+                    bits=int(rng.integers(1, 8)), parent=parent)
+            recs.append(r)
+            cm = tuple(int(i) for i in rng.choice(3, int(rng.integers(0, 3)),
+                                                  replace=False))
+            sketch_update(sk_new, r, cm_pids=cm)
+            ref_sketch_update(sk_ref, r, cm_pids=cm)
+            if rng.random() < 0.05:
+                factor = float(rng.choice([0.5, 0.3]))
+                cost.decay(sk_new, factor)
+                cost.decay(sk_ref, factor)
+        assert sk_new.table.keys() == sk_ref.table.keys()
+        for k, e in sk_new.table.items():
+            want = sk_ref.table[k]
+            assert [c.hex() for c in e.cn] == [c.hex() for c in want.cn]
+            assert [p.hex() for p in e.pn] == [p.hex() for p in want.pn]

@@ -192,6 +192,43 @@ def test_overflowing_guard_fails_without_crashing():
     assert keys(got[0]) == {(0, 1)}
 
 
+# guard over a.x, an A value that faults, and the diagnostic it counts
+MATH_FAULTS = [
+    ("sin(a.x * a.x) < b.x", 1e200, "domain_error"),   # sin(inf)
+    ("cos(a.x * a.x - a.x * a.x) < b.x", 1e200, "domain_error"),  # cos(nan)
+    ("a.x ^ 0.5 < b.x", -8.0, "domain_error"),         # complex power
+    ("a.x ^ -1 < b.x", 0.0, "div_by_zero"),            # 0 ^ -1
+]
+
+
+@pytest.mark.parametrize("guard, bad, kind", MATH_FAULTS)
+def test_math_fault_in_guard_fails_without_crashing(guard, bad, kind):
+    pat = P(f"SEQ(A a, B b) WHERE {guard} WITHIN 10")
+    got = golden_run([el("A", 0, x=bad), el("B", 1, x=9)],
+                     compile_pattern(pat))
+    assert got == {0: []}
+    got = golden_run([el("A", 0, x=1), el("B", 1, x=9)],
+                     compile_pattern(pat))
+    assert keys(got[0]) == {(0, 1)}
+
+
+@pytest.mark.parametrize("guard, bad, kind", MATH_FAULTS)
+def test_math_fault_at_emission_is_counted(guard, bad, kind):
+    """The same faults under SUM over a final Kleene step, which only the
+    interpreter checks, at emission."""
+    guard = guard.replace("a.x", "SUM(b[].x)").replace("b.x", "a.x")
+    pat = P(f"SEQ(A a, B+ b[]) WHERE {guard} WITHIN 10")
+    eng = Engine(compile_pattern(pat))
+    emitted = []
+    for d in [el("A", 0, x=9), el("B", 1, x=bad), el("B", 2, x=1)]:
+        eng.expire(d.seq_index, d.timestamp)
+        emitted += [r.seq_tuple() for _, r in eng.step(d).complete]
+    # (0, 1) faults; (0, 1, 2) sums to bad + 1, which faults as well
+    # except for 0 ^ -1
+    assert (0, 2) in emitted and (0, 1) not in emitted
+    assert getattr(eng.diag, kind) == (1 if bad == 0.0 else 2)
+
+
 def test_overflow_at_emission_is_counted():
     """SUM over a final Kleene step is checked only at emission, by the
     interpreter, which counts the overflow in the engine's diagnostics."""

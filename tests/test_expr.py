@@ -76,6 +76,24 @@ def test_overflowing_power_counts_and_fails():
     assert diag.overflow == 1 and diag.domain_error == 0
 
 
+def test_trig_of_non_finite_and_complex_power_count_and_fail():
+    diag = ex.EvalDiagnostics()
+    c = {"c": el("C", 2, x=1)}
+    assert not ex.eval_predicate(pred("sin(a.x * a.x) < c.x"),
+                                 {"a": el("A", 0, x=1e200), **c}, diag)
+    assert not ex.eval_predicate(pred("cos(a.x * a.x - a.x * a.x) < c.x"),
+                                 {"a": el("A", 0, x=1e200), **c}, diag)
+    assert not ex.eval_predicate(pred("a.x ^ 0.5 < c.x"),
+                                 {"a": el("A", 0, x=-8), **c}, diag)
+    assert diag.domain_error == 3
+    assert not ex.eval_predicate(pred("a.x ^ -1 < c.x"),
+                                 {"a": el("A", 0, x=0), **c}, diag)
+    assert diag.div_by_zero == 1 and diag.overflow == 0
+    # integral powers of a negative base stay real
+    assert ex.eval_predicate(pred("a.x ^ 3 < c.x"),
+                             {"a": el("A", 0, x=-2), **c}, diag)
+
+
 def test_trig_and_power():
     p = pred("sin(a.x) ^ 2 + cos(a.x) ^ 2 = 1")
     # identity holds up to fp error only for exact cases; use x = 0

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 
 from matchshed import cost
@@ -147,3 +149,129 @@ def test_audit_row_shape():
     row = audit.csv_row(2)
     assert row[0] == "7.0" and row[1] == "[01]"
     assert row[4] == "P2:2/5"
+
+
+# ------------------------------------------------ heap-based reference
+
+def ref_budgets(index, sketch, monitor, bounds, theta=cost.theta_constant):
+    """Budgets from one fresh estimate per PM and a bit loop per pattern."""
+    n = monitor.n
+    totals = [0.0] * n
+    for _, members in index.live_clusters():
+        for pm in members:
+            v = estimate(sketch, pm, theta)
+            for i in range(n):
+                if pm.pattern_bits & (1 << (n - i - 1)):
+                    totals[i] += v.overhead[i]
+    return {i: (bounds[i] / monitor.latency_ms[i]) * totals[i]
+            for i in range(n)
+            if monitor.latency_ms[i] >= bounds[i] and monitor.latency_ms[i] > 0}
+
+
+def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
+    """Selection draining each overloaded cluster from a max-heap keyed
+    by contribution sum, ties to the older record, then list position."""
+    n = index.n
+    kept = discarded = 0
+    spend = {i: 0.0 for i in budget_map}
+    overloaded = [(b, m) for b, m in index.live_clusters() if b & b_ol]
+    for b, members in index.live_clusters():
+        if not b & b_ol:
+            kept += len(members)
+    overloaded.sort(key=lambda bm: -bm[0])
+    for _, members in overloaded:
+        heap = []
+        for j, pm in enumerate(members):
+            s = sum(estimate(sketch, pm, theta).contribution)
+            heapq.heappush(heap, (-s, pm.first_ts, pm.first_seq, j, pm))
+        while heap:
+            pm = heapq.heappop(heap)[-1]
+            if not pm.alive:
+                continue
+            v = estimate(sketch, pm, theta)
+            ok = True
+            for i in spend:
+                if pm.pattern_bits & (1 << (n - i - 1)):
+                    if spend[i] + v.overhead[i] > budget_map[i] + 1e-12:
+                        ok = False
+                        break
+            if ok:
+                for i in spend:
+                    if pm.pattern_bits & (1 << (n - i - 1)):
+                        spend[i] += v.overhead[i]
+                kept += 1
+            else:
+                index.plan.discard(pm)
+                discarded += 1
+    return kept, discarded, spend
+
+
+def random_scene(seed):
+    """Three patterns over clusters [111] A, [110] AB, [010] ABC, [001] AD.
+    PMs draw their first element from a small pool, so PMs of one state
+    share keys and tie on contribution and on first element; Kleene tails
+    of random length vary theta_length within a key.  Some keys have no
+    sketch entry and some members are dead before selection."""
+    rng = np.random.default_rng(seed)
+    plan = merge([P("SEQ(A a, B b) WHERE SAME [ID] WITHIN 100", 0),
+                  P("SEQ(A a, B b, C c) WHERE SAME [ID] WITHIN 100", 1),
+                  P("SEQ(A a, D d) WHERE SAME [ID] WITHIN 100", 2)],
+                 mode="view")
+    index = assess(plan)
+    sketch = Sketch(plan)
+    states = [s for s in plan.states if s.state_id != plan.start_id]
+    firsts = [el("A", j, ID=float(rng.integers(0, 3))) for j in range(5)]
+    pms = []
+    for j in range(int(rng.integers(1, 40))):
+        state = states[int(rng.integers(0, len(states)))]
+        bits = state.psd & int(rng.integers(1, 8)) or state.psd
+        first = firsts[int(rng.integers(0, len(firsts)))]
+        tail = tuple(el("B", 10 + j) for _ in range(int(rng.integers(0, 4))))
+        pm = MatchRecord(bits, (first, tail) if tail else (first,),
+                         state.state_id, first.seq_index, first.timestamp,
+                         10 + j, 10.0 + j)
+        plan.insert(pm)
+        index.insert(pm)
+        pms.append(pm)
+    for pm in pms:
+        k = attr_key(sketch, pm)
+        if k not in sketch.table and rng.random() < 0.8:
+            e = sketch.table[k] = cost.SketchEntry(3)
+            e.cn = [float(rng.integers(0, 3)) * 0.3 for _ in range(3)]
+            e.pn = [float(rng.integers(0, 6)) * 0.7 for _ in range(3)]
+    for pm in pms:
+        if rng.random() < 0.15:
+            plan.discard(pm)
+    monitor = monitor_with([float(rng.uniform(0, 20)) for _ in range(3)])
+    return plan, index, sketch, pms, monitor
+
+
+def hexes(d):
+    return {i: float(v).hex() for i, v in d.items()}
+
+
+def test_select_and_budgets_equal_heap_reference():
+    bounds = [10.0, 10.0, 10.0]
+    reductions = 0
+    for theta in (cost.theta_constant, cost.theta_length):
+        for seed in range(150):
+            _, idx_new, sk_new, pms_new, mon = random_scene(seed)
+            _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
+            b_ol = trigger(mon, bounds)
+            b_new = budgets(idx_new, sk_new, mon, bounds, theta)
+            b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds, theta)
+            assert hexes(b_new) == hexes(b_ref), (seed, theta)
+            # a second reduction with tighter budgets meets the first
+            # one's tombstones in the cluster lists
+            for scale in (1.0, 0.5):
+                budget_map = {i: b * scale for i, b in b_new.items()}
+                audit = select(idx_new, b_ol, budget_map, sk_new, theta)
+                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                    sk_ref, theta)
+                assert [p.alive for p in pms_new] == \
+                    [p.alive for p in pms_ref], (seed, theta, scale)
+                assert (audit.kept, audit.discarded) == (kept, discarded)
+                assert hexes(audit.spend) == hexes(spend)
+                assert hexes(audit.budget) == hexes(budget_map)
+                reductions += discarded > 0
+    assert reductions > 100  # the scenes do shed

@@ -9,8 +9,10 @@ Each line covers one configuration, seed, strategy and policy pair, and
 hashes the matches, counters, selection audits, mean EWMA latency and
 recall of ``runner.run``.  ``mixed`` runs DS2 under count and time
 windows of four sizes in one plan, so that records sharing a state leave
-their windows at different times.  Latency bounds are half of a ``none``
-run's mean latency (2x overload), as in the benchmark.
+their windows at different times.  ``length`` runs DS2 guided with
+``theta="length"``, so a PM's overhead scales with its length, which
+varies within one sketch key under Kleene steps.  Latency bounds are half
+of a ``none`` run's mean latency (2x overload), as in the benchmark.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ def _ds2_patterns(windows):
             for k, w in zip(("P1", "P2", "P5", "P6"), windows)]
 
 
-# configuration -> (dataset, patterns)
+# configuration -> (dataset, patterns, RunConfig fields, strategies)
 CONFIGS = {
-    "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")]),
-    "ds2": ("ds2", _ds2_patterns(["200 ms"] * 4)),
-    "mixed": ("ds2", _ds2_patterns(["200 ms", "120 ms", "150", "80"])),
+    "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")],
+            {}, STRATEGIES),
+    "ds2": ("ds2", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
+    "mixed": ("ds2", _ds2_patterns(["200 ms", "120 ms", "150", "80"]), {},
+              STRATEGIES),
+    "length": ("ds2", _ds2_patterns(["200 ms"] * 4), {"theta": "length"},
+               ("guided",)),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
@@ -52,16 +58,16 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
     args = ap.parse_args(argv)
     sizes = {"ds1": args.ds1, "ds2": args.ds2}
-    for name, (ds, patterns) in CONFIGS.items():
+    for name, (ds, patterns, fields, strategies) in CONFIGS.items():
         gen = wl.gen_ds1 if ds == "ds1" else wl.gen_ds2
         for seed in args.seeds:
             stream = gen(sizes[ds], seed)
             for sel, cons in POLICIES:
                 base = dict(patterns=patterns, selection=sel,
-                            consumption=cons, seed=seed)
+                            consumption=cons, seed=seed, **fields)
                 calib = run(RunConfig(**base), stream)
                 bounds = [x / 2 for x in calib.latency_mean]
-                for strategy in STRATEGIES:
+                for strategy in strategies:
                     m = (calib if strategy == "none" else
                          run(RunConfig(**base, strategy=strategy,
                                        bounds=bounds), stream))
