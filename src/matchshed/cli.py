@@ -1,4 +1,4 @@
-"""Command-line entry points: datagen, run, bench, report."""
+"""Command-line entry points: datagen, run, report."""
 
 from __future__ import annotations
 
@@ -54,22 +54,6 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_bench(args):
-    with open(args.suite) as f:
-        suite = json.load(f)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, entry in suite.items():
-        stream = workloads.load_csv(entry["input"])
-        for rep in range(args.repeat):
-            cfg = RunConfig(**{**entry["config"],
-                               "seed": entry["config"].get("seed", 0) + rep})
-            cfg.out_dir = os.path.join(args.out_dir, f"{name}-{rep}")
-            m = run(cfg, stream)
-            print(f"{name} rep={rep} triggers={m.triggers} "
-                  f"recall={m.recall}")
-    return 0
-
-
 def _cmd_report(args):
     rows = []
     for path in sorted(glob.glob(os.path.join(args.in_dir, "*", "run.json"))):
@@ -111,12 +95,6 @@ def main(argv=None):
     r.add_argument("--input", required=True, help="stream CSV")
     r.add_argument("--out-dir")
     r.set_defaults(fn=_cmd_run)
-
-    b = sub.add_parser("bench", help="run a suite of configs")
-    b.add_argument("--suite", required=True)
-    b.add_argument("--repeat", type=int, default=1)
-    b.add_argument("--out-dir", required=True)
-    b.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("report", help="aggregate run artifacts")
     p.add_argument("--in", dest="in_dir", required=True)

@@ -93,6 +93,8 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     complete; its pattern_bits say which patterns it serves as a PM.
     Each generator's counters get one ``+= 1`` per credited pattern, in
     ascending pattern order, so counters stay bit-identical after decays.
+    A record's key is derived from its parent's when the parent has one,
+    so ``attr_key`` reads elements only for start records.
     """
     n = sketch.n
     table = sketch.table
@@ -102,7 +104,13 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     while rho is not None:
         k = rho.key
         if k is None:
-            k = attr_key(sketch, rho)
+            # a child keeps its parent's first element, so its key is the
+            # parent's with its own state
+            parent = rho.parent
+            if parent is not None and parent.key is not None:
+                k = rho.key = (rho.state_id,) + parent.key[1:]
+            else:
+                k = attr_key(sketch, rho)
         entry = table.get(k)
         if entry is None:
             entry = table[k] = SketchEntry(n)

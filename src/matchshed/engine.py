@@ -20,7 +20,15 @@ Keyed buffers: each state keeps its records in buckets keyed by the SAME
 attributes all its patterns share (``PlanState.key_attrs``), so an element
 is evaluated only against the bucket of its own key.  Records of other
 keys would fail SAME for every pattern, so the outcome is the same as a
-scan of the whole state.
+scan of the whole state.  A child whose state is keyed like its parent's
+goes into the bucket the element probed.
+
+Guards: each edge's per-pattern guards are flattened once per engine.
+Patterns whose guards compute the same conjuncts share one ``checks``
+tuple (``plan.merge``), which a record evaluates once for all of them.
+At emission only the residual conjuncts no guard can decide (a SUM over
+a final Kleene step) go through ``expr.eval_predicate``.  Math faults on
+both paths are counted in ``diag``, once per evaluation.
 
 Expiry: every buffered record is queued by deadline, once per distinct
 window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
@@ -42,8 +50,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .expr import EvalDiagnostics, eval_predicate
+from .expr import eval_predicate
 from .model import (ConsumptionPolicy, DataElement, MatchRecord,
                     SelectionPolicy, WindowKind, pattern_bit)
 from .plan import ExecutionPlan
@@ -62,30 +71,48 @@ class LatencyMonitor:
             self.latency_ms = [0.0] * self.n
         if self.state_work is None:
             self.state_work = {}
+        # psd -> (indices of the patterns with their bit set, ascending;
+        # popcount), filled by measure
+        self.sharers = {}
 
 
 def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
             plan: ExecutionPlan):
     """Apportion elapsed time to patterns via the worked states' PSD bits,
     split evenly among sharers, and fold into the EWMA."""
-    total = sum(work_by_state.values())
+    state_work = monitor.state_work
+    total = 0
     for sid, w in work_by_state.items():
-        monitor.state_work[sid] = monitor.state_work.get(sid, 0) + w
+        state_work[sid] = state_work.get(sid, 0) + w
+        total += w
     if total == 0:
         return
     n = monitor.n
     share = [0.0] * n
+    states = plan.states
+    cache = monitor.sharers
     for sid, w in work_by_state.items():
-        psd = plan.states[sid].psd
+        psd = states[sid].psd
         if psd == 0:
             continue
-        part = elapsed_ms * (w / total) / psd.bit_count()
-        for i in range(n):
-            if psd & (1 << (n - i - 1)):
-                share[i] += part
+        got = cache.get(psd)
+        if got is None:
+            got = cache[psd] = (
+                tuple(i for i in range(n) if psd & (1 << (n - i - 1))),
+                psd.bit_count())
+        sharers, count = got
+        part = elapsed_ms * (w / total) / count
+        for i in sharers:
+            share[i] += part
     a = monitor.alpha
+    keep = 1 - a
+    lat = monitor.latency_ms
     for i in range(n):
-        monitor.latency_ms[i] = (1 - a) * monitor.latency_ms[i] + a * share[i]
+        lat[i] = keep * lat[i] + a * share[i]
+
+
+# emission order: by element seqs, then pattern; stable on ties
+_emission_order = itemgetter(0, 1)
 
 
 @dataclass
@@ -122,7 +149,7 @@ class Engine:
         self.consumed = [set() for _ in range(n)]
         self.history = {}    # type_tag -> ([seq], [element])
         self.counters = EngineCounters()
-        self.diag = EvalDiagnostics()
+        self.diag = plan.diag
         self.emit_counter = 0
         self._max_count_window = max(
             (w.size for w in self.windows if w.kind is WindowKind.COUNT),
@@ -133,14 +160,36 @@ class Engine:
         self._hist_trim_at = 0
         self._last_ts = float("-inf")
         self._ts_sorted = True   # no element's timestamp has decreased yet
+        self._edges = {t: [self._flatten(e) for e in edges]
+                       for t, edges in plan.edges_by_trigger.items()}
+
+    def _flatten(self, edge) -> tuple:
+        """What ``step`` reads of an edge: ``(source state, target state
+        id, action, guards, skip-till-next mask, same key)``.  Each guard
+        is ``(bit, checks, neg_checks, count window?, window size,
+        strict?)``, and guards sharing a ``checks`` tuple are adjacent.
+        ``same key`` says whether the target is keyed like the source."""
+        plan = self.plan
+        first = {}   # id(checks) -> rank of its first guard
+        for g in edge.guards.values():
+            first.setdefault(id(g.checks), len(first))
+        guards = []
+        next_mask = 0
+        for pid, g in sorted(edge.guards.items(),
+                             key=lambda pg: first[id(pg[1].checks)]):
+            w = self.windows[pid]
+            sel = self.selection[pid]
+            guards.append((self.bit[pid], g.checks, g.neg_checks,
+                           w.kind is WindowKind.COUNT, w.size,
+                           sel is SelectionPolicy.STRICT_CONTIGUITY))
+            if sel is SelectionPolicy.SKIP_TILL_NEXT:
+                next_mask |= self.bit[pid]
+        src = plan.states[edge.from_id]
+        same_key = src.key_attrs == plan.states[edge.to_id].key_attrs
+        return (src, edge.to_id, edge.action, tuple(guards), next_mask,
+                same_key)
 
     # ------------------------------------------------------------- windows
-
-    def _window_ok(self, pid: int, rec: MatchRecord, d: DataElement) -> bool:
-        w = self.windows[pid]
-        if w.kind is WindowKind.COUNT:
-            return d.seq_index - rec.first_seq <= w.size
-        return d.timestamp - rec.first_ts <= w.size
 
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Remove records outside every owning pattern's window; clears
@@ -205,55 +254,66 @@ class Engine:
         state its type triggers; windows must already be expired for d
         (call expire first)."""
         plan = self.plan
-        if d.timestamp < self._last_ts:
+        seq = d.seq_index
+        ts = d.timestamp
+        if ts < self._last_ts:
             self._ts_sorted = False
-        self._last_ts = d.timestamp
+        self._last_ts = ts
         hist = self.history.get(d.type_tag)
         if hist is None:
             hist = self.history[d.type_tag] = ([], [])
-        hist[0].append(d.seq_index)
+        hist[0].append(seq)
         hist[1].append(d)
 
         work = {}
         new_records = []
-        accept = []
+        new_keys = []     # per new record: its bucket key, or None
         taken_bits = []   # (record, bits) cleared after the edge sweep
+        attrs = d.attrs
 
-        for edge in plan.edges_by_trigger.get(d.type_tag, ()):
-            guards = edge.guards
-            from_id = edge.from_id
-            action = edge.action
+        for state, to_id, action, guards, next_mask, same_key in \
+                self._edges.get(d.type_tag, ()):
+            from_id = state.state_id
             if from_id == plan.start_id:
                 slots = ((d,),) if action == "kleene-enter" else (d,)
                 passed = 0
-                for pid, g in guards.items():
-                    if all(c(slots) for c in g.checks):
-                        passed |= self.bit[pid]
+                last = None
+                for g in guards:
+                    checks = g[1]
+                    if checks is not last:
+                        last = checks
+                        ok = True
+                        for c in checks:
+                            if not c(slots):
+                                ok = False
+                                break
+                    if ok:
+                        passed |= g[0]
                 work[from_id] = work.get(from_id, 0) + 1
                 if passed:
-                    rec = MatchRecord(passed, slots, edge.to_id,
-                                      d.seq_index, d.timestamp,
-                                      d.seq_index, d.timestamp)
-                    new_records.append(rec)
-                    work[edge.to_id] = work.get(edge.to_id, 0) + 1
+                    new_records.append(MatchRecord(passed, slots, to_id,
+                                                   seq, ts, seq, ts))
+                    new_keys.append(None)
+                    work[to_id] = work.get(to_id, 0) + 1
                 continue
 
-            state = plan.states[from_id]
-            for rec in state.buckets.get(state.key_of(d), ()):
+            key = tuple([attrs.get(a) for a in state.key_attrs])
+            child_key = key if same_key else None
+            for rec in state.buckets.get(key, ()):
                 if not rec.alive:
                     continue
                 bits = rec.pattern_bits
                 slots = None
                 passed = 0
-                for pid, g in guards.items():
-                    b = self.bit[pid]
-                    if not bits & b:
+                last = None
+                for bit, checks, neg_checks, by_count, size, strict in guards:
+                    if not bits & bit:
                         continue
-                    if not self._window_ok(pid, rec, d):
+                    delta = seq - rec.first_seq if by_count else \
+                        ts - rec.first_ts
+                    if not (delta <= size):
                         continue
-                    if (self.selection[pid] is
-                            SelectionPolicy.STRICT_CONTIGUITY
-                            and d.seq_index != rec.last_seq + 1):
+                    if strict and seq != rec.last_seq + 1:
                         continue
                     if slots is None:
                         if action == "single":
@@ -262,32 +322,27 @@ class Engine:
                             slots = rec.slots + ((d,),)
                         else:  # kleene-extend
                             slots = rec.slots[:-1] + (rec.slots[-1] + (d,),)
-                    ok = True
-                    for c in g.checks:
-                        if not c(slots):
-                            ok = False
-                            break
-                    if ok and g.neg_checks:
-                        ok = self._gap_clear(g.neg_checks, slots,
-                                             rec.last_seq, d.seq_index)
-                    if ok:
-                        passed |= b
+                    # a tuple shared with the previous guard: its result
+                    if checks is not last:
+                        last = checks
+                        ok = True
+                        for c in checks:
+                            if not c(slots):
+                                ok = False
+                                break
+                    if ok and (not neg_checks or self._gap_clear(
+                            neg_checks, slots, rec.last_seq, seq)):
+                        passed |= bit
                 if passed:
-                    child = MatchRecord(passed, slots, edge.to_id,
-                                        rec.first_seq, rec.first_ts,
-                                        d.seq_index, d.timestamp,
-                                        parent=rec)
-                    new_records.append(child)
-                    work[edge.to_id] = work.get(edge.to_id, 0) + 1
+                    new_records.append(MatchRecord(
+                        passed, slots, to_id, rec.first_seq, rec.first_ts,
+                        seq, ts, parent=rec))
+                    new_keys.append(child_key)
+                    work[to_id] = work.get(to_id, 0) + 1
                     # skip-till-next: the parent's bit moves to the child,
                     # but only once every edge has seen this element so a
                     # Kleene record can fork into extend and close
-                    taken = 0
-                    for pid in guards:
-                        b = self.bit[pid]
-                        if passed & b and (self.selection[pid] is
-                                           SelectionPolicy.SKIP_TILL_NEXT):
-                            taken |= b
+                    taken = passed & next_mask
                     if taken:
                         taken_bits.append((rec, taken))
             # a full scan's count: every alive record of the state
@@ -300,26 +355,32 @@ class Engine:
                 plan.discard(rec)
                 self.counters.pms_policy_dropped += 1
 
-        complete = []
-        rejected = 0
-        for rec in new_records:
-            self.counters.pms_created += 1
-            plan.insert(rec)
-            state = plan.states[rec.state_id]
-            if state.accepting_for:
-                for pid in state.accepting_for:
+        accept = []
+        states = plan.states
+        self.counters.pms_created += len(new_records)
+        for rec, key in zip(new_records, new_keys):
+            plan.insert(rec, key)
+            accepting = states[rec.state_id].accepting_for
+            if accepting:
+                seqs = None
+                for pid in accepting:
                     if rec.pattern_bits & self.bit[pid]:
-                        accept.append((pid, rec))
+                        if seqs is None:
+                            seqs = rec.seq_tuple()
+                        accept.append((seqs, pid, rec))
 
         # deterministic emission order, then per-pattern consumption
-        accept.sort(key=lambda pr: (pr[1].seq_tuple(), pr[0]))
-        for pid, rec in accept:
-            pattern = plan.patterns[pid]
-            names = plan.accept_bindings[(pid, rec.state_id)]
-            env = dict(zip(names, rec.slots))
-            if not eval_predicate(pattern.predicate, env, self.diag):
-                continue
-            seqs = rec.seq_tuple()
+        complete = []
+        rejected = 0
+        accept.sort(key=_emission_order)
+        residuals = plan.residuals
+        for seqs, pid, rec in accept:
+            residual = residuals.get((pid, rec.state_id))
+            if residual is not None:
+                names, pred = residual
+                if not eval_predicate(pred, dict(zip(names, rec.slots)),
+                                      self.diag):
+                    continue
             if self.consumption[pid] is ConsumptionPolicy.CONSUME:
                 used = self.consumed[pid]
                 if any(s in used for s in seqs):

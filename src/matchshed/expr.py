@@ -7,9 +7,15 @@ a SAME shorthand (one attribute equal across all bindings).
 Evaluation is *partial*: a conjunct that references a binding missing from
 the environment is deferred, i.e. treated as satisfiable.  Division by zero
 (also zero to a negative power), domain errors (arcsin/arccos outside
-[-1, 1], sqrt of a negative, sin/cos of a non-finite value, a negative
-base to a fractional power) and overflowing powers make the conjunct false
-and bump a diagnostic counter.
+[-1, 1], sqrt of a negative, either of them of NaN, sin/cos of a
+non-finite value, a negative base to a fractional power) and overflowing
+powers make the conjunct false and bump a diagnostic counter.  NaN in a
+bare comparison is not a fault: the comparison is false, uncounted.
+
+The engine decides conjuncts with the compiled guards of ``plan``, which
+count the same faults; it calls ``eval_predicate`` only for the residual
+conjuncts no guard can decide.  ``tests/oracle.py`` uses this interpreter
+as its reference.
 """
 
 from __future__ import annotations
@@ -140,9 +146,10 @@ def _num(e: Expr, env: dict) -> float:
         raise ValueError(f"unknown operator {e.op!r}")
     if type(e) is Func:
         x = _num(e.arg, env)
-        if e.name in ("arcsin", "arccos") and abs(x) > 1:
+        # written so that NaN fails the range tests too
+        if e.name in ("arcsin", "arccos") and not abs(x) <= 1:
             raise _MathFault("domain_error")
-        if e.name == "sqrt" and x < 0:
+        if e.name == "sqrt" and not x >= 0:
             raise _MathFault("domain_error")
         if e.name in ("sin", "cos") and not math.isfinite(x):
             raise _MathFault("domain_error")

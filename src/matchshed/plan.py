@@ -10,11 +10,20 @@ so the hot loop avoids building binding environments.  Each non-start
 state is keyed on the SAME attributes common to the patterns through it;
 an edge leaving a keyed state leaves out the SAME checks on those
 attributes, because the engine only meets records of the element's key.
+
+Patterns whose guards on one edge schedule the same conjuncts over the
+same slot positions, with the same SAME checks, share one compiled
+``checks`` tuple, so the engine evaluates it once per record for all of
+them.  A compiled check that faults (division by zero, a domain error,
+an overflow) is false and is counted in the plan's ``EvalDiagnostics``.
+The conjuncts no guard can decide, a SUM over a final Kleene step, are
+kept per accepting state as the residual that is checked at emission.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -37,7 +46,8 @@ class NegCheck:
 @dataclass
 class EdgeGuard:
     """Per-pattern guard on a transition: prunable conjunct closures plus
-    absence checks for skipped negated steps."""
+    absence checks for skipped negated steps.  Patterns with equal
+    conjuncts on an edge hold the same ``checks`` object."""
     pattern_id: int
     checks: tuple      # (slots,) -> bool
     neg_checks: tuple  # NegCheck
@@ -160,11 +170,12 @@ class PlanEdge:
 
 
 class ExecutionPlan:
-    def __init__(self, states, edges, patterns, mode: str = "view"):
+    def __init__(self, states, edges, patterns, mode: str,
+                 diag: ex.EvalDiagnostics):
         self.states = states            # list[PlanState], index == state_id
         self.edges = edges              # list[PlanEdge]
         self.patterns = patterns        # list[Pattern]
-        self.mode = mode                # instance | view | separate
+        self.mode = mode                # view | separate
         self.start_id = 0
         self.edges_by_trigger = {}
         for e in edges:
@@ -174,8 +185,11 @@ class ExecutionPlan:
             lst.sort(key=lambda e: 0 if e.action == "kleene-extend" else 1)
         # pattern id -> ordered state ids along its chain (start excluded)
         self.pattern_paths = {}
-        # (pattern_id, accepting state) -> binding names by position
-        self.accept_bindings = {}
+        # (pattern_id, accepting state) -> (binding names by position,
+        # residual predicate), for patterns with emission-only conjuncts
+        self.residuals = {}
+        # faults of the compiled checks and of the engine's residual checks
+        self.diag = diag
         # one deadline queue per distinct window (kind, size)
         masks = {}
         for p in patterns:
@@ -195,14 +209,21 @@ class ExecutionPlan:
                 if r.alive:
                     yield r
 
-    def insert(self, rec: MatchRecord):
+    def insert(self, rec: MatchRecord, key=None):
         """Buffer a new record in its state, in its key's bucket and in
-        the deadline queue of each window its patterns have."""
+        the deadline queue of each window its patterns have.  ``key`` is
+        the bucket key when the caller knows it (a child keyed like its
+        parent's state); by default it is read from the first element."""
         state = self.states[rec.state_id]
         state.buffer.append(rec)
-        first = rec.slots[0]
-        el = first[0] if type(first) is tuple else first
-        state.buckets.setdefault(state.key_of(el), []).append(rec)
+        if key is None:
+            first = rec.slots[0]
+            key = state.key_of(first[0] if type(first) is tuple else first)
+        bucket = state.buckets.get(key)
+        if bucket is None:
+            state.buckets[key] = [rec]
+        else:
+            bucket.append(rec)
         state.live += 1
         bits = rec.pattern_bits
         for q in self.deadlines:
@@ -258,8 +279,9 @@ def _compile_numeric(e, pos_of: dict, neg_binding=None):
     """Compile a numeric expression to (slots, neg_elem) -> float.
 
     Raises ex._MathFault at call time on div-by-zero / domain errors
-    (including a non-finite sin/cos argument and a complex power), and
-    OverflowError when a power leaves the float range.
+    (including a NaN trig or root argument, a non-finite sin/cos argument
+    and a complex power), and OverflowError when a power leaves the float
+    range.
     """
     t = type(e)
     if t is ex.Num:
@@ -311,14 +333,14 @@ def _compile_numeric(e, pos_of: dict, neg_binding=None):
         if name in ("arcsin", "arccos"):
             def trig(s, ne):
                 x = f(s, ne)
-                if abs(x) > 1:
+                if not abs(x) <= 1:  # NaN fails too
                     raise ex._MathFault("domain_error")
                 return fn(x)
             return trig
         if name == "sqrt":
             def root(s, ne):
                 x = f(s, ne)
-                if x < 0:
+                if not x >= 0:  # NaN fails too
                     raise ex._MathFault("domain_error")
                 return fn(x)
             return root
@@ -333,19 +355,27 @@ def _compile_numeric(e, pos_of: dict, neg_binding=None):
     raise PlanError(f"cannot compile {e!r}")
 
 
-def _compile_cmp(e: ex.Cmp, pos_of, neg_binding=None,
-                 default_on_fault=False):
+_CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "=": operator.eq}
+
+
+def _compile_cmp(e: ex.Cmp, pos_of, diag: ex.EvalDiagnostics,
+                 neg_binding=None):
+    """Compile a comparison to (slots, neg_elem=None) -> bool.  A math
+    fault makes it false and is counted in ``diag``, once per call."""
     f = _compile_numeric(e.left, pos_of, neg_binding)
     g = _compile_numeric(e.right, pos_of, neg_binding)
-    import operator
-    op = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-          ">=": operator.ge, "=": operator.eq}[e.op]
+    op = _CMP_OPS[e.op]
 
     def check(s, ne=None):
         try:
             return op(f(s, ne), g(s, ne))
-        except (ex._MathFault, OverflowError):
-            return default_on_fault
+        except ex._MathFault as fault:
+            kind = fault.kind
+        except OverflowError:
+            kind = "overflow"
+        setattr(diag, kind, getattr(diag, kind) + 1)
+        return False
 
     return check
 
@@ -379,7 +409,7 @@ def _compile_same(attr: str, neg_binding=False):
 
 def compile_pattern(pattern: Pattern) -> ExecutionPlan:
     """Compile one pattern into a linear state chain."""
-    return merge([_chain(pattern, 1)], mode="view")
+    return merge([pattern], mode="view")
 
 
 @dataclass
@@ -389,9 +419,11 @@ class _Chain:
     signatures: list          # state signature per positional depth (incl start)
     transitions: list         # list of dicts describing edges
     same_attrs: tuple         # SAME attributes; their checks are added in merge
+    pos_of: dict              # positional binding name -> slot index
+    residual: object          # emission-only conjuncts (ex.And) or None
 
 
-def _chain(pattern: Pattern, n: int) -> _Chain:
+def _chain(pattern: Pattern, diag: ex.EvalDiagnostics) -> _Chain:
     steps = pattern.steps
     pos_steps = pattern.positional_steps
     m = len(pos_steps)
@@ -399,12 +431,10 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
     # signature prefix at each positional depth (start == ())
     signatures = [()]
     pending = []
-    pos_index = {}
     for s in steps:
         if s.kind is StepKind.NEGATED:
             pending.append(s)
         else:
-            pos_index[s.binding_name] = len(signatures) - 1
             signatures.append(signatures[-1]
                               + tuple((p.event_type, p.kind) for p in pending)
                               + ((s.event_type, s.kind),))
@@ -433,6 +463,7 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
     sched = [[] for _ in range(m)]          # regular checks per transition
     neg_sched = [{} for _ in range(m)]      # neg binding -> blocker conjuncts
     same_attrs = []
+    emission = []                           # decidable only at emission
     for c in conjs:
         if type(c) is ex.Same:
             same_attrs.append(c.attr)
@@ -465,22 +496,21 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
                     when = max(when, p + 1)
             else:
                 when = max(when, p)
-        if not emission_only:
+        if emission_only:
+            emission.append(c)
+        else:
             sched[when].append(c)
 
     transitions = []
     for j in range(m):
         step = pos_steps[j]
-        checks = [_compile_cmp(c, pos_of) for c in sched[j]]
         neg_checks = []
         for s in negs_before[j]:
             nb = s.binding_name
-            blockers = []
-            for c, decidable in neg_sched[j].get(nb, []):
-                if decidable:
-                    blockers.append(_compile_cmp(c, pos_of, neg_binding=nb,
-                                                 default_on_fault=False))
-                # undecidable conjuncts block conservatively: no closure
+            # undecidable conjuncts block conservatively: no closure
+            blockers = [_compile_cmp(c, pos_of, diag, neg_binding=nb)
+                        for c, decidable in neg_sched[j].get(nb, [])
+                        if decidable]
             for a in same_attrs:
                 blockers.append(_compile_same(a, neg_binding=True))
             neg_checks.append(NegCheck(s.event_type, tuple(blockers)))
@@ -491,7 +521,7 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
             "to_sig": signatures[j + 1],
             "trigger": step.event_type,
             "action": action,
-            "checks": tuple(checks),
+            "conjs": tuple(sched[j]),   # compiled in merge
             "neg_checks": tuple(neg_checks),
         })
         if step.kind is StepKind.KLEENE_PLUS:
@@ -501,12 +531,14 @@ def _chain(pattern: Pattern, n: int) -> _Chain:
                 "to_sig": signatures[j + 1],
                 "trigger": step.event_type,
                 "action": "kleene-extend",
-                "checks": (),
+                "conjs": (),
                 "neg_checks": (),
             })
 
     return _Chain(pattern=pattern, signatures=signatures,
-                  transitions=transitions, same_attrs=tuple(same_attrs))
+                  transitions=transitions, same_attrs=tuple(same_attrs),
+                  pos_of=pos_of,
+                  residual=ex.And(tuple(emission)) if emission else None)
 
 
 def _refs_sum(c, binding) -> bool:
@@ -527,26 +559,68 @@ def _refs_sum(c, binding) -> bool:
     return found
 
 
-def merge(chains_or_patterns, mode: str = "view"):
-    """Merge per-pattern chains into one shared plan.
+def _shape(e, pos_of: dict):
+    """An expression with its binding names replaced by slot positions:
+    two conjuncts with equal shapes compute the same thing on a slot
+    tuple.  Literals compare by ``repr``, so ``0.0`` and ``-0.0`` differ."""
+    t = type(e)
+    if t is ex.AttrRef or t is ex.SumAgg:
+        return (t.__name__, pos_of[e.binding], e.attr)
+    if t is ex.Num:
+        return ("Num", repr(e.value))
+    if t is ex.Bin or t is ex.Cmp:
+        return (e.op, _shape(e.left, pos_of), _shape(e.right, pos_of))
+    if t is ex.Func:
+        return (e.name, _shape(e.arg, pos_of))
+    raise PlanError(f"cannot compile {e!r}")
 
-    ``instance``/``view`` unify states with equal step-prefix signatures;
-    ``separate`` keeps every chain disjoint.
+
+def _guard_signature(conjs, pos_of, same) -> tuple:
+    """What a guard's ``checks`` tuple computes: its conjuncts' shapes,
+    in order, then the SAME attributes it checks."""
+    return tuple(_shape(c, pos_of) for c in conjs), same
+
+
+def _edge_checks(entries: list, conjs, pos_of, same, diag) -> tuple:
+    """The ``checks`` tuple of a guard on an edge: that of a guard already
+    on the edge with the same signature, else a newly compiled one.
+
+    ``entries`` holds ``[signature, conjs, pos_of, same, checks]`` per
+    distinct tuple on the edge.  Signatures are computed only once the
+    edge has a second guard, so an unshared edge costs no comparison."""
+    mine = [None, conjs, pos_of, same, None]
+    for other in entries:
+        if other[0] is None:
+            other[0] = _guard_signature(*other[1:4])
+        if mine[0] is None:
+            mine[0] = _guard_signature(conjs, pos_of, same)
+        if other[0] == mine[0]:
+            return other[4]
+    mine[4] = (tuple(_compile_cmp(x, pos_of, diag) for x in conjs)
+               + tuple(_compile_same(a) for a in same))
+    entries.append(mine)
+    return mine[4]
+
+
+def merge(patterns, mode: str = "view"):
+    """Compile patterns into per-pattern chains and merge them into one
+    plan.
+
+    ``view`` unifies states with equal step-prefix signatures;
+    ``separate`` keeps every chain disjoint.  On an edge that already
+    holds another pattern's guard, a guard with the same signature
+    (``_guard_signature``) reuses that guard's ``checks`` tuple.
     """
-    if chains_or_patterns and isinstance(chains_or_patterns[0], Pattern):
-        patterns = list(chains_or_patterns)
-        chains = [_chain(p, len(patterns)) for p in patterns]
-    elif chains_or_patterns and isinstance(chains_or_patterns[0], _Chain):
-        chains = list(chains_or_patterns)
-        patterns = [c.pattern for c in chains]
-    else:
+    patterns = list(patterns)
+    if not patterns:
         raise PlanError("nothing to merge")
     if [p.id for p in patterns] != list(range(len(patterns))):
         raise PlanError("pattern ids must be 0..n-1 in list order")
-
-    shared = mode in ("instance", "view")
-    if mode not in ("instance", "view", "separate"):
+    if mode not in ("view", "separate"):
         raise PlanError(f"unknown materialization mode {mode!r}")
+    shared = mode == "view"
+    diag = ex.EvalDiagnostics()
+    chains = [_chain(p, diag) for p in patterns]
 
     # deterministic state discovery: BFS over chain signatures, patterns in
     # listed order, so numbering is stable
@@ -579,6 +653,7 @@ def merge(chains_or_patterns, mode: str = "view"):
 
     edges = {}
     edge_list = []
+    placed = {}   # edge key -> guard entries, see _edge_checks
     for c in chains:
         pid = c.pattern.id
         for t in c.transitions:
@@ -591,19 +666,21 @@ def merge(chains_or_patterns, mode: str = "view"):
                 edges[ek] = e
                 edge_list.append(e)
             # the probe of the source state's bucket proves SAME on its key
-            checks = t["checks"] + tuple(
-                _compile_same(a) for a in c.same_attrs
-                if a not in frm.key_attrs)
+            same = tuple(a for a in c.same_attrs if a not in frm.key_attrs)
+            checks = _edge_checks(placed.setdefault(ek, []), t["conjs"],
+                                  c.pos_of, same, diag)
             edges[ek].guards[pid] = EdgeGuard(pid, checks, t["neg_checks"])
 
-    plan = ExecutionPlan(states, edge_list, patterns, mode)
+    plan = ExecutionPlan(states, edge_list, patterns, mode, diag)
     plan.pattern_paths = paths
     for c in chains:
         pid = c.pattern.id
         acc_state = state_of[key(pid, c.signatures[-1])]
         acc_state.accepting_for.add(pid)
-        plan.accept_bindings[(pid, acc_state.state_id)] = tuple(
-            s.binding_name for s in c.pattern.positional_steps)
+        if c.residual is not None:
+            plan.residuals[(pid, acc_state.state_id)] = (
+                tuple(s.binding_name for s in c.pattern.positional_steps),
+                c.residual)
 
     _check_invariants(plan, shared)
     return plan

@@ -240,3 +240,37 @@ def test_overflow_at_emission_is_counted():
         emitted += [r.seq_tuple() for _, r in eng.step(d).complete]
     assert emitted == [(0, 2)]
     assert eng.diag.overflow == 2   # (0, 1) and (0, 1, 2)
+
+
+def test_division_by_zero_in_guard_is_counted():
+    pat = P("SEQ(A a, B b) WHERE a.x / b.x < 1 WITHIN 10")
+    eng = Engine(compile_pattern(pat))
+    for d in [el("A", 0, x=1), el("B", 1, x=0)]:
+        eng.expire(d.seq_index, d.timestamp)
+        assert eng.step(d).complete == []
+    assert eng.diag.div_by_zero == 1
+
+
+@pytest.mark.parametrize("guard, bad, kind", MATH_FAULTS)
+def test_math_fault_in_guard_is_counted_once(guard, bad, kind):
+    eng = Engine(compile_pattern(P(f"SEQ(A a, B b) WHERE {guard} WITHIN 10")))
+    for d in [el("A", 0, x=bad), el("B", 1, x=9)]:
+        eng.expire(d.seq_index, d.timestamp)
+        eng.step(d)
+    assert dataclasses.asdict(eng.diag) == {
+        "div_by_zero": 0, "domain_error": 0, "overflow": 0, kind: 1}
+
+
+@pytest.mark.parametrize("guard", ["arccos(a.x * a.x - a.x * a.x) < b.x",
+                                   "sqrt(a.x * a.x - a.x * a.x) < b.x"])
+def test_nan_trig_or_root_argument_is_a_domain_error(guard):
+    """x * x - x * x is inf - inf, NaN, for x = 1e200."""
+    eng = Engine(compile_pattern(P(f"SEQ(A a, B b) WHERE {guard} WITHIN 10")))
+    emitted = []
+    for d in [el("A", 0, x=1e200), el("B", 1, x=9), el("A", 2, x=1),
+              el("B", 3, x=9)]:
+        eng.expire(d.seq_index, d.timestamp)
+        emitted += [r.seq_tuple() for _, r in eng.step(d).complete]
+    # the A with x=1e200 faults against both Bs
+    assert emitted == [(2, 3)]
+    assert eng.diag.domain_error == 2

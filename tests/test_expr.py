@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 from matchshed import expr as ex
@@ -92,6 +93,21 @@ def test_trig_of_non_finite_and_complex_power_count_and_fail():
     # integral powers of a negative base stay real
     assert ex.eval_predicate(pred("a.x ^ 3 < c.x"),
                              {"a": el("A", 0, x=-2), **c}, diag)
+
+
+def test_nan_argument_is_a_domain_error():
+    """arccos, arcsin and sqrt of NaN (inf - inf for x = 1e200) are
+    counted faults; NaN in a bare comparison is false and uncounted."""
+    diag = ex.EvalDiagnostics()
+    env = {"a": el("A", 0, x=1e200), "c": el("C", 2, x=1)}
+    for fn in ("arccos", "arcsin", "sqrt"):
+        assert not ex.eval_predicate(
+            pred(f"{fn}(a.x * a.x - a.x * a.x) < c.x"), env, diag)
+    assert diag.domain_error == 3
+    assert not ex.eval_predicate(pred("a.x * a.x - a.x * a.x < c.x"), env,
+                                 diag)
+    assert dataclasses.asdict(diag) == {"div_by_zero": 0,
+                                        "domain_error": 3, "overflow": 0}
 
 
 def test_trig_and_power():

@@ -7,12 +7,16 @@ change in synthetic cost mode) shows the same lines before and after:
 
 Each line covers one configuration, seed, strategy and policy pair, and
 hashes the matches, counters, selection audits, mean EWMA latency and
-recall of ``runner.run``.  ``mixed`` runs DS2 under count and time
-windows of four sizes in one plan, so that records sharing a state leave
-their windows at different times.  ``length`` runs DS2 guided with
-``theta="length"``, so a PM's overhead scales with its length, which
-varies within one sketch key under Kleene steps.  Latency bounds are half
-of a ``none`` run's mean latency (2x overload), as in the benchmark.
+recall of ``runner.run``.  ``ds1-mixed`` runs P3 under a count window
+of 500 and P4 under a time window of 300 ms (DS1 timestamps equal the
+index), so a guard result shared by both patterns on their common
+prefix serves patterns whose windows differ.  ``mixed`` runs DS2 under
+count and time windows of four sizes in one plan, so that records
+sharing a state leave their windows at different times.  ``length``
+runs DS2 guided with ``theta="length"``, so a PM's overhead scales with
+its length, which varies within one sketch key under Kleene steps.
+Latency bounds are half of a ``none`` run's mean latency (2x overload),
+as in the benchmark.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ def _ds2_patterns(windows):
 CONFIGS = {
     "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")],
             {}, STRATEGIES),
+    "ds1-mixed": ("ds1", [wl.templates(window=500)["P3"],
+                          wl.templates(window=300)["P4"].replace(
+                              "WITHIN 300", "WITHIN 300 ms")],
+                  {}, STRATEGIES),
     "ds2": ("ds2", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
     "mixed": ("ds2", _ds2_patterns(["200 ms", "120 ms", "150", "80"]), {},
               STRATEGIES),
