@@ -400,13 +400,17 @@ class Engine:
 
 def golden_run(stream, plan: ExecutionPlan,
                selection: SelectionPolicy = SelectionPolicy.SKIP_TILL_ANY,
-               consumption: ConsumptionPolicy = ConsumptionPolicy.REUSE):
+               consumption: ConsumptionPolicy = ConsumptionPolicy.REUSE,
+               expire_every: int = 1):
     """Exhaustive evaluation (no state reduction); complete matches per
-    pattern in emission order."""
+    pattern in emission order.  Windows are expired before every
+    ``expire_every``-th element; extension-time window checks keep the
+    matches the same at any cadence."""
     eng = Engine(plan, selection, consumption)
     out = {p.id: [] for p in plan.patterns}
-    for d in stream:
-        eng.expire(d.seq_index, d.timestamp)
+    for i, d in enumerate(stream):
+        if i % expire_every == 0:
+            eng.expire(d.seq_index, d.timestamp)
         res = eng.step(d)
         for pid, rec in res.complete:
             out[pid].append(rec)

@@ -9,6 +9,12 @@ monitor, and roll the sketch epoch at window boundaries.
 Latency can be measured by wall clock or synthetically (elapsed =
 cost_unit * work units), which makes overload experiments machine
 independent and runs byte-for-byte reproducible.
+
+Recall is measured against the golden pass, exhaustive matching of the
+same stream.  With synthetic latency, at least two CPUs and the fork
+start method, ``run`` computes it in a forked worker process while the
+parent runs the main loop, and collects the matches over a pipe after
+the loop; otherwise it computes it in-process before the loop.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import csv
 import json
 import os
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +121,121 @@ def shed_random_state(engine: Engine, rng, ratio: float) -> int:
     return dropped
 
 
+def golden_matches(config: RunConfig, stream) -> dict:
+    """The exhaustive reference for recall, ``{pid: [(last_seq,
+    match_key)]}``, from a plan of its own at the run's expiry cadence."""
+    gout = golden_run(stream, build_plan(config),
+                      SelectionPolicy(config.selection),
+                      ConsumptionPolicy(config.consumption),
+                      config.expire_every)
+    return {pid: [(r.last_seq, match_key(r)) for r in recs]
+            for pid, recs in gout.items()}
+
+
+def _worker_pays(config: RunConfig) -> bool:
+    """Whether a forked golden worker can save time: synthetic latency
+    (a concurrent process would inflate wall-clock latencies), at least
+    two CPUs for this process, and the fork start method."""
+    if config.cost_mode != "synthetic":
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _golden_child(conn, config: RunConfig, stream):
+    try:
+        result = (True, golden_matches(config, stream))
+    except Exception as e:
+        # the traceback does not pickle; its text goes with the exception
+        result = (False, (e, traceback.format_exc()))
+    conn.send(result)
+    conn.close()
+
+
+class GoldenWorker:
+    """The golden pass in a forked child process.  The fork hands the child
+    the config and the materialised stream without pickling them; only
+    the matches come back, over a one-way pipe.  The child runs only the
+    pure-Python golden pass, no numpy, so no lock held by a parent thread
+    that fork does not copy (numpy's BLAS pool among them) is waited on."""
+
+    def __init__(self, config: RunConfig, stream: list):
+        # imported here: runs without a golden pass never load it
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_golden_child,
+                                args=(child_conn, config, stream),
+                                daemon=True)
+        self.proc.start()
+        # the parent keeps only the reading end, so recv sees EOF when
+        # the child dies without a result
+        child_conn.close()
+
+    def result(self) -> dict:
+        """Wait for the matches; re-raises the child's exception."""
+        try:
+            # recv before join: a result larger than the pipe buffer
+            # would otherwise block the child's send forever
+            ok, value = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"golden worker exited with code "
+                               f"{self.proc.exitcode} without a result") \
+                from None
+        self.proc.join()
+        if not ok:
+            exc, tb = value
+            raise exc from RuntimeError(f"in the golden worker:\n{tb}")
+        return value
+
+    def stop(self):
+        """End the child if it still runs; idempotent."""
+        if self.proc.exitcode is None:
+            self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+
 def run(config: RunConfig, stream) -> Metrics:
     stream = list(stream)
+    golden = worker = None
+    if config.compute_golden and config.strategy != "none":
+        if _worker_pays(config):
+            worker = GoldenWorker(config, stream)
+        else:
+            golden = golden_matches(config, stream)
+    try:
+        m, plan, sketch = _main_loop(config, stream)
+        if worker is not None:
+            golden = worker.result()
+    finally:
+        if worker is not None:
+            worker.stop()
+    if golden is not None:
+        m.golden_matches = golden
+        m.recall = [recall(golden[i], m.matches[i]) for i in range(m.n)]
+    if config.out_dir:
+        write_artifacts(config, plan, sketch, m)
+    return m
+
+
+_NO_CMS = {}        # cm_of of a step that completed no match; never written
+
+
+def _main_loop(config: RunConfig, stream: list):
+    """Expire, reduce, step and measure each element; returns the Metrics
+    without recall, the plan and the sketch."""
     plan = build_plan(config)
     sel = SelectionPolicy(config.selection)
     cons = ConsumptionPolicy(config.consumption)
     n = plan.n
-
-    golden = None
-    if config.compute_golden and config.strategy != "none":
-        gplan = build_plan(config)
-        gout = golden_run(stream, gplan, sel, cons)
-        golden = {pid: [(r.last_seq, match_key(r)) for r in recs]
-                  for pid, recs in gout.items()}
 
     index = psd.assess(plan)
     sketch = cost.Sketch(plan)
@@ -144,74 +253,86 @@ def run(config: RunConfig, stream) -> Metrics:
         epoch_len = max(count_ws) if count_ws else 0
     next_epoch = epoch_len if epoch_len else None
 
+    strategy = config.strategy
+    shedding = strategy != "none"
+    drop_ratio = config.drop_ratio
+    expire_every = config.expire_every
+    select_every = config.select_every
+    synthetic = config.cost_mode == "synthetic"
+    cost_unit = config.cost_unit
+    latency_ms = monitor.latency_ms     # measure updates it in place
+    perf_counter = time.perf_counter
+
     matches = {p.id: [] for p in plan.patterns}
     audits = []
     triggers = 0
     elapsed_hist = []
     lat_sum = [0.0] * n
     next_expire = 0
-    last_select = -config.select_every
-    wall_start = time.perf_counter()
+    last_select = -select_every
+    wall_start = perf_counter()
 
     for d in stream:
+        seq = d.seq_index
         # extension-time window checks keep match semantics exact, so
         # expiry runs periodically; its cadence sets when expired records
         # stop counting as alive, and so the work units
-        if d.seq_index >= next_expire:
-            engine.expire(d.seq_index, d.timestamp)
-            next_expire = d.seq_index + config.expire_every
+        if seq >= next_expire:
+            engine.expire(seq, d.timestamp)
+            next_expire = seq + expire_every
 
-        if config.strategy != "none":
+        if shedding:
             b_ol = selector.trigger(monitor, bounds)
             if b_ol:
                 triggers += 1
                 # state reductions are rate limited; input shedding is a
                 # per-element decision by nature
-                reduce_now = (d.seq_index - last_select
-                              >= config.select_every)
-                if config.strategy == "guided" and reduce_now:
-                    last_select = d.seq_index
-                    engine.expire(d.seq_index, d.timestamp)
+                reduce_now = seq - last_select >= select_every
+                if strategy == "guided" and reduce_now:
+                    last_select = seq
+                    engine.expire(seq, d.timestamp)
                     budget_map = selector.budgets(index, sketch, monitor,
                                                   bounds, theta)
                     audit = selector.select(index, b_ol, budget_map, sketch,
                                             theta, now_ts=d.timestamp)
                     audits.append(audit)
                     engine.counters.pms_shed += audit.discarded
-                elif config.strategy == "random-state" and reduce_now:
-                    last_select = d.seq_index
+                elif strategy == "random-state" and reduce_now:
+                    last_select = seq
                     engine.counters.pms_shed += shed_random_state(
-                        engine, rng, config.drop_ratio)
-                elif config.strategy == "random-input":
-                    if shed_random_input(rng, config.drop_ratio):
+                        engine, rng, drop_ratio)
+                elif strategy == "random-input":
+                    if shed_random_input(rng, drop_ratio):
                         continue
 
-        t0 = time.perf_counter()
-        res = engine.step(d)
-        if config.cost_mode == "synthetic":
-            elapsed = config.cost_unit * sum(res.work.values())
+        if synthetic:
+            res = engine.step(d)
+            elapsed = cost_unit * sum(res.work.values())
         else:
-            elapsed = (time.perf_counter() - t0) * 1000.0
+            t0 = perf_counter()
+            res = engine.step(d)
+            elapsed = (perf_counter() - t0) * 1000.0
         elapsed_hist.append(elapsed)
         measure(monitor, elapsed, res.work, plan)
         for i in range(n):
-            lat_sum[i] += monitor.latency_ms[i]
+            lat_sum[i] += latency_ms[i]
 
-        cm_of = {}
-        for pid, rec in res.complete:
-            cm_of.setdefault(id(rec), (rec, []))[1].append(pid)
-            matches[pid].append((d.seq_index, match_key(rec)))
+        cm_of = _NO_CMS
+        if res.complete:
+            cm_of = {}
+            for pid, rec in res.complete:
+                cm_of.setdefault(id(rec), []).append(pid)
+                matches[pid].append((seq, match_key(rec)))
         for rec in res.new_pms:
             index.insert(rec)
-            cm_pids = cm_of.get(id(rec), (None, ()))[1]
-            cost.sketch_update(sketch, rec, cm_pids=cm_pids)
+            cost.sketch_update(sketch, rec, cm_pids=cm_of.get(id(rec), ()))
 
-        if next_epoch is not None and d.seq_index >= next_epoch:
+        if next_epoch is not None and seq >= next_epoch:
             cost.decay(sketch, 0.5)
             next_epoch += epoch_len
 
     engine.expire(len(stream), stream[-1].timestamp if stream else 0.0)
-    wall = time.perf_counter() - wall_start
+    wall = perf_counter() - wall_start
     c = engine.counters
     counters = {
         "pms_created": c.pms_created,
@@ -222,10 +343,6 @@ def run(config: RunConfig, stream) -> Metrics:
         "live_at_end": engine.live_pm_count(),
     }
 
-    recall_vec = None
-    if golden is not None:
-        recall_vec = [recall(golden[i], matches[i]) for i in range(n)]
-
     pcts = {}
     if elapsed_hist:
         arr = np.sort(np.asarray(elapsed_hist))
@@ -233,17 +350,14 @@ def run(config: RunConfig, stream) -> Metrics:
             pcts[f"p{p}"] = float(arr[min(len(arr) - 1,
                                           int(len(arr) * p / 100))])
 
-    m = Metrics(n=n, recall=recall_vec, matches=matches,
-                golden_matches=golden,
+    m = Metrics(n=n, matches=matches,
                 throughput=len(stream) / wall if wall > 0 else 0.0,
                 latency_ms=list(monitor.latency_ms),
                 latency_mean=[s / max(1, len(stream)) for s in lat_sum],
                 latency_pcts=pcts,
                 triggers=triggers, elements=len(stream), counters=counters,
                 audits=audits)
-    if config.out_dir:
-        write_artifacts(config, plan, sketch, m)
-    return m
+    return m, plan, sketch
 
 
 def recall(golden_list, reduced_list) -> float:

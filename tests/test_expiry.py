@@ -10,8 +10,8 @@ import pytest
 
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
-from matchshed.model import (DataElement, MatchRecord, SelectionPolicy,
-                             StepKind, Window, WindowKind)
+from matchshed.model import (ConsumptionPolicy, DataElement, MatchRecord,
+                             SelectionPolicy, StepKind, Window, WindowKind)
 from matchshed.parser import parse_pattern
 from matchshed.plan import PlanState, merge
 from matchshed.runner import RunConfig, run, shed_random_state
@@ -318,3 +318,21 @@ def test_golden_run_unchanged_by_history_trim(monkeypatch):
     want = golden_run(stream, merge(pats))
     assert {p: [r.seq_tuple() for r in rs] for p, rs in got.items()} == \
         {p: [r.seq_tuple() for r in rs] for p, rs in want.items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("selection,consumption", [
+    (SelectionPolicy.SKIP_TILL_ANY, ConsumptionPolicy.REUSE),
+    (SelectionPolicy.SKIP_TILL_NEXT, ConsumptionPolicy.CONSUME)])
+def test_golden_run_same_at_expiry_cadence(seed, selection, consumption):
+    """Extension-time window checks keep the golden matches exact when
+    windows are expired only every 16th element."""
+    rng = np.random.default_rng(200 + seed)
+    pats = random_plan(rng)
+    stream = jittered_stream(rng, 400, "ABCD")
+    every = golden_run(stream, merge(pats), selection, consumption)
+    sparse = golden_run(stream, merge(pats), selection, consumption,
+                        expire_every=16)
+    assert sum(map(len, every.values())) > 0
+    assert {p: [r.seq_tuple() for r in rs] for p, rs in sparse.items()} == \
+        {p: [r.seq_tuple() for r in rs] for p, rs in every.items()}
