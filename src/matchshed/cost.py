@@ -14,6 +14,10 @@ overhead is pn scaled by a per-record cost Theta.
 
 Counters halve at every window-length epoch so estimates track recent
 history and recover from distribution drift.
+
+The runner keeps the sketch only where it is read: in guided runs, whose
+selection ranks PMs by it, and in runs that write ``sketch.csv``.  Other
+runs never credit, decay or read it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ Policy semantics:
 Under ``consume``, elements bound into an emitted complete match are
 tombstoned per pattern; matches containing a tombstoned element are
 rejected at emission, which is equivalent to dropping their records.
+A tombstone is kept only while a later match of its pattern could still
+contain the element, so the sets stay bounded by the window.
 
 Keyed buffers: each state keeps its records in buckets keyed by the SAME
 attributes all its patterns share (``PlanState.key_attrs``), so an element
@@ -146,7 +148,7 @@ class Engine:
                             for p in plan.patterns]
         self.windows = [p.window for p in plan.patterns]
         self.bit = [pattern_bit(i, n) for i in range(n)]
-        self.consumed = [set() for _ in range(n)]
+        self.consumed = [{} for _ in range(n)]   # seq -> ts, per pattern
         self.history = {}    # type_tag -> ([seq], [element])
         self.counters = EngineCounters()
         self.diag = plan.diag
@@ -201,7 +203,9 @@ class Engine:
         return evicted
 
     def _trim_history(self, now_seq: int, now_ts: float):
-        """Drop history elements that no gap check can reach any more.
+        """Drop history elements that no gap check can reach any more,
+        and consumed elements that no match can contain, every 512
+        elements.
 
         A gap check reads elements after a record's first element, and a
         record whose first element is older than its window has just been
@@ -210,10 +214,11 @@ class Engine:
         decreased, so time windows trim only then."""
         if now_seq < self._hist_trim_at:
             return
+        self._hist_trim_at = now_seq + 512
+        self._trim_consumed(now_seq, now_ts)
         max_time = self._max_time_window
         if max_time is not None and not self._ts_sorted:
             return
-        self._hist_trim_at = now_seq + 512
         max_count = self._max_count_window
         for seqs, elems in self.history.values():
             cut = len(seqs)
@@ -227,6 +232,24 @@ class Engine:
             if cut:
                 del seqs[:cut]
                 del elems[:cut]
+
+    def _trim_consumed(self, now_seq: int, now_ts: float):
+        """Drop consumed elements that no later match of their pattern can
+        contain.  Such a match starts within its window of ``now``, so
+        after elements older than the window, which the same ``now`` has
+        just expired every record of; for a time window that order is
+        known only while timestamps have not decreased."""
+        for pid, (used, w) in enumerate(zip(self.consumed, self.windows)):
+            if not used:
+                continue
+            if w.kind is WindowKind.COUNT:
+                cut = now_seq - w.size
+                self.consumed[pid] = {s: t for s, t in used.items()
+                                      if s >= cut}
+            elif self._ts_sorted:
+                cut = now_ts - w.size
+                self.consumed[pid] = {s: t for s, t in used.items()
+                                      if t >= cut}
 
     # ---------------------------------------------------------------- step
 
@@ -386,7 +409,8 @@ class Engine:
                 if any(s in used for s in seqs):
                     rejected += 1
                     continue
-                used.update(seqs)
+                for e in rec.elements():
+                    used[e.seq_index] = e.timestamp
             rec.emit_index = self.emit_counter
             self.emit_counter += 1
             self.counters.cms_emitted += 1

@@ -2,9 +2,12 @@
 together, apply a reduction strategy under overload, and report metrics.
 
 The per-element loop is: expire windows, check the overload trigger,
-reduce state if triggered (per the configured strategy), step the engine,
-feed new matches to the sketch and cluster index, update the latency
-monitor, and roll the sketch epoch at window boundaries.
+reduce state if triggered (per the configured strategy), step the engine
+and update the latency monitor.  When the run reads the cost model, it
+also feeds new matches to the sketch and cluster index and rolls the
+sketch epoch at window boundaries.  Only guided selection and the
+``sketch.csv`` artifact read it, so ``none`` and random runs without
+``out_dir`` skip that upkeep; their output is the same either way.
 
 Latency can be measured by wall clock or synthetically (elapsed =
 cost_unit * work units), which makes overload experiments machine
@@ -24,7 +27,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -85,6 +88,8 @@ class Metrics:
     elements: int = 0
     counters: dict = None
     audits: list = None
+    state_work: dict = None              # state id -> work units, summed
+    eval_faults: dict = None             # math faults of the run's plan
 
     def accounting_closes(self) -> bool:
         c = self.counters
@@ -251,9 +256,12 @@ def _main_loop(config: RunConfig, stream: list):
         count_ws = [int(p.window.size) for p in plan.patterns
                     if p.window.kind is WindowKind.COUNT]
         epoch_len = max(count_ws) if count_ws else 0
-    next_epoch = epoch_len if epoch_len else None
 
     strategy = config.strategy
+    # the cost model is read by guided selection and by sketch.csv; other
+    # runs skip its upkeep: cluster inserts, sketch credits and decay
+    costed = strategy == "guided" or bool(config.out_dir)
+    next_epoch = epoch_len if epoch_len and costed else None
     shedding = strategy != "none"
     drop_ratio = config.drop_ratio
     expire_every = config.expire_every
@@ -317,15 +325,18 @@ def _main_loop(config: RunConfig, stream: list):
         for i in range(n):
             lat_sum[i] += latency_ms[i]
 
-        cm_of = _NO_CMS
-        if res.complete:
-            cm_of = {}
-            for pid, rec in res.complete:
-                cm_of.setdefault(id(rec), []).append(pid)
-                matches[pid].append((seq, match_key(rec)))
-        for rec in res.new_pms:
-            index.insert(rec)
-            cost.sketch_update(sketch, rec, cm_pids=cm_of.get(id(rec), ()))
+        for pid, rec in res.complete:
+            matches[pid].append((seq, match_key(rec)))
+        if costed:
+            cm_of = _NO_CMS
+            if res.complete:
+                cm_of = {}
+                for pid, rec in res.complete:
+                    cm_of.setdefault(id(rec), []).append(pid)
+            for rec in res.new_pms:
+                index.insert(rec)
+                cost.sketch_update(sketch, rec,
+                                   cm_pids=cm_of.get(id(rec), ()))
 
         if next_epoch is not None and seq >= next_epoch:
             cost.decay(sketch, 0.5)
@@ -356,7 +367,9 @@ def _main_loop(config: RunConfig, stream: list):
                 latency_mean=[s / max(1, len(stream)) for s in lat_sum],
                 latency_pcts=pcts,
                 triggers=triggers, elements=len(stream), counters=counters,
-                audits=audits)
+                audits=audits, state_work=dict(sorted(
+                    monitor.state_work.items())),
+                eval_faults=asdict(plan.diag))
     return m, plan, sketch
 
 
@@ -415,6 +428,8 @@ def write_artifacts(config: RunConfig, plan, sketch, m: Metrics):
         "triggers": m.triggers,
         "elements": m.elements,
         "counters": m.counters,
+        "state_work": m.state_work,
+        "eval_faults": m.eval_faults,
     }
     with open(os.path.join(out, "run.json"), "w") as f:
         json.dump(manifest, f, indent=2, default=str)

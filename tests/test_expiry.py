@@ -16,6 +16,7 @@ from matchshed.parser import parse_pattern
 from matchshed.plan import PlanState, merge
 from matchshed.runner import RunConfig, run, shed_random_state
 
+import oracle
 import randgen
 
 
@@ -257,6 +258,34 @@ def test_buffers_and_queues_stay_bounded(monkeypatch):
     for strategy in ("none", "guided", "random-state"):
         short, long = peaks[(600, strategy)], peaks[(6000, strategy)]
         assert long[0] <= 2 * short[0] and long[1] <= 2 * short[1]
+
+
+# under skip-till-next and consume; the time window counts milliseconds,
+# which equal element indices in randgen streams
+CONSUME = ["SEQ(A a, B b, C c) WHERE SAME [ID] AND a.x < c.x WITHIN 40",
+           "SEQ(A a, B+ b[], C c) WHERE SAME [ID] WITHIN 30 ms"]
+
+
+@pytest.mark.parametrize("text", CONSUME, ids=["count", "time"])
+def test_consumed_sets_stay_bounded(text):
+    """The consumed elements kept per pattern stay within the window plus
+    the trim cadence on a stream ten times longer, which consumes far
+    more, and the matches stay the oracle's."""
+    pat = P(text)
+    for n in (500, 5000):
+        stream = randgen.random_stream(np.random.default_rng(n), n, "ABC")
+        eng = Engine(merge([pat]), SelectionPolicy.SKIP_TILL_NEXT,
+                     ConsumptionPolicy.CONSUME)
+        got, peak = set(), 0
+        for d in stream:
+            eng.expire(d.seq_index, d.timestamp)
+            got.update(r.seq_tuple() for _, r in eng.step(d).complete)
+            peak = max(peak, len(eng.consumed[0]))
+        want = oracle.consume_filter(stream, pat,
+                                     oracle.greedy_next(stream, pat))
+        assert got == want
+        assert peak <= pat.window.size + 513
+    assert sum(map(len, want)) > 2 * (pat.window.size + 513)
 
 
 # -------------------------------------------------------- negation history

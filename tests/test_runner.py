@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from matchshed import cli, workloads as wl
+from matchshed import cli, cost, psd, runner, workloads as wl
+from matchshed.engine import Engine
+from matchshed.model import DataElement
 from matchshed.runner import (Metrics, RunConfig, recall, rolling_recall,
                               run)
 
@@ -119,6 +122,108 @@ def test_artifacts_written_and_deterministic(tmp_path):
     manifest = json.load(open(os.path.join(outs[0], "run.json")))
     assert manifest["config"]["strategy"] == "guided"
     assert manifest["triggers"] > 0
+
+
+@pytest.fixture
+def upkeep(monkeypatch):
+    """Counts the calls of the cost model's upkeep."""
+    calls = dict.fromkeys(("sketch_update", "insert", "decay"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cost, "sketch_update",
+                        counted("sketch_update", cost.sketch_update))
+    monkeypatch.setattr(cost, "decay", counted("decay", cost.decay))
+    monkeypatch.setattr(psd.ClusterIndex, "insert",
+                        counted("insert", psd.ClusterIndex.insert))
+    return calls
+
+
+UNGUIDED = ("none", "random-state", "random-input")
+
+
+@pytest.mark.parametrize("strategy", UNGUIDED)
+def test_unguided_run_skips_cost_model(upkeep, strategy):
+    stream = small_stream()
+    bounds, _ = overload_bounds(stream)
+    upkeep.update(dict.fromkeys(upkeep, 0))
+    m = run(cfg(strategy=strategy, bounds=bounds), stream)
+    assert m.counters["pms_created"] > 0
+    assert upkeep == {"sketch_update": 0, "insert": 0, "decay": 0}
+
+
+@pytest.mark.parametrize("strategy,out", [("guided", False)] +
+                         [(s, True) for s in UNGUIDED])
+def test_cost_model_kept_where_read(upkeep, tmp_path, strategy, out):
+    stream = small_stream()
+    bounds, _ = overload_bounds(stream)
+    upkeep.update(dict.fromkeys(upkeep, 0))
+    out_dir = os.path.join(tmp_path, "out") if out else None
+    m = run(cfg(strategy=strategy, bounds=bounds, out_dir=out_dir), stream)
+    created = m.counters["pms_created"]
+    assert upkeep["sketch_update"] == upkeep["insert"] == created > 0
+    assert upkeep["decay"] > 0
+
+
+@pytest.mark.parametrize("strategy", UNGUIDED)
+def test_cost_model_does_not_change_unguided_output(tmp_path, strategy):
+    stream = small_stream()
+    bounds, _ = overload_bounds(stream)
+    plain = run(cfg(strategy=strategy, bounds=bounds), stream)
+    kept = run(cfg(strategy=strategy, bounds=bounds,
+                   out_dir=os.path.join(tmp_path, "out")), stream)
+    if strategy != "none":
+        assert plain.triggers > 0
+    for m in (plain, kept):
+        m.audits = [a.csv_row(m.n) for a in m.audits]
+    for field in ("matches", "counters", "audits", "latency_mean",
+                  "triggers"):
+        assert getattr(plain, field) == getattr(kept, field), field
+
+
+def test_run_json_reports_state_work_and_faults(tmp_path, monkeypatch):
+    stream = small_stream()
+    step = Engine.step
+    work = []
+
+    def summed(eng, d):
+        res = step(eng, d)
+        work.append(sum(res.work.values()))
+        return res
+
+    monkeypatch.setattr(Engine, "step", summed)
+    out = os.path.join(tmp_path, "out")
+    m = run(cfg(strategy="none", out_dir=out), stream)
+    assert sum(m.state_work.values()) == sum(work) > 0
+    assert m.eval_faults == {"div_by_zero": 0, "domain_error": 0,
+                             "overflow": 0}
+    manifest = json.load(open(os.path.join(out, "run.json")))
+    assert manifest["state_work"] == {str(k): v
+                                      for k, v in m.state_work.items()}
+    assert manifest["eval_faults"] == m.eval_faults
+
+
+def test_eval_faults_count_division_by_zero(monkeypatch):
+    plans = []
+    build = runner.build_plan
+
+    def kept_plan(config):
+        plans.append(build(config))
+        return plans[-1]
+
+    monkeypatch.setattr(runner, "build_plan", kept_plan)
+    stream = [DataElement(t, i, float(i),
+                          {"x": 0.0 if t == "B" else 1.0, "ID": 1.0})
+              for i, t in enumerate("ABAB")]
+    m = run(cfg(patterns=["SEQ(A a, B b) WHERE a.x / b.x < 1 WITHIN 10"]),
+            stream)
+    assert m.eval_faults["div_by_zero"] > 0
+    assert m.eval_faults == dataclasses.asdict(plans[0].diag)
+    assert m.matches == {0: []}
 
 
 def test_cli_end_to_end(tmp_path, capsys):
