@@ -25,12 +25,20 @@ keys would fail SAME for every pattern, so the outcome is the same as a
 scan of the whole state.  A child whose state is keyed like its parent's
 goes into the bucket the element probed.
 
-Guards: each edge's per-pattern guards are flattened once per engine.
-Patterns whose guards compute the same conjuncts share one ``checks``
-tuple (``plan.merge``), which a record evaluates once for all of them.
-At emission only the residual conjuncts no guard can decide (a SUM over
-a final Kleene step) go through ``expr.eval_predicate``.  Math faults on
+Guards: each engine generates Python source for one sweep function per
+trigger event type (``sweep``) and compiles it once, in ``__init__``; the
+code depends on the engine's selection policies and binds its objects.
+``Engine.source`` is the text, registered with ``linecache`` so that a
+traceback through a sweep shows the generated line.  Patterns whose
+guards compute the same conjuncts share one ``checks`` tuple
+(``plan.merge``), which a record evaluates once for all of them.  At
+emission only the residual conjuncts no guard can decide (a SUM over a
+final Kleene step) go through ``expr.eval_predicate``.  Math faults on
 both paths are counted in ``diag``, once per evaluation.
+
+Negation history: the elements of each negated type, kept only for the
+gap checks and trimmed below the oldest last element of an alive record,
+the lowest a gap check can read.
 
 Expiry: every buffered record is queued by deadline, once per distinct
 window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
@@ -50,13 +58,16 @@ created.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import linecache
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
+from . import sweep
 from .expr import eval_predicate
-from .model import (ConsumptionPolicy, DataElement, MatchRecord,
-                    SelectionPolicy, WindowKind, pattern_bit)
+from .model import (ConsumptionPolicy, DataElement, SelectionPolicy,
+                    WindowKind, pattern_bit)
 from .plan import ExecutionPlan
 
 
@@ -149,47 +160,22 @@ class Engine:
         self.windows = [p.window for p in plan.patterns]
         self.bit = [pattern_bit(i, n) for i in range(n)]
         self.consumed = [{} for _ in range(n)]   # seq -> ts, per pattern
-        self.history = {}    # type_tag -> ([seq], [element])
+        # negated type -> ([seq], [element]), read by the gap checks
+        self.history = {nc.neg_type: ([], []) for e in plan.edges
+                        for g in e.guards.values() for nc in g.neg_checks}
         self.counters = EngineCounters()
         self.diag = plan.diag
         self.emit_counter = 0
-        self._max_count_window = max(
-            (w.size for w in self.windows if w.kind is WindowKind.COUNT),
-            default=None)
-        self._max_time_window = max(
-            (w.size for w in self.windows if w.kind is WindowKind.TIME),
-            default=None)
         self._hist_trim_at = 0
         self._last_ts = float("-inf")
         self._ts_sorted = True   # no element's timestamp has decreased yet
-        self._edges = {t: [self._flatten(e) for e in edges]
-                       for t, edges in plan.edges_by_trigger.items()}
-
-    def _flatten(self, edge) -> tuple:
-        """What ``step`` reads of an edge: ``(source state, target state
-        id, action, guards, skip-till-next mask, same key)``.  Each guard
-        is ``(bit, checks, neg_checks, count window?, window size,
-        strict?)``, and guards sharing a ``checks`` tuple are adjacent.
-        ``same key`` says whether the target is keyed like the source."""
-        plan = self.plan
-        first = {}   # id(checks) -> rank of its first guard
-        for g in edge.guards.values():
-            first.setdefault(id(g.checks), len(first))
-        guards = []
-        next_mask = 0
-        for pid, g in sorted(edge.guards.items(),
-                             key=lambda pg: first[id(pg[1].checks)]):
-            w = self.windows[pid]
-            sel = self.selection[pid]
-            guards.append((self.bit[pid], g.checks, g.neg_checks,
-                           w.kind is WindowKind.COUNT, w.size,
-                           sel is SelectionPolicy.STRICT_CONTIGUITY))
-            if sel is SelectionPolicy.SKIP_TILL_NEXT:
-                next_mask |= self.bit[pid]
-        src = plan.states[edge.from_id]
-        same_key = src.key_attrs == plan.states[edge.to_id].key_attrs
-        return (src, edge.to_id, edge.action, tuple(guards), next_mask,
-                same_key)
+        self.source, namespace = sweep.generate(self)
+        filename = f"<matchshed sweep {id(self):#x}>"
+        linecache.cache[filename] = (len(self.source), None,
+                                     self.source.splitlines(True), filename)
+        weakref.finalize(self, linecache.cache.pop, filename, None)
+        exec(compile(self.source, filename, "exec"), namespace)
+        self._sweeps = namespace["SWEEPS"]
 
     # ------------------------------------------------------------- windows
 
@@ -203,32 +189,23 @@ class Engine:
         return evicted
 
     def _trim_history(self, now_seq: int, now_ts: float):
-        """Drop history elements that no gap check can reach any more,
-        and consumed elements that no match can contain, every 512
-        elements.
+        """Every 512 elements, drop the history elements no gap check can
+        read, and the consumed elements no match can contain.
 
-        A gap check reads elements after a record's first element, and a
-        record whose first element is older than its window has just been
-        expired with the same ``now``.  For a time window "older" is only
-        known from the elements in between while timestamps have not
-        decreased, so time windows trim only then."""
+        A gap check reads the elements strictly between an alive
+        record's last element and the incoming one, and a record created
+        later ends later, so the elements up to the oldest last element
+        of an alive record go, and with no alive record all of them."""
         if now_seq < self._hist_trim_at:
             return
         self._hist_trim_at = now_seq + 512
         self._trim_consumed(now_seq, now_ts)
-        max_time = self._max_time_window
-        if max_time is not None and not self._ts_sorted:
+        if not self.history:
             return
-        max_count = self._max_count_window
+        oldest = min((r.last_seq for r in self.plan.live_records()),
+                     default=now_seq)
         for seqs, elems in self.history.values():
-            cut = len(seqs)
-            if max_count is not None:
-                cut = bisect_left(seqs, now_seq - max(max_count, 1) - 1)
-            if max_time is not None:
-                k = 0
-                while k < cut and now_ts - elems[k].timestamp > max_time:
-                    k += 1
-                cut = k
+            cut = bisect_right(seqs, oldest)
             if cut:
                 del seqs[:cut]
                 del elems[:cut]
@@ -253,25 +230,6 @@ class Engine:
 
     # ---------------------------------------------------------------- step
 
-    def _gap_clear(self, neg_checks, slots, lo: int, hi: int) -> bool:
-        """True if no negated-type element in (lo, hi) blocks the transition."""
-        for nc in neg_checks:
-            hist = self.history.get(nc.neg_type)
-            if hist is None:
-                continue
-            seqs, elems = hist
-            a = bisect_right(seqs, lo)
-            b = bisect_left(seqs, hi)
-            if not nc.blockers:
-                if a < b:
-                    return False
-                continue
-            for k in range(a, b):
-                ne = elems[k]
-                if all(blk(slots, ne) for blk in nc.blockers):
-                    return False
-        return True
-
     def step(self, d: DataElement) -> StepResult:
         """Evaluate one element against the bucket of its key in each
         state its type triggers; windows must already be expired for d
@@ -283,94 +241,13 @@ class Engine:
             self._ts_sorted = False
         self._last_ts = ts
         hist = self.history.get(d.type_tag)
-        if hist is None:
-            hist = self.history[d.type_tag] = ([], [])
-        hist[0].append(seq)
-        hist[1].append(d)
-
-        work = {}
-        new_records = []
-        new_keys = []     # per new record: its bucket key, or None
-        taken_bits = []   # (record, bits) cleared after the edge sweep
-        attrs = d.attrs
-
-        for state, to_id, action, guards, next_mask, same_key in \
-                self._edges.get(d.type_tag, ()):
-            from_id = state.state_id
-            if from_id == plan.start_id:
-                slots = ((d,),) if action == "kleene-enter" else (d,)
-                passed = 0
-                last = None
-                for g in guards:
-                    checks = g[1]
-                    if checks is not last:
-                        last = checks
-                        ok = True
-                        for c in checks:
-                            if not c(slots):
-                                ok = False
-                                break
-                    if ok:
-                        passed |= g[0]
-                work[from_id] = work.get(from_id, 0) + 1
-                if passed:
-                    new_records.append(MatchRecord(passed, slots, to_id,
-                                                   seq, ts, seq, ts))
-                    new_keys.append(None)
-                    work[to_id] = work.get(to_id, 0) + 1
-                continue
-
-            key = tuple([attrs.get(a) for a in state.key_attrs])
-            child_key = key if same_key else None
-            for rec in state.buckets.get(key, ()):
-                if not rec.alive:
-                    continue
-                bits = rec.pattern_bits
-                slots = None
-                passed = 0
-                last = None
-                for bit, checks, neg_checks, by_count, size, strict in guards:
-                    if not bits & bit:
-                        continue
-                    delta = seq - rec.first_seq if by_count else \
-                        ts - rec.first_ts
-                    if not (delta <= size):
-                        continue
-                    if strict and seq != rec.last_seq + 1:
-                        continue
-                    if slots is None:
-                        if action == "single":
-                            slots = rec.slots + (d,)
-                        elif action == "kleene-enter":
-                            slots = rec.slots + ((d,),)
-                        else:  # kleene-extend
-                            slots = rec.slots[:-1] + (rec.slots[-1] + (d,),)
-                    # a tuple shared with the previous guard: its result
-                    if checks is not last:
-                        last = checks
-                        ok = True
-                        for c in checks:
-                            if not c(slots):
-                                ok = False
-                                break
-                    if ok and (not neg_checks or self._gap_clear(
-                            neg_checks, slots, rec.last_seq, seq)):
-                        passed |= bit
-                if passed:
-                    new_records.append(MatchRecord(
-                        passed, slots, to_id, rec.first_seq, rec.first_ts,
-                        seq, ts, parent=rec))
-                    new_keys.append(child_key)
-                    work[to_id] = work.get(to_id, 0) + 1
-                    # skip-till-next: the parent's bit moves to the child,
-                    # but only once every edge has seen this element so a
-                    # Kleene record can fork into extend and close
-                    taken = passed & next_mask
-                    if taken:
-                        taken_bits.append((rec, taken))
-            # a full scan's count: every alive record of the state
-            if state.live > 0:
-                work[from_id] = work.get(from_id, 0) + state.live
+        if hist is not None:
+            hist[0].append(seq)
+            hist[1].append(d)
+        kernel = self._sweeps.get(d.type_tag)
+        if kernel is None:
+            return StepResult([], [], {})
+        work, new_records, new_keys, taken_bits = kernel(d, seq, ts)
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken

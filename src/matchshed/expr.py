@@ -12,9 +12,11 @@ non-finite value, a negative base to a fractional power) and overflowing
 powers make the conjunct false and bump a diagnostic counter.  NaN in a
 bare comparison is not a fault: the comparison is false, uncounted.
 
-The engine decides conjuncts with the compiled guards of ``plan``, which
-count the same faults; it calls ``eval_predicate`` only for the residual
-conjuncts no guard can decide.  ``tests/oracle.py`` uses this interpreter
+The operations that can fault are the functions of ``CHECKED``, which
+the engine's generated sweep code (``sweep``) calls too, so both paths
+count the same faults in the same order: operands left to right, then
+the check.  The engine calls ``eval_predicate`` only for the residual
+conjuncts no guard can decide; ``tests/oracle.py`` uses this interpreter
 as its reference.
 """
 
@@ -84,6 +86,13 @@ class EvalDiagnostics:
     domain_error: int = 0
     overflow: int = 0
 
+    def fault(self, exc) -> bool:
+        """Count one fault, a ``_MathFault`` or an ``OverflowError``;
+        returns False, the value of the conjunct it hit."""
+        kind = exc.kind if type(exc) is _MathFault else "overflow"
+        setattr(self, kind, getattr(self, kind) + 1)
+        return False
+
 
 class _Unbound(Exception):
     """A referenced binding is not in the environment."""
@@ -94,13 +103,51 @@ class _MathFault(Exception):
         self.kind = kind
 
 
-_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "arcsin": math.asin,
-    "arccos": math.acos,
-}
+FAULTS = (_MathFault, OverflowError)
+
+
+def _div(a, b):
+    if b == 0:
+        raise _MathFault("div_by_zero")
+    return a / b
+
+
+def _pow(a, b):
+    try:
+        r = a ** b
+    except ZeroDivisionError:  # 0 to a negative power
+        raise _MathFault("div_by_zero") from None
+    if type(r) is complex:  # negative base, fractional power
+        raise _MathFault("domain_error")
+    return r
+
+
+def _sqrt(x):
+    if not x >= 0:  # NaN fails too
+        raise _MathFault("domain_error")
+    return math.sqrt(x)
+
+
+def _arc(fn):
+    def checked(x):
+        if not abs(x) <= 1:  # NaN fails too
+            raise _MathFault("domain_error")
+        return fn(x)
+    return checked
+
+
+def _periodic(fn):
+    def checked(x):
+        if not math.isfinite(x):
+            raise _MathFault("domain_error")
+        return fn(x)
+    return checked
+
+
+# the operators and functions that can fault, by their grammar name
+CHECKED = {"/": _div, "^": _pow, "sqrt": _sqrt,
+           "arcsin": _arc(math.asin), "arccos": _arc(math.acos),
+           "sin": _periodic(math.sin), "cos": _periodic(math.cos)}
 
 
 def _num(e: Expr, env: dict) -> float:
@@ -131,29 +178,9 @@ def _num(e: Expr, env: dict) -> float:
             return a - b
         if e.op == "*":
             return a * b
-        if e.op == "/":
-            if b == 0:
-                raise _MathFault("div_by_zero")
-            return a / b
-        if e.op == "^":
-            try:
-                r = a ** b
-            except ZeroDivisionError:  # 0 to a negative power
-                raise _MathFault("div_by_zero") from None
-            if type(r) is complex:  # negative base, fractional power
-                raise _MathFault("domain_error")
-            return r
-        raise ValueError(f"unknown operator {e.op!r}")
+        return CHECKED[e.op](a, b)
     if type(e) is Func:
-        x = _num(e.arg, env)
-        # written so that NaN fails the range tests too
-        if e.name in ("arcsin", "arccos") and not abs(x) <= 1:
-            raise _MathFault("domain_error")
-        if e.name == "sqrt" and not x >= 0:
-            raise _MathFault("domain_error")
-        if e.name in ("sin", "cos") and not math.isfinite(x):
-            raise _MathFault("domain_error")
-        return _FUNCS[e.name](x)
+        return CHECKED[e.name](_num(e.arg, env))
     raise TypeError(f"not a numeric expression: {e!r}")
 
 
@@ -182,10 +209,9 @@ def _conjunct(e: Expr, env: dict, diag: Optional[EvalDiagnostics]) -> bool:
         raise TypeError(f"not a boolean conjunct: {e!r}")
     except _Unbound:
         return True  # deferred: may still hold once the binding arrives
-    except (_MathFault, OverflowError) as f:
+    except FAULTS as f:
         if diag is not None:
-            kind = f.kind if type(f) is _MathFault else "overflow"
-            setattr(diag, kind, getattr(diag, kind) + 1)
+            diag.fault(f)
         return False
 
 

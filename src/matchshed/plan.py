@@ -5,25 +5,25 @@ predicates excluded), so patterns share states for common prefixes.  Negated
 steps appear in the signature but create no state: they compile to
 absence guards on the edge that skips over them.
 
-Guards are compiled to closures over the record's positional slot tuple,
-so the hot loop avoids building binding environments.  Each non-start
+A guard is a tuple of conjunct descriptors: comparisons whose bindings
+are replaced by slot positions in the record's positional slot tuple,
+then ``expr.Same`` nodes for the SAME attributes it checks.  The engine
+generates the code that evaluates them (``sweep``).  Each non-start
 state is keyed on the SAME attributes common to the patterns through it;
 an edge leaving a keyed state leaves out the SAME checks on those
 attributes, because the engine only meets records of the element's key.
 
-Patterns whose guards on one edge schedule the same conjuncts over the
-same slot positions, with the same SAME checks, share one compiled
-``checks`` tuple, so the engine evaluates it once per record for all of
-them.  A compiled check that faults (division by zero, a domain error,
-an overflow) is false and is counted in the plan's ``EvalDiagnostics``.
+Patterns whose guards on one edge have equal descriptors (the same
+conjuncts over the same slot positions, the same SAME attributes) share
+one ``checks`` tuple, so the engine evaluates it once per record for all
+of them.  A conjunct that faults (division by zero, a domain error, an
+overflow) is false and is counted in the plan's ``EvalDiagnostics``.
 The conjuncts no guard can decide, a SUM over a final Kleene step, are
 kept per accepting state as the residual that is checked at emission.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -37,19 +37,22 @@ class PlanError(ValueError):
 
 @dataclass
 class NegCheck:
-    """Absence guard for one negated step, evaluated over the gap."""
+    """Absence guard for one negated step, evaluated over the gap.  An
+    element of ``neg_type`` there blocks the transition when every
+    blocker holds: a positional comparison, in which binding ``None`` is
+    the gap element, or ``expr.Same(attr)``, the gap element's ``attr``
+    equal to the first bound element's."""
     neg_type: str
-    # (slots, neg_elem) -> bool; all true means neg_elem blocks the transition
     blockers: tuple
 
 
 @dataclass
 class EdgeGuard:
-    """Per-pattern guard on a transition: prunable conjunct closures plus
+    """Per-pattern guard on a transition: conjunct descriptors plus
     absence checks for skipped negated steps.  Patterns with equal
-    conjuncts on an edge hold the same ``checks`` object."""
+    descriptors on an edge hold the same ``checks`` object."""
     pattern_id: int
-    checks: tuple      # (slots,) -> bool
+    checks: tuple      # positional ex.Cmp, then ex.Same
     neg_checks: tuple  # NegCheck
 
 
@@ -170,8 +173,7 @@ class PlanEdge:
 
 
 class ExecutionPlan:
-    def __init__(self, states, edges, patterns, mode: str,
-                 diag: ex.EvalDiagnostics):
+    def __init__(self, states, edges, patterns, mode: str):
         self.states = states            # list[PlanState], index == state_id
         self.edges = edges              # list[PlanEdge]
         self.patterns = patterns        # list[Pattern]
@@ -188,8 +190,8 @@ class ExecutionPlan:
         # (pattern_id, accepting state) -> (binding names by position,
         # residual predicate), for patterns with emission-only conjuncts
         self.residuals = {}
-        # faults of the compiled checks and of the engine's residual checks
-        self.diag = diag
+        # faults of the engine's guards, blockers and residual checks
+        self.diag = ex.EvalDiagnostics()
         # one deadline queue per distinct window (kind, size)
         masks = {}
         for p in patterns:
@@ -273,138 +275,6 @@ class ExecutionPlan:
         return "\n".join(lines) + "\n"
 
 
-# ------------------------------------------------------------ guard compiler
-
-def _compile_numeric(e, pos_of: dict, neg_binding=None):
-    """Compile a numeric expression to (slots, neg_elem) -> float.
-
-    Raises ex._MathFault at call time on div-by-zero / domain errors
-    (including a NaN trig or root argument, a non-finite sin/cos argument
-    and a complex power), and OverflowError when a power leaves the float
-    range.
-    """
-    t = type(e)
-    if t is ex.Num:
-        v = e.value
-        return lambda s, ne: v
-    if t is ex.AttrRef:
-        a = e.attr
-        if e.binding == neg_binding:
-            return lambda s, ne: ne.attrs[a]
-        p = pos_of[e.binding]
-        return lambda s, ne: s[p].attrs[a]
-    if t is ex.SumAgg:
-        a = e.attr
-        p = pos_of[e.binding]
-        return lambda s, ne: sum(el.attrs[a] for el in s[p])
-    if t is ex.Bin:
-        f = _compile_numeric(e.left, pos_of, neg_binding)
-        g = _compile_numeric(e.right, pos_of, neg_binding)
-        op = e.op
-        if op == "+":
-            return lambda s, ne: f(s, ne) + g(s, ne)
-        if op == "-":
-            return lambda s, ne: f(s, ne) - g(s, ne)
-        if op == "*":
-            return lambda s, ne: f(s, ne) * g(s, ne)
-        if op == "/":
-            def div(s, ne):
-                d = g(s, ne)
-                if d == 0:
-                    raise ex._MathFault("div_by_zero")
-                return f(s, ne) / d
-            return div
-        if op == "^":
-            def power(s, ne):
-                a = f(s, ne)
-                b = g(s, ne)
-                try:
-                    r = a ** b
-                except ZeroDivisionError:  # 0 to a negative power
-                    raise ex._MathFault("div_by_zero") from None
-                if type(r) is complex:  # negative base, fractional power
-                    raise ex._MathFault("domain_error")
-                return r
-            return power
-    if t is ex.Func:
-        f = _compile_numeric(e.arg, pos_of, neg_binding)
-        name = e.name
-        fn = ex._FUNCS[name]
-        if name in ("arcsin", "arccos"):
-            def trig(s, ne):
-                x = f(s, ne)
-                if not abs(x) <= 1:  # NaN fails too
-                    raise ex._MathFault("domain_error")
-                return fn(x)
-            return trig
-        if name == "sqrt":
-            def root(s, ne):
-                x = f(s, ne)
-                if not x >= 0:  # NaN fails too
-                    raise ex._MathFault("domain_error")
-                return fn(x)
-            return root
-        isfinite = math.isfinite
-
-        def periodic(s, ne):
-            x = f(s, ne)
-            if not isfinite(x):
-                raise ex._MathFault("domain_error")
-            return fn(x)
-        return periodic
-    raise PlanError(f"cannot compile {e!r}")
-
-
-_CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "=": operator.eq}
-
-
-def _compile_cmp(e: ex.Cmp, pos_of, diag: ex.EvalDiagnostics,
-                 neg_binding=None):
-    """Compile a comparison to (slots, neg_elem=None) -> bool.  A math
-    fault makes it false and is counted in ``diag``, once per call."""
-    f = _compile_numeric(e.left, pos_of, neg_binding)
-    g = _compile_numeric(e.right, pos_of, neg_binding)
-    op = _CMP_OPS[e.op]
-
-    def check(s, ne=None):
-        try:
-            return op(f(s, ne), g(s, ne))
-        except ex._MathFault as fault:
-            kind = fault.kind
-        except OverflowError:
-            kind = "overflow"
-        setattr(diag, kind, getattr(diag, kind) + 1)
-        return False
-
-    return check
-
-
-def _compile_same(attr: str, neg_binding=False):
-    """Equality of one attribute across all bound elements (and the gap
-    candidate, when used as a blocker)."""
-    if neg_binding:
-        def blocker(slots, ne):
-            first = slots[0]
-            anchor = (first[0] if isinstance(first, tuple) else first).attrs[attr]
-            return ne.attrs[attr] == anchor
-        return blocker
-
-    def check(slots, ne=None):
-        first = slots[0]
-        anchor = (first[0] if isinstance(first, tuple) else first).attrs[attr]
-        for v in slots:
-            if isinstance(v, tuple):
-                for el in v:
-                    if el.attrs[attr] != anchor:
-                        return False
-            elif v.attrs[attr] != anchor:
-                return False
-        return True
-
-    return check
-
-
 # --------------------------------------------------------------- compilation
 
 def compile_pattern(pattern: Pattern) -> ExecutionPlan:
@@ -419,11 +289,10 @@ class _Chain:
     signatures: list          # state signature per positional depth (incl start)
     transitions: list         # list of dicts describing edges
     same_attrs: tuple         # SAME attributes; their checks are added in merge
-    pos_of: dict              # positional binding name -> slot index
     residual: object          # emission-only conjuncts (ex.And) or None
 
 
-def _chain(pattern: Pattern, diag: ex.EvalDiagnostics) -> _Chain:
+def _chain(pattern: Pattern) -> _Chain:
     steps = pattern.steps
     pos_steps = pattern.positional_steps
     m = len(pos_steps)
@@ -507,12 +376,11 @@ def _chain(pattern: Pattern, diag: ex.EvalDiagnostics) -> _Chain:
         neg_checks = []
         for s in negs_before[j]:
             nb = s.binding_name
-            # undecidable conjuncts block conservatively: no closure
-            blockers = [_compile_cmp(c, pos_of, diag, neg_binding=nb)
+            # undecidable conjuncts block conservatively: no descriptor
+            blockers = [_positional(c, pos_of)
                         for c, decidable in neg_sched[j].get(nb, [])
                         if decidable]
-            for a in same_attrs:
-                blockers.append(_compile_same(a, neg_binding=True))
+            blockers += [ex.Same(a) for a in same_attrs]
             neg_checks.append(NegCheck(s.event_type, tuple(blockers)))
         action = ("kleene-enter" if step.kind is StepKind.KLEENE_PLUS
                   else "single")
@@ -521,7 +389,7 @@ def _chain(pattern: Pattern, diag: ex.EvalDiagnostics) -> _Chain:
             "to_sig": signatures[j + 1],
             "trigger": step.event_type,
             "action": action,
-            "conjs": tuple(sched[j]),   # compiled in merge
+            "conjs": tuple(_positional(c, pos_of) for c in sched[j]),
             "neg_checks": tuple(neg_checks),
         })
         if step.kind is StepKind.KLEENE_PLUS:
@@ -537,7 +405,6 @@ def _chain(pattern: Pattern, diag: ex.EvalDiagnostics) -> _Chain:
 
     return _Chain(pattern=pattern, signatures=signatures,
                   transitions=transitions, same_attrs=tuple(same_attrs),
-                  pos_of=pos_of,
                   residual=ex.And(tuple(emission)) if emission else None)
 
 
@@ -559,47 +426,18 @@ def _refs_sum(c, binding) -> bool:
     return found
 
 
-def _shape(e, pos_of: dict):
-    """An expression with its binding names replaced by slot positions:
-    two conjuncts with equal shapes compute the same thing on a slot
-    tuple.  Literals compare by ``repr``, so ``0.0`` and ``-0.0`` differ."""
+def _positional(e, pos_of: dict):
+    """``e`` with each binding name replaced by its slot position, and a
+    binding ``pos_of`` lacks (the negated one) by ``None``."""
     t = type(e)
     if t is ex.AttrRef or t is ex.SumAgg:
-        return (t.__name__, pos_of[e.binding], e.attr)
-    if t is ex.Num:
-        return ("Num", repr(e.value))
+        return t(pos_of.get(e.binding), e.attr)
     if t is ex.Bin or t is ex.Cmp:
-        return (e.op, _shape(e.left, pos_of), _shape(e.right, pos_of))
+        return t(e.op, _positional(e.left, pos_of),
+                 _positional(e.right, pos_of))
     if t is ex.Func:
-        return (e.name, _shape(e.arg, pos_of))
-    raise PlanError(f"cannot compile {e!r}")
-
-
-def _guard_signature(conjs, pos_of, same) -> tuple:
-    """What a guard's ``checks`` tuple computes: its conjuncts' shapes,
-    in order, then the SAME attributes it checks."""
-    return tuple(_shape(c, pos_of) for c in conjs), same
-
-
-def _edge_checks(entries: list, conjs, pos_of, same, diag) -> tuple:
-    """The ``checks`` tuple of a guard on an edge: that of a guard already
-    on the edge with the same signature, else a newly compiled one.
-
-    ``entries`` holds ``[signature, conjs, pos_of, same, checks]`` per
-    distinct tuple on the edge.  Signatures are computed only once the
-    edge has a second guard, so an unshared edge costs no comparison."""
-    mine = [None, conjs, pos_of, same, None]
-    for other in entries:
-        if other[0] is None:
-            other[0] = _guard_signature(*other[1:4])
-        if mine[0] is None:
-            mine[0] = _guard_signature(conjs, pos_of, same)
-        if other[0] == mine[0]:
-            return other[4]
-    mine[4] = (tuple(_compile_cmp(x, pos_of, diag) for x in conjs)
-               + tuple(_compile_same(a) for a in same))
-    entries.append(mine)
-    return mine[4]
+        return t(e.name, _positional(e.arg, pos_of))
+    return e
 
 
 def merge(patterns, mode: str = "view"):
@@ -608,8 +446,9 @@ def merge(patterns, mode: str = "view"):
 
     ``view`` unifies states with equal step-prefix signatures;
     ``separate`` keeps every chain disjoint.  On an edge that already
-    holds another pattern's guard, a guard with the same signature
-    (``_guard_signature``) reuses that guard's ``checks`` tuple.
+    holds another pattern's guard with equal descriptors, a guard reuses
+    that guard's ``checks`` tuple.  Descriptors compare by value and by
+    ``repr``, so that the literals ``0.0`` and ``-0.0`` differ.
     """
     patterns = list(patterns)
     if not patterns:
@@ -619,8 +458,7 @@ def merge(patterns, mode: str = "view"):
     if mode not in ("view", "separate"):
         raise PlanError(f"unknown materialization mode {mode!r}")
     shared = mode == "view"
-    diag = ex.EvalDiagnostics()
-    chains = [_chain(p, diag) for p in patterns]
+    chains = [_chain(p) for p in patterns]
 
     # deterministic state discovery: BFS over chain signatures, patterns in
     # listed order, so numbering is stable
@@ -653,7 +491,7 @@ def merge(patterns, mode: str = "view"):
 
     edges = {}
     edge_list = []
-    placed = {}   # edge key -> guard entries, see _edge_checks
+    placed = {}   # edge key -> distinct checks tuples on the edge
     for c in chains:
         pid = c.pattern.id
         for t in c.transitions:
@@ -666,12 +504,16 @@ def merge(patterns, mode: str = "view"):
                 edges[ek] = e
                 edge_list.append(e)
             # the probe of the source state's bucket proves SAME on its key
-            same = tuple(a for a in c.same_attrs if a not in frm.key_attrs)
-            checks = _edge_checks(placed.setdefault(ek, []), t["conjs"],
-                                  c.pos_of, same, diag)
+            checks = t["conjs"] + tuple(ex.Same(a) for a in c.same_attrs
+                                        if a not in frm.key_attrs)
+            on_edge = placed.setdefault(ek, [])
+            checks = next((o for o in on_edge if o == checks
+                           and repr(o) == repr(checks)), checks)
+            if not any(o is checks for o in on_edge):
+                on_edge.append(checks)
             edges[ek].guards[pid] = EdgeGuard(pid, checks, t["neg_checks"])
 
-    plan = ExecutionPlan(states, edge_list, patterns, mode, diag)
+    plan = ExecutionPlan(states, edge_list, patterns, mode)
     plan.pattern_paths = paths
     for c in chains:
         pid = c.pattern.id

@@ -1,6 +1,6 @@
 """Deadline-ordered expiry: the same records leave their windows as under a
 full sweep of every buffer, buffers and deadline queues stay bounded, and
-the negation history is trimmed under time windows."""
+the negation history holds only negated types and stays bounded."""
 
 import dataclasses
 from bisect import bisect_left
@@ -300,6 +300,21 @@ def history_len(eng):
     return sum(len(seqs) for seqs, _ in eng.history.values())
 
 
+def negated_count(pats, stream):
+    """Elements of the types some pattern negates: what an untrimmed
+    history holds."""
+    negated = {s.event_type for p in pats for s in p.steps
+               if s.kind is StepKind.NEGATED}
+    return sum(d.type_tag in negated for d in stream)
+
+
+def largest_window_span(stream, size):
+    """The most elements whose timestamps fall in one time window of
+    ``size`` that ends at an element's timestamp."""
+    ts = sorted(d.timestamp for d in stream)
+    return max(i + 1 - bisect_left(ts, t - size) for i, t in enumerate(ts))
+
+
 def run_engine(pats, stream, trim=True):
     eng = Engine(merge(pats))
     if not trim:
@@ -319,23 +334,41 @@ def test_history_trimmed_under_time_windows(texts):
     got, peak, _ = run_engine(pats, stream)
     want, _, full = run_engine(pats, stream, trim=False)
     assert got == want and len(want) > 100
-    assert full == len(stream)
+    assert full == negated_count(pats, stream)
     # the elements of the largest window plus the trim cadence
-    ts = [d.timestamp for d in stream]
-    span = max(i + 1 - bisect_left(ts, t - 45) for i, t in enumerate(ts))
-    assert peak <= span + 512
+    assert peak <= largest_window_span(stream, 45) + 512
 
 
-def test_history_kept_once_timestamps_decrease():
+def test_history_bounded_once_timestamps_decrease():
+    """A decreasing timestamp does not stop the trim: the history stays
+    within the largest window plus the trim cadence."""
     pats = [P(t, i) for i, t in enumerate(NEG[:2])]
     rng = np.random.default_rng(8)
-    stream = jittered_stream(rng, 1500, "ABCDE", backwards=True)
-    got, _, end = run_engine(pats, stream)
-    want, _, _ = run_engine(pats, stream, trim=False)
-    assert got == want
-    first_back = next(i for i in range(1, len(stream))
-                      if stream[i].timestamp < stream[i - 1].timestamp)
-    assert end >= len(stream) - first_back
+    stream = jittered_stream(rng, 6000, "ABCDE", backwards=True)
+    got, peak, _ = run_engine(pats, stream)
+    want, _, full = run_engine(pats, stream, trim=False)
+    assert got == want and len(want) > 100
+    bound = largest_window_span(stream, 45) + 512
+    assert peak <= bound < full == negated_count(pats, stream)
+
+
+def test_history_keeps_the_gap_of_the_oldest_record():
+    """The element after the oldest alive record's last one is the first
+    a gap check can read, so the trim at element 512 keeps it."""
+    stream = [DataElement(t, i, float(i), {"x": 0.0})
+              for i, t in enumerate("AC" + "B" * 600 + "DAD")]
+    got, _, end = run_engine([P("SEQ(A a, !C c, D d) WITHIN 5000")], stream)
+    assert got == [(0, (603, 604))] and end == 1
+
+
+def test_history_only_for_negated_types():
+    eng = Engine(merge([P(wl.templates(window=500)[k], i)
+                        for i, k in enumerate(("P3", "P4"))]))
+    assert eng.history == {}
+    for d in wl.gen_ds1(300, 1):
+        eng.expire(d.seq_index, d.timestamp)
+        eng.step(d)
+    assert eng.history == {}
 
 
 def test_golden_run_unchanged_by_history_trim(monkeypatch):

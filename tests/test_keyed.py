@@ -101,7 +101,11 @@ def test_keyed_edges_drop_only_proven_same_checks():
     ["SEQ(A a, B b, C c) WHERE SAME [ID] WITHIN 8",
      "SEQ(A a, B b, D d) WHERE SAME [ID] AND SAME [G] WITHIN 8",
      "SEQ(A a, B b) WITHIN 6"],
-], ids=["no-same", "other-attr", "common-attr"])
+    # a leading Kleene step, unkeyed: SAME compares each element with
+    # the first of the Kleene list
+    ["SEQ(B+ b[], C c) WHERE SAME [G] WITHIN 8",
+     "SEQ(B+ b[], D d) WHERE SAME [ID] AND SUM(b[].x) < d.x WITHIN 6 ms"],
+], ids=["no-same", "other-attr", "common-attr", "leading-kleene"])
 def test_merged_prefix_matches_solo_and_oracle(texts):
     outputs_agree(texts, seed=len(texts[1]))
 

@@ -10,7 +10,6 @@ import oracle
 import randgen
 from matchshed import cost
 from matchshed import engine as me
-from matchshed import plan as mp
 from matchshed.engine import Engine, golden_run
 from matchshed.model import ConsumptionPolicy, DataElement, SelectionPolicy
 from matchshed.parser import parse_pattern
@@ -132,34 +131,34 @@ def outputs_agree(pats, seed, trials=12):
                 assert got == oracle_keys(stream, p, sel), (sel, pid, trial)
 
 
-def counting_compiler(monkeypatch):
-    """Wrap every compiled comparison so that its calls are counted."""
-    calls = [0]
-    compile_cmp = mp._compile_cmp
+class CountingAttrs(dict):
+    """Attributes that count their reads by subscript, the way guards
+    read them (bucket keys are read with ``get``, which is not counted)."""
 
-    def counted(*args, **kwargs):
-        check = compile_cmp(*args, **kwargs)
+    reads = 0
 
-        def wrapper(*a):
-            calls[0] += 1
-            return check(*a)
-        return wrapper
-
-    monkeypatch.setattr(mp, "_compile_cmp", counted)
-    return calls
+    def __getitem__(self, name):
+        CountingAttrs.reads += 1
+        return dict.__getitem__(self, name)
 
 
-def test_shared_checks_cost_the_calls_of_one_pattern(monkeypatch):
-    calls = counting_compiler(monkeypatch)
+def counting_stream(stream):
+    return [DataElement(d.type_tag, d.seq_index, d.timestamp,
+                        CountingAttrs(d.attrs)) for d in stream]
+
+
+def test_shared_checks_cost_the_reads_of_one_pattern(monkeypatch):
+    monkeypatch.setattr(CountingAttrs, "reads", 0)
     texts = SAME_GUARDS[0]
-    stream = stream_of(np.random.default_rng(2), 1000, "ABCD")
+    stream = counting_stream(stream_of(np.random.default_rng(2), 1000,
+                                       "ABCD"))
     golden_run(stream, compile_pattern(P(texts[0])))
-    solo = calls[0]
-    calls[0] = 0
+    solo = CountingAttrs.reads
+    CountingAttrs.reads = 0
     # the second pattern diverges only at D vs E; D-only streams keep its
     # guards on the shared edges alone
     golden_run(stream, merge([P(t, i) for i, t in enumerate(texts)]))
-    assert solo > 100 and calls[0] == solo
+    assert solo > 100 and CountingAttrs.reads == solo
 
 
 def test_fault_in_a_shared_check_counts_once():

@@ -1,0 +1,149 @@
+"""Generated sweep kernels: guards and negation blockers decide and fault
+exactly as the interpreter does, and the generated source is debuggable."""
+
+import gc
+import linecache
+import traceback
+
+import numpy as np
+import pytest
+
+from matchshed import expr as ex
+from matchshed.engine import Engine, golden_run
+from matchshed.model import (DataElement, Pattern, PatternStep, StepKind,
+                             Window, WindowKind)
+from matchshed.parser import parse_pattern
+from matchshed.plan import merge
+
+
+def el(tag, seq, x):
+    return DataElement(tag, seq, float(seq), {"x": x})
+
+
+def interpreted(pred, env, diag=None):
+    """The interpreter's verdict on ``env``, its faults added to ``diag``."""
+    diag = diag if diag is not None else ex.EvalDiagnostics()
+    return ex.eval_predicate(pred, env, diag), diag
+
+
+def test_division_faults_in_operand_order():
+    """sqrt(-1) faults before the zero divisor is looked at, on the guard
+    path as in the interpreter."""
+    pat = parse_pattern("SEQ(A a, B b) WHERE sqrt(a.x) / b.x < 1 WITHIN 10")
+    a, b = el("A", 0, -1.0), el("B", 1, 0.0)
+    plan = merge([pat])
+    assert golden_run([a, b], plan) == {0: []}
+    assert interpreted(pat.predicate, {"a": a, "b": b}) == (
+        False, ex.EvalDiagnostics(domain_error=1))
+    assert plan.diag == ex.EvalDiagnostics(domain_error=1)
+
+
+CONSTS = [0, 0.0, -0.0, 1e200, -1e200, 2, -2.5, 0.5, -1]
+VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e200, -1e200, 1e-300,
+          float("inf"), float("nan")]
+FUNCS = ["sin", "cos", "sqrt", "arcsin", "arccos"]
+
+
+def random_tree(rng, depth, leaves):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.35:
+            return ex.Num(CONSTS[rng.integers(len(CONSTS))])
+        return leaves[rng.integers(len(leaves))]
+    if r < 0.45:
+        return ex.Func(FUNCS[rng.integers(len(FUNCS))],
+                       random_tree(rng, depth - 1, leaves))
+    return ex.Bin("+-*/^"[rng.integers(5)],
+                  random_tree(rng, depth - 1, leaves),
+                  random_tree(rng, depth - 1, leaves))
+
+
+def random_conjunct(rng, leaves, must_read=None):
+    while True:
+        c = ex.Cmp(["<", "<=", ">", ">=", "="][rng.integers(5)],
+                   random_tree(rng, 3, leaves), random_tree(rng, 3, leaves))
+        if must_read is None or must_read in ex.referenced_bindings(c):
+            return c
+
+
+def pattern(steps, predicate):
+    return Pattern(0, tuple(PatternStep(t, b, k) for t, b, k in steps),
+                   predicate, Window(WindowKind.COUNT, 10))
+
+
+GUARD_LEAVES = [ex.AttrRef("a", "x"), ex.AttrRef("c", "x"),
+                ex.SumAgg("k", "x")]
+SINGLE, PLUS, NOT = StepKind.SINGLE, StepKind.KLEENE_PLUS, StepKind.NEGATED
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_guards_match_the_interpreter(seed):
+    """SEQ(A a, B+ k[], C c) over A, B, B, C: the conjunct decides each of
+    the three matches (k = B1, B2 or both) through a generated guard, or
+    all of them at once when it reads ``a`` alone."""
+    rng = np.random.default_rng(seed)
+    for trial in range(150):
+        c = random_conjunct(rng, GUARD_LEAVES)
+        va, vb1, vb2, vc = (VALUES[i] for i in rng.integers(len(VALUES),
+                                                             size=4))
+        stream = [el("A", 0, va), el("B", 1, vb1), el("B", 2, vb2),
+                  el("C", 3, vc)]
+        plan = merge([pattern([("A", "a", SINGLE), ("B", "k", PLUS),
+                               ("C", "c", SINGLE)], c)])
+        got = {r.seq_tuple() for r in golden_run(stream, plan)[0]}
+        a, b1, b2, cc = stream
+        kleenes = [(b1,), (b2,), (b1, b2)]
+        want, diag = set(), ex.EvalDiagnostics()
+        if ex.referenced_bindings(c) <= {"a"}:
+            ok, diag = interpreted(c, {"a": a})
+            want = {(0, *(b.seq_index for b in k), 3) for k in kleenes
+                    if ok}
+        else:
+            for k in kleenes:
+                ok, _ = interpreted(c, {"a": a, "k": k, "c": cc}, diag)
+                if ok:
+                    want.add((0, *(b.seq_index for b in k), 3))
+        assert (got, plan.diag) == (want, diag), (trial, c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_blockers_match_the_interpreter(seed):
+    """SEQ(A a, B+ k[], !N n, C c) over A, B, B, N, C: the N blocks a
+    match exactly when the interpreter finds the conjunct true."""
+    rng = np.random.default_rng(100 + seed)
+    leaves = GUARD_LEAVES + [ex.AttrRef("n", "x")]
+    for trial in range(150):
+        c = random_conjunct(rng, leaves, must_read="n")
+        va, vb1, vb2, vn, vc = (VALUES[i] for i in rng.integers(
+            len(VALUES), size=5))
+        stream = [el("A", 0, va), el("B", 1, vb1), el("B", 2, vb2),
+                  el("N", 3, vn), el("C", 4, vc)]
+        plan = merge([pattern([("A", "a", SINGLE), ("B", "k", PLUS),
+                               ("N", "n", NOT), ("C", "c", SINGLE)], c)])
+        got = {r.seq_tuple() for r in golden_run(stream, plan)[0]}
+        a, b1, b2, n, cc = stream
+        want, diag = set(), ex.EvalDiagnostics()
+        for k in [(b1,), (b2,), (b1, b2)]:
+            blocked, _ = interpreted(c, {"a": a, "k": k, "n": n, "c": cc},
+                                     diag)
+            if not blocked:
+                want.add((0, *(b.seq_index for b in k), 4))
+        assert (got, plan.diag) == (want, diag), (trial, c)
+
+
+def test_traceback_shows_the_generated_line():
+    eng = Engine(merge([parse_pattern(
+        "SEQ(A a, B b) WHERE a.x < b.x WITHIN 10")]))
+    line = "ok = s0.attrs['x'] < attrs['x']"
+    assert line in eng.source
+    eng.step(el("A", 0, 1.0))
+    with pytest.raises(KeyError) as info:
+        eng.step(DataElement("B", 1, 1.0, {"y": 2.0}))
+    text = "".join(traceback.format_exception(info.value))
+    assert "<matchshed sweep" in text and line in text
+    # the text is registered for as long as the engine lives
+    (name,) = [f for f in linecache.cache if f.startswith("<matchshed sweep")
+               and linecache.cache[f][2] == eng.source.splitlines(True)]
+    del eng, info
+    gc.collect()
+    assert name not in linecache.cache

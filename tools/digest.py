@@ -15,6 +15,9 @@ count and time windows of four sizes in one plan, so that records
 sharing a state leave their windows at different times.  ``length``
 runs DS2 guided with ``theta="length"``, so a PM's overhead scales with
 its length, which varies within one sketch key under Kleene steps.
+``strict`` runs DS2 with P1 and P5 under ``POLICY strict, reuse`` (and
+without SAME, so that they match), so strict guards share the A-B+ and
+A-B edges with the guards of P2 and P6.
 Latency bounds are half of a ``none`` run's mean latency (2x overload),
 as in the benchmark.
 """
@@ -35,6 +38,14 @@ def _ds2_patterns(windows):
             for k, w in zip(("P1", "P2", "P5", "P6"), windows)]
 
 
+def _strict(text):
+    """A DS2 template under strict contiguity, without its SAME [ID]:
+    adjacent elements rarely share an ID, and the strict pattern should
+    match."""
+    return text.replace("SAME [ID] AND ", "").replace(
+        " WHERE SAME [ID]", "") + " POLICY strict, reuse"
+
+
 # configuration -> (dataset, patterns, RunConfig fields, strategies)
 CONFIGS = {
     "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")],
@@ -48,6 +59,10 @@ CONFIGS = {
               STRATEGIES),
     "length": ("ds2", _ds2_patterns(["200 ms"] * 4), {"theta": "length"},
                ("guided",)),
+    "strict": ("ds2", [_strict(t) if k in ("P1", "P5") else t
+                       for k, t in zip(("P1", "P2", "P5", "P6"),
+                                       _ds2_patterns(["200 ms"] * 4))],
+               {}, STRATEGIES),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
