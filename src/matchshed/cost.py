@@ -56,7 +56,6 @@ class Sketch:
     """Exact-key counter table (no lossy hashing)."""
 
     def __init__(self, plan: ExecutionPlan):
-        self.plan = plan
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
         self._indices = {}  # pattern_bits -> pattern indices, ascending

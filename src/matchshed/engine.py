@@ -15,8 +15,6 @@ Policy semantics:
 Under ``consume``, elements bound into an emitted complete match are
 tombstoned per pattern; matches containing a tombstoned element are
 rejected at emission, which is equivalent to dropping their records.
-A tombstone is kept only while a later match of its pattern could still
-contain the element, so the sets stay bounded by the window.
 
 Keyed buffers: each state keeps its records in buckets keyed by the SAME
 attributes all its patterns share (``PlanState.key_attrs``), so an element
@@ -36,9 +34,15 @@ emission only the residual conjuncts no guard can decide (a SUM over a
 final Kleene step) go through ``expr.eval_predicate``.  Math faults on
 both paths are counted in ``diag``, once per evaluation.
 
-Negation history: the elements of each negated type, kept only for the
-gap checks and trimmed below the oldest last element of an alive record,
-the lowest a gap check can read.
+Side state: the negation history (the elements of each negated type,
+read only by the gap checks) and the tombstones stay bounded by the
+alive records, whatever the timestamps do.  Every 512 elements one scan
+of the alive records finds the oldest first and the oldest last
+element.  A later match grows from an alive record or starts after
+``now``, so it holds no element before its record's first one: the
+tombstones below the oldest first element go.  A gap check reads only
+elements after its record's last one: the history up to the oldest
+last element goes.
 
 Expiry: every buffered record is queued by deadline, once per distinct
 window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
@@ -67,7 +71,7 @@ from operator import itemgetter
 from . import sweep
 from .expr import eval_predicate
 from .model import (ConsumptionPolicy, DataElement, SelectionPolicy,
-                    WindowKind, pattern_bit)
+                    pattern_bit)
 from .plan import ExecutionPlan
 
 
@@ -133,7 +137,6 @@ class StepResult:
     new_pms: list
     complete: list      # (pattern_id, MatchRecord)
     work: dict          # state_id -> units this step
-    rejected_consumed: int = 0
 
 
 @dataclass
@@ -159,16 +162,13 @@ class Engine:
                             for p in plan.patterns]
         self.windows = [p.window for p in plan.patterns]
         self.bit = [pattern_bit(i, n) for i in range(n)]
-        self.consumed = [{} for _ in range(n)]   # seq -> ts, per pattern
+        self.consumed = [set() for _ in range(n)]   # seqs, per pattern
         # negated type -> ([seq], [element]), read by the gap checks
         self.history = {nc.neg_type: ([], []) for e in plan.edges
                         for g in e.guards.values() for nc in g.neg_checks}
         self.counters = EngineCounters()
         self.diag = plan.diag
-        self.emit_counter = 0
-        self._hist_trim_at = 0
-        self._last_ts = float("-inf")
-        self._ts_sorted = True   # no element's timestamp has decreased yet
+        self._trim_at = 0
         self.source, namespace = sweep.generate(self)
         filename = f"<matchshed sweep {id(self):#x}>"
         linecache.cache[filename] = (len(self.source), None,
@@ -185,48 +185,30 @@ class Engine:
         O(expired): see ``ExecutionPlan.expire``."""
         evicted = self.plan.expire(now_seq, now_ts)
         self.counters.pms_expired += evicted
-        self._trim_history(now_seq, now_ts)
+        self._trim_history(now_seq)
         return evicted
 
-    def _trim_history(self, now_seq: int, now_ts: float):
-        """Every 512 elements, drop the history elements no gap check can
-        read, and the consumed elements no match can contain.
-
-        A gap check reads the elements strictly between an alive
-        record's last element and the incoming one, and a record created
-        later ends later, so the elements up to the oldest last element
-        of an alive record go, and with no alive record all of them."""
-        if now_seq < self._hist_trim_at:
+    def _trim_history(self, now_seq: int):
+        """Every 512 elements, drop the history elements and tombstones
+        no later match can read (see the module docstring)."""
+        if now_seq < self._trim_at:
             return
-        self._hist_trim_at = now_seq + 512
-        self._trim_consumed(now_seq, now_ts)
-        if not self.history:
+        self._trim_at = now_seq + 512
+        if not self.history and not any(self.consumed):
             return
-        oldest = min((r.last_seq for r in self.plan.live_records()),
-                     default=now_seq)
+        first = last = now_seq
+        for r in self.plan.live_records():
+            if r.first_seq < first:
+                first = r.first_seq
+            if r.last_seq < last:
+                last = r.last_seq
         for seqs, elems in self.history.values():
-            cut = bisect_right(seqs, oldest)
+            cut = bisect_right(seqs, last)
             if cut:
                 del seqs[:cut]
                 del elems[:cut]
-
-    def _trim_consumed(self, now_seq: int, now_ts: float):
-        """Drop consumed elements that no later match of their pattern can
-        contain.  Such a match starts within its window of ``now``, so
-        after elements older than the window, which the same ``now`` has
-        just expired every record of; for a time window that order is
-        known only while timestamps have not decreased."""
-        for pid, (used, w) in enumerate(zip(self.consumed, self.windows)):
-            if not used:
-                continue
-            if w.kind is WindowKind.COUNT:
-                cut = now_seq - w.size
-                self.consumed[pid] = {s: t for s, t in used.items()
-                                      if s >= cut}
-            elif self._ts_sorted:
-                cut = now_ts - w.size
-                self.consumed[pid] = {s: t for s, t in used.items()
-                                      if t >= cut}
+        self.consumed = [{s for s in used if s >= first}
+                         for used in self.consumed]
 
     # ---------------------------------------------------------------- step
 
@@ -237,9 +219,6 @@ class Engine:
         plan = self.plan
         seq = d.seq_index
         ts = d.timestamp
-        if ts < self._last_ts:
-            self._ts_sorted = False
-        self._last_ts = ts
         hist = self.history.get(d.type_tag)
         if hist is not None:
             hist[0].append(seq)
@@ -271,7 +250,6 @@ class Engine:
 
         # deterministic emission order, then per-pattern consumption
         complete = []
-        rejected = 0
         accept.sort(key=_emission_order)
         residuals = plan.residuals
         for seqs, pid, rec in accept:
@@ -283,17 +261,14 @@ class Engine:
                     continue
             if self.consumption[pid] is ConsumptionPolicy.CONSUME:
                 used = self.consumed[pid]
-                if any(s in used for s in seqs):
-                    rejected += 1
+                if not used.isdisjoint(seqs):
                     continue
-                for e in rec.elements():
-                    used[e.seq_index] = e.timestamp
-            rec.emit_index = self.emit_counter
-            self.emit_counter += 1
+                used.update(seqs)
+            rec.emit_index = self.counters.cms_emitted
             self.counters.cms_emitted += 1
             complete.append((pid, rec))
 
-        return StepResult(new_records, complete, work, rejected)
+        return StepResult(new_records, complete, work)
 
     def live_pm_count(self) -> int:
         return sum(s.live for s in self.plan.states)

@@ -71,7 +71,7 @@ class PlanState:
     SLACK = 16  # tombstones a state may hold beyond its alive count
 
     __slots__ = ("state_id", "signature", "buffer", "buckets", "key_attrs",
-                 "live", "accepting_for", "psd", "is_kleene", "depth")
+                 "live", "accepting_for", "psd", "depth")
 
     def __init__(self, state_id: int, signature: tuple):
         self.state_id = state_id
@@ -84,7 +84,6 @@ class PlanState:
         self.psd = 0
         # number of bound positional slots for records in this state
         self.depth = sum(1 for (_, k) in signature if k is not StepKind.NEGATED)
-        self.is_kleene = bool(signature) and signature[-1][1] is StepKind.KLEENE_PLUS
 
     def key_of(self, el) -> tuple:
         """Bucket key of the records whose first element is ``el``; for an

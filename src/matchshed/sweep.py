@@ -52,15 +52,19 @@ class _Module:
         self.history = history
         self.sweeps = []
         self.gaps = []
+        self.gap_names = {}   # (checks, slot layout) -> gap function name
+        self.names = {}       # id(value) -> namespace name
         self.ns = {"MatchRecord": MatchRecord, "FAULTS": ex.FAULTS,
                    "fault": diag.fault, "bisect_left": bisect_left,
                    "bisect_right": bisect_right}
         self.ns.update((_CHECKED[k], f) for k, f in ex.CHECKED.items())
 
     def bind(self, value, hint: str) -> str:
-        """A new namespace name for ``value``."""
-        name = f"{hint}{len(self.ns)}"
-        self.ns[name] = value
+        """The namespace name of ``value``, new on its first binding."""
+        name = self.names.get(id(value))
+        if name is None:
+            name = self.names[id(value)] = f"{hint}{len(self.ns)}"
+            self.ns[name] = value
         return name
 
 
@@ -245,9 +249,15 @@ def _edge(m: _Module, eng, e):
 
 def _gap(m: _Module, at: _Slots, neg_checks, unpack: str) -> str:
     """A generated ``gap_<i>(rec, attrs, seq)``: true if no element of a
-    negated type between ``rec``'s last element and ``seq`` blocks."""
+    negated type between ``rec``'s last element and ``seq`` blocks; one
+    function per distinct checks and slot layout.  Checks compare by
+    ``repr``, as in ``plan.merge``."""
+    key = (repr(neg_checks), at.new, frozenset(at.kleene), unpack)
+    name = m.gap_names.get(key)
+    if name is not None:
+        return name
+    name = m.gap_names[key] = f"gap_{len(m.gap_names)}"
     out = m.gaps
-    name = f"gap_{len(out)}"
     out += [f"def {name}(rec, attrs, seq):", "    " + unpack,
             "    lo = rec.last_seq"]
     for nc in neg_checks:

@@ -1,8 +1,11 @@
 """Deadline-ordered expiry: the same records leave their windows as under a
-full sweep of every buffer, buffers and deadline queues stay bounded, and
-the negation history holds only negated types and stays bounded."""
+full sweep of every buffer, buffers and deadline queues stay bounded, the
+negation history holds only negated types and stays bounded, and so does
+all the memory the engine holds."""
 
 import dataclasses
+import gc
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -266,14 +269,24 @@ CONSUME = ["SEQ(A a, B b, C c) WHERE SAME [ID] AND a.x < c.x WITHIN 40",
            "SEQ(A a, B+ b[], C c) WHERE SAME [ID] WITHIN 30 ms"]
 
 
-@pytest.mark.parametrize("text", CONSUME, ids=["count", "time"])
-def test_consumed_sets_stay_bounded(text):
+@pytest.mark.parametrize("text,late", [(CONSUME[0], False),
+                                       (CONSUME[1], False),
+                                       (CONSUME[1], True)],
+                         ids=["count", "time", "late"])
+def test_consumed_sets_stay_bounded(text, late):
     """The consumed elements kept per pattern stay within the window plus
     the trim cadence on a stream ten times longer, which consumes far
-    more, and the matches stay the oracle's."""
+    more, also once timestamps decrease, and the matches stay the
+    oracle's."""
     pat = P(text)
     for n in (500, 5000):
-        stream = randgen.random_stream(np.random.default_rng(n), n, "ABC")
+        rng = np.random.default_rng(n)
+        if late:
+            stream = jittered_stream(rng, n, "ABC", backwards=True)
+            bound = largest_window_span(stream, pat.window.size) + 513
+        else:
+            stream = randgen.random_stream(rng, n, "ABC")
+            bound = pat.window.size + 513
         eng = Engine(merge([pat]), SelectionPolicy.SKIP_TILL_NEXT,
                      ConsumptionPolicy.CONSUME)
         got, peak = set(), 0
@@ -284,8 +297,23 @@ def test_consumed_sets_stay_bounded(text):
         want = oracle.consume_filter(stream, pat,
                                      oracle.greedy_next(stream, pat))
         assert got == want
-        assert peak <= pat.window.size + 513
-    assert sum(map(len, want)) > 2 * (pat.window.size + 513)
+        assert peak <= bound
+    assert sum(map(len, want)) > 2 * bound
+
+
+def test_consumed_keeps_the_first_element_of_the_oldest_record():
+    """Under skip-till-any the A stays buffered after its match consumes
+    it, so the trim at element 512 keeps its tombstone, and the last B
+    does not match it again."""
+    stream = [DataElement(t, i, float(i), {})
+              for i, t in enumerate("AB" + "X" * 600 + "B")]
+    eng = Engine(merge([P("SEQ(A a, B b) WITHIN 5000")]),
+                 SelectionPolicy.SKIP_TILL_ANY, ConsumptionPolicy.CONSUME)
+    got = []
+    for d in stream:
+        eng.expire(d.seq_index, d.timestamp)
+        got.extend(r.seq_tuple() for _, r in eng.step(d).complete)
+    assert got == [(0, 1)] and eng.consumed == [{0, 1}]
 
 
 # -------------------------------------------------------- negation history
@@ -318,7 +346,7 @@ def largest_window_span(stream, size):
 def run_engine(pats, stream, trim=True):
     eng = Engine(merge(pats))
     if not trim:
-        eng._trim_history = lambda now_seq, now_ts: None
+        eng._trim_history = lambda now_seq: None
     out, peak = [], 0
     for d in stream:
         eng.expire(d.seq_index, d.timestamp)
@@ -375,8 +403,7 @@ def test_golden_run_unchanged_by_history_trim(monkeypatch):
     pats = [P(t, i) for i, t in enumerate(NEG)]
     stream = wl.gen_ds2(2000, 9)
     got = golden_run(stream, merge(pats))
-    monkeypatch.setattr(Engine, "_trim_history",
-                        lambda self, now_seq, now_ts: None)
+    monkeypatch.setattr(Engine, "_trim_history", lambda self, now_seq: None)
     want = golden_run(stream, merge(pats))
     assert {p: [r.seq_tuple() for r in rs] for p, rs in got.items()} == \
         {p: [r.seq_tuple() for r in rs] for p, rs in want.items()}
@@ -398,3 +425,36 @@ def test_golden_run_same_at_expiry_cadence(seed, selection, consumption):
     assert sum(map(len, every.values())) > 0
     assert {p: [r.seq_tuple() for r in rs] for p, rs in sparse.items()} == \
         {p: [r.seq_tuple() for r in rs] for p, rs in every.items()}
+
+
+# ------------------------------------------------------------- memory soak
+
+def test_engine_memory_flat_on_a_longer_stream():
+    """What matchshed code still holds after a run, negation history,
+    tombstones and records included, stays flat on a stream ten times
+    longer, with late elements.  A full collection first empties the
+    interpreter's free lists, which hold freed tuples as allocated."""
+    pats = [P(NEG[0], 0), P(CONSUME[1], 1)]
+    held = {}
+    for n in (1000, 10000):
+        stream = jittered_stream(np.random.default_rng(1), n, "ABCD",
+                                 backwards=True)
+        assert any(b.timestamp < a.timestamp
+                   for a, b in zip(stream, stream[1:]))
+        eng = Engine(merge(pats), SelectionPolicy.SKIP_TILL_NEXT,
+                     ConsumptionPolicy.CONSUME)
+        tracemalloc.start()
+        try:
+            emitted = 0
+            for d in stream:
+                eng.expire(d.seq_index, d.timestamp)
+                emitted += len(eng.step(d).complete)
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces([
+                tracemalloc.Filter(True, "*/matchshed/*"),
+                tracemalloc.Filter(True, "<matchshed sweep *>")])
+        finally:
+            tracemalloc.stop()
+        assert emitted > n / 10
+        held[n] = sum(s.size for s in snap.statistics("filename"))
+    assert held[10000] < 1.5 * held[1000]

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from matchshed import expr as ex
+from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
 from matchshed.model import (DataElement, Pattern, PatternStep, StepKind,
                              Window, WindowKind)
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
+
+import randgen
 
 
 def el(tag, seq, x):
@@ -129,6 +132,33 @@ def test_generated_blockers_match_the_interpreter(seed):
             if not blocked:
                 want.add((0, *(b.seq_index for b in k), 4))
         assert (got, plan.diag) == (want, diag), (trial, c)
+
+
+def test_equal_gap_checks_share_one_function():
+    """DS2 P5 and P6 skip the same negated C after A-B, under the same
+    blocker, on edges of one slot layout: one gap function serves both."""
+    t = wl.templates(window=200)
+    eng = Engine(merge([parse_pattern(t[k], pattern_id=i)
+                        for i, k in enumerate(("P1", "P2", "P5", "P6"))]))
+    assert eng.source.count("def gap_") == 1
+
+
+def test_equal_gap_checks_on_other_slot_layouts():
+    """The same negation check after one slot, two slots and a Kleene
+    slot needs three gap functions; each pattern matches in the merged
+    plan as it does alone."""
+    texts = ["SEQ(A a, !C c, D d) WHERE SAME [ID] WITHIN 10",
+             "SEQ(A a, B b, !C c, D d) WHERE SAME [ID] WITHIN 10",
+             "SEQ(A+ a[], !C c, D d) WHERE SAME [ID] WITHIN 10"]
+    stream = randgen.random_stream(np.random.default_rng(5), 400, "ABCD")
+    plan = merge([parse_pattern(t, pattern_id=i)
+                  for i, t in enumerate(texts)])
+    assert Engine(plan).source.count("def gap_") == 3
+    merged = golden_run(stream, plan)
+    for i, t in enumerate(texts):
+        (solo,) = golden_run(stream, merge([parse_pattern(t)])).values()
+        assert [r.seq_tuple() for r in merged[i]] == \
+            [r.seq_tuple() for r in solo] != []
 
 
 def test_traceback_shows_the_generated_line():

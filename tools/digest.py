@@ -17,7 +17,10 @@ runs DS2 guided with ``theta="length"``, so a PM's overhead scales with
 its length, which varies within one sketch key under Kleene steps.
 ``strict`` runs DS2 with P1 and P5 under ``POLICY strict, reuse`` (and
 without SAME, so that they match), so strict guards share the A-B+ and
-A-B edges with the guards of P2 and P6.
+A-B edges with the guards of P2 and P6.  ``late`` runs DS2 under time
+windows with every 97th element's timestamp lowered by 30 ms, below its
+predecessors', so the engine trims its side state under decreasing
+timestamps.
 Latency bounds are half of a ``none`` run's mean latency (2x overload),
 as in the benchmark.
 """
@@ -46,6 +49,17 @@ def _strict(text):
         " WHERE SAME [ID]", "") + " POLICY strict, reuse"
 
 
+def _late(n, seed):
+    """A DS2 stream whose every 97th element arrives 30 ms late."""
+    stream = wl.gen_ds2(n, seed)
+    for d in stream[::97]:
+        d.timestamp -= 30
+    return stream
+
+
+GENERATORS = {"ds1": wl.gen_ds1, "ds2": wl.gen_ds2, "late": _late}
+
+
 # configuration -> (dataset, patterns, RunConfig fields, strategies)
 CONFIGS = {
     "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")],
@@ -63,6 +77,7 @@ CONFIGS = {
                        for k, t in zip(("P1", "P2", "P5", "P6"),
                                        _ds2_patterns(["200 ms"] * 4))],
                {}, STRATEGIES),
+    "late": ("late", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
@@ -80,11 +95,10 @@ def main(argv=None):
     ap.add_argument("--ds2", type=int, default=5_000, help="DS2 elements")
     ap.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
     args = ap.parse_args(argv)
-    sizes = {"ds1": args.ds1, "ds2": args.ds2}
+    sizes = {"ds1": args.ds1, "ds2": args.ds2, "late": args.ds2}
     for name, (ds, patterns, fields, strategies) in CONFIGS.items():
-        gen = wl.gen_ds1 if ds == "ds1" else wl.gen_ds2
         for seed in args.seeds:
-            stream = gen(sizes[ds], seed)
+            stream = GENERATORS[ds](sizes[ds], seed)
             for sel, cons in POLICIES:
                 base = dict(patterns=patterns, selection=sel,
                             consumption=cons, seed=seed, **fields)
