@@ -112,19 +112,17 @@ class MatchRecord:
     """
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",
-                 "last_seq", "last_ts", "parent", "alive", "key",
-                 "emit_index")
+                 "last_seq", "parent", "alive", "key", "emit_index")
 
     def __init__(self, pattern_bits: int, slots: tuple, state_id: int,
                  first_seq: int, first_ts: float, last_seq: int,
-                 last_ts: float, parent: Optional["MatchRecord"] = None):
+                 parent: Optional["MatchRecord"] = None):
         self.pattern_bits = pattern_bits
         self.slots = slots
         self.state_id = state_id
         self.first_seq = first_seq
         self.first_ts = first_ts
         self.last_seq = last_seq
-        self.last_ts = last_ts
         self.parent = parent
         self.alive = True
         self.key = None  # filled by the cost module on first use

@@ -1,5 +1,5 @@
 """Pattern-sharing degree: per-state bitmaps and clustering of partial
-matches by bitmap, with O(1) cluster lookup.
+matches by bitmap, read from the state buffers.
 
 A state's psd has bit i set exactly when the state lies on pattern i's
 start-to-accepting chain, i.e. its sub-pattern signature is a step-prefix
@@ -17,7 +17,8 @@ log = logging.getLogger(__name__)
 
 
 def assess(plan: ExecutionPlan, patterns=None) -> "ClusterIndex":
-    """Fill every state's psd bitmap and build the cluster index.
+    """Fill every state's psd bitmap and build the cluster index over the
+    plan's states.
 
     The start state lies on every chain, so its psd is the OR of all
     pattern bits.  States on no chain (unreachable) get psd 0, a warning,
@@ -43,51 +44,40 @@ def assess(plan: ExecutionPlan, patterns=None) -> "ClusterIndex":
 
 
 class ClusterIndex:
-    """Partial matches grouped by their state's psd bitmap.
-
-    Discarded and expired records are removed lazily: membership lists
-    keep dead entries until the next compaction, but ``lookup`` and
-    iteration only yield live records.  A list is compacted, in order,
-    when selection reads it or when it has doubled since it was last
-    compacted, so it holds at most twice the live members it had then
-    plus a small constant.
-    """
-
-    SLACK = 16  # entries a list may grow by when it had no live members
+    """Partial matches grouped by their state's psd bitmap, as a view over
+    the state buffers.  A record's cluster is fixed by its ``state_id``,
+    so the index holds no record: cluster ``b`` is ``states[b]``, the
+    non-start states with psd ``b`` in ascending ``state_id``, and its
+    members are their alive records, state by state, each state's in
+    insertion order."""
 
     def __init__(self, plan: ExecutionPlan):
         self.plan = plan
         self.n = plan.n
-        self.clusters = {}  # psd bitmap -> list[MatchRecord]
-        self._compact_at = {}  # psd bitmap -> list length that compacts
+        self.states = {}  # psd bitmap -> [PlanState], ascending state_id
         for s in plan.states:
             if s.psd != 0 and s.state_id != plan.start_id:
-                self.clusters.setdefault(s.psd, [])
+                self.states.setdefault(s.psd, []).append(s)
 
     def insert(self, pm: MatchRecord):
-        b = self.plan.states[pm.state_id].psd
-        members = self.clusters.setdefault(b, [])
-        members.append(pm)
-        if len(members) >= self._compact_at.get(b, self.SLACK):
-            self._compact(b, members)
+        """A no-op, kept for callers that still wrap it: buffering a
+        record in its state (``ExecutionPlan.insert``) files it."""
 
-    def _compact(self, b: int, members: list) -> list:
-        live = [r for r in members if r.alive]
-        if len(live) < len(members):
-            members[:] = live
-        self._compact_at[b] = 2 * len(live) + self.SLACK
-        return live
+    @property
+    def clusters(self) -> dict:
+        """psd bitmap -> buffered records of its states, tombstones
+        included; read-only."""
+        return {b: [r for s in states for r in s.buffer]
+                for b, states in self.states.items()}
 
     def lookup(self, b: int) -> list:
         """Live members of the cluster keyed by bitmap b."""
-        members = self.clusters.get(b)
-        if not members:
-            return []
-        return self._compact(b, members)
+        return [r for s in self.states.get(b, ()) for r in s.buffer
+                if r.alive]
 
     def live_clusters(self):
         """(bitmap, live member list) for every nonempty cluster."""
-        for b in self.clusters:
+        for b in self.states:
             live = self.lookup(b)
             if live:
                 yield b, live

@@ -4,10 +4,12 @@ together, apply a reduction strategy under overload, and report metrics.
 The per-element loop is: expire windows, check the overload trigger,
 reduce state if triggered (per the configured strategy), step the engine
 and update the latency monitor.  When the run reads the cost model, it
-also feeds new matches to the sketch and cluster index and rolls the
-sketch epoch at window boundaries.  Only guided selection and the
-``sketch.csv`` artifact read it, so ``none`` and random runs without
-``out_dir`` skip that upkeep; their output is the same either way.
+also credits new matches to the sketch and rolls the sketch epoch at
+window boundaries.  Only guided selection and the ``sketch.csv``
+artifact read it, so ``none`` and random runs without ``out_dir`` skip
+that upkeep; their output is the same either way.  The clusters guided
+selection drains are read from the state buffers (``psd.ClusterIndex``)
+and need no upkeep.
 
 Latency can be measured by wall clock or synthetically (elapsed =
 cost_unit * work units), which makes overload experiments machine
@@ -259,7 +261,7 @@ def _main_loop(config: RunConfig, stream: list):
 
     strategy = config.strategy
     # the cost model is read by guided selection and by sketch.csv; other
-    # runs skip its upkeep: cluster inserts, sketch credits and decay
+    # runs skip its upkeep: sketch credits and decay
     costed = strategy == "guided" or bool(config.out_dir)
     next_epoch = epoch_len if epoch_len and costed else None
     shedding = strategy != "none"
@@ -334,7 +336,6 @@ def _main_loop(config: RunConfig, stream: list):
                 for pid, rec in res.complete:
                     cm_of.setdefault(id(rec), []).append(pid)
             for rec in res.new_pms:
-                index.insert(rec)
                 cost.sketch_update(sketch, rec,
                                    cm_pids=cm_of.get(id(rec), ()))
 

@@ -14,11 +14,14 @@ where T_i is the current total overhead of pattern i over live PMs.
 Infeasible PMs are discarded immediately (tombstoned); skipping them
 cannot hurt later candidates because spend only grows.
 
-Cost of a reduction: ``budgets`` and ``select`` each walk the live
-clusters once.  ``select`` reads each distinct sketch key once (its
-contribution sum and its pn counters) and ranks each overloaded cluster
-with one sort; every PM then costs a few lookups, with the patterns a
-``pattern_bits`` value serves cached as an index tuple."""
+Cost of a reduction: ``budgets`` walks the live PMs of the clusters
+that serve an overloaded pattern, and ``select`` those of the
+overloaded clusters; every other cluster is counted kept from its
+states' live counts.  A cluster is read from its states' buffers
+(``psd.ClusterIndex``).  ``select`` reads each distinct sketch key once
+(its contribution sum and its pn counters) and ranks each overloaded
+cluster with one sort; every PM then costs a few lookups, with the
+patterns a ``pattern_bits`` value serves cached as an index tuple."""
 
 from __future__ import annotations
 
@@ -45,16 +48,20 @@ def budgets(index: ClusterIndex, sketch, monitor, bounds,
 
     T_i sums, PM by PM in cluster order, the overhead ``pn_i * theta(pm)``
     of every live PM serving pattern i; a PM whose key the sketch has not
-    seen adds nothing.
+    seen adds nothing.  A PM's ``pattern_bits`` lie within its state's
+    psd, so a cluster whose psd has no overloaded pattern is skipped.
     """
     n = monitor.n
     lat = monitor.latency_ms
     over = [i for i in range(n) if lat[i] >= bounds[i] and lat[i] > 0]
     totals = dict.fromkeys(over, 0.0)
+    over_bits = sum(1 << (n - i - 1) for i in over)
     table = sketch.table
     idx_of = {}  # pattern_bits -> overloaded patterns it serves
-    for _, members in index.live_clusters():
-        for pm in members:
+    for b in index.states:
+        if not b & over_bits:
+            continue
+        for pm in index.lookup(b):
             bits = pm.pattern_bits
             idx = idx_of.get(bits)
             if idx is None:
@@ -95,9 +102,14 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
     """Greedy budgeted selection; discarded PMs are tombstoned in place.
 
     Overloaded clusters are drained most-shared first.  Within one, PMs
-    are ranked by the key ``(-contribution, first_ts, first_seq, list
-    position)``: contribution sum (cn summed over patterns) descending,
-    ties to the older record, then to the earlier list entry.  The key is
+    are ranked by the key ``(-contribution, first_ts, first_seq,
+    last_seq, position)``: contribution sum (cn summed over patterns)
+    descending, ties to the older first element, then to the older last
+    element, then to the earlier cluster member (state by state, each
+    state's in buffer order).  In an engine-driven run that breaks ties
+    in creation order, except when one element both extends a deeper
+    Kleene state and enters a shallower state of the same cluster: the
+    deeper record is created first but ranked second.  The key is
     unique, so one sort fixes the order.  A PM is kept while every
     overloaded pattern it serves stays within budget after adding its
     overhead ``pn_i * theta(pm)``.  Returns an audit record with
@@ -108,20 +120,20 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
     spend = {i: 0.0 for i in budget_map}
 
     overloaded = []
-    for b, members in index.live_clusters():
+    for b, states in index.states.items():
         if b & b_ol:
-            overloaded.append((b, members))
+            overloaded.append(b)
         else:
-            audit.kept += len(members)
-    overloaded.sort(key=lambda bm: -bm[0])
+            audit.kept += sum(s.live for s in states)
+    overloaded.sort(reverse=True)
 
     table = sketch.table
     zeros = (0.0,) * n
     reads = {}   # key -> (contribution sum, pn), read once per reduction
     idx_of = {}  # pattern_bits -> budgeted patterns it serves
-    for _, members in overloaded:
+    for b in overloaded:
         ranked = []
-        for j, pm in enumerate(members):
+        for j, pm in enumerate(index.lookup(b)):
             k = pm.key or cost.attr_key(sketch, pm)
             read = reads.get(k)
             if read is None:
@@ -129,10 +141,10 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
                 read = reads[k] = ((sum(entry.cn), entry.pn)
                                    if entry is not None else (0.0, zeros))
             # j is unique, so the sort never compares pm or pn
-            ranked.append((-read[0], pm.first_ts, pm.first_seq, j, pm,
-                           read[1]))
+            ranked.append((-read[0], pm.first_ts, pm.first_seq, pm.last_seq,
+                           j, pm, read[1]))
         ranked.sort()
-        for _, _, _, _, pm, pn in ranked:
+        for _, _, _, _, _, pm, pn in ranked:
             if not pm.alive:
                 continue
             bits = pm.pattern_bits

@@ -166,7 +166,7 @@ def _start_edge(m: _Module, eng, e):
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
     out += ["    if passed:",
             f"        new.append(MatchRecord(passed, {slots}, {to}, "
-            "seq, ts, seq, ts))",
+            "seq, ts, seq))",
             "        keys.append(None)",
             f"        work[{to}] = work.get({to}, 0) + 1"]
 
@@ -235,7 +235,7 @@ def _edge(m: _Module, eng, e):
     same_key = src.key_attrs == plan.states[e.to_id].key_attrs
     out += ["        if passed:",
             f"            new.append(MatchRecord(passed, {_CHILD[e.action]}, "
-            f"{to}, rec.first_seq, rec.first_ts, seq, ts, rec))",
+            f"{to}, rec.first_seq, rec.first_ts, seq, rec))",
             f"            keys.append({'key' if same_key else 'None'})",
             "            n += 1"]
     if next_mask:

@@ -134,13 +134,11 @@ class CsvFormatError(ValueError):
     pass
 
 
-def load_csv(path: str, partition_by: str = None):
-    """Load ``type,ts,<attrs...>`` rows.
+def load_csv(path: str):
+    """Load ``type,ts,<attrs...>`` rows as one element list.
 
-    Every value must be a finite number.  Stream mode (default) checks
-    timestamps are nondecreasing and returns one element list.  With
-    ``partition_by`` the rows are treated as an ordered table and returned
-    as a dict partition-value -> element list.
+    Every value must be a finite number, and timestamps must be
+    nondecreasing.
     """
     with open(path, newline="") as f:
         rd = csv.reader(f)
@@ -151,8 +149,6 @@ def load_csv(path: str, partition_by: str = None):
         if header[:2] != ["type", "ts"]:
             raise CsvFormatError(f"{path}: header must start with type,ts")
         names = header[2:]
-        if partition_by is not None and partition_by not in names:
-            raise CsvFormatError(f"{path}: missing column {partition_by!r}")
         stream = []
         width = len(header)
         prev_ts = -math.inf
@@ -171,21 +167,11 @@ def load_csv(path: str, partition_by: str = None):
             if not (isfinite(ts + sum(attrs.values()))
                     or all(map(isfinite, (ts, *attrs.values())))):
                 raise CsvFormatError(f"{path}:{ln}: NaN or infinite value")
-            if partition_by is None:
-                if ts < prev_ts:
-                    raise CsvFormatError(f"{path}:{ln}: timestamps not "
-                                         "sorted in stream mode")
-                prev_ts = ts
+            if ts < prev_ts:
+                raise CsvFormatError(f"{path}:{ln}: timestamps not sorted")
+            prev_ts = ts
             stream.append(DataElement(row[0], ln - 2, ts, attrs))
-    if partition_by is None:
-        return stream
-    parts = {}
-    for d in stream:
-        parts.setdefault(d.attrs[partition_by], []).append(d)
-    for members in parts.values():
-        for i, d in enumerate(members):
-            d.seq_index = i
-    return parts
+    return stream
 
 
 # -------------------------------------------------------------- templates

@@ -184,7 +184,7 @@ def test_acceptance_3_cost_model_agreement():
     def rec(state_id, e, bits):
         from matchshed.model import MatchRecord
         return MatchRecord(bits, (e,), state_id, e.seq_index, e.timestamp,
-                           e.seq_index, e.timestamp)
+                           e.seq_index)
 
     plan3 = merge([P("SEQ(A a, B b) WHERE SAME [ID] WITHIN 10", 0),
                    P("SEQ(A a, C c, D d) WHERE SAME [ID] WITHIN 10", 1),

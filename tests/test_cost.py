@@ -22,8 +22,7 @@ def el(tag, seq, ID=1.0, x=0.0):
 def rec(state_id, elems, bits=0b1, parent=None):
     first, last = elems[0], elems[-1]
     return MatchRecord(bits, tuple(elems), state_id, first.seq_index,
-                       first.timestamp, last.seq_index, last.timestamp,
-                       parent=parent)
+                       first.timestamp, last.seq_index, parent=parent)
 
 
 def shared_plan():

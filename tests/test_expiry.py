@@ -128,8 +128,7 @@ def drive(pats, stream, rng_seed, selection, shed=0.0, inserts=0.0):
             bits = through_a & int(rng.integers(1, through_a + 1)) or through_a
             for e in engines:
                 rec = MatchRecord(bits, (stream[first],), a_state.state_id,
-                                  first, stream[first].timestamp,
-                                  first, stream[first].timestamp)
+                                  first, stream[first].timestamp, first)
                 e.plan.insert(rec)
         r1, r2 = new.step(d), ref.step(d)
         assert [(r.state_id, r.seq_tuple(), r.pattern_bits)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracle
-from matchshed import psd, runner
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
 from matchshed.model import DataElement, SelectionPolicy
@@ -168,33 +167,3 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
                           compute_golden=False), stream)
         assert m.triggers > 0 and m.accounting_closes()
     assert len(checked) > 3 * len(stream)
-
-
-def test_cluster_index_stays_within_twice_live(monkeypatch):
-    """Each cluster list holds at most twice its peak live members plus
-    the slack, in a run where selection never compacts it."""
-    inserts = []
-    assess = psd.assess
-
-    def keep(plan, *args):
-        index = assess(plan, *args)
-        peak = dict.fromkeys(index.clusters, 0)
-        insert = index.insert
-
-        def checked_insert(pm):
-            insert(pm)
-            inserts.append(pm)
-            for b, members in index.clusters.items():
-                live = sum(s.live for s in plan.states[1:] if s.psd == b)
-                peak[b] = max(peak[b], live)
-                assert len(members) <= 2 * peak[b] + index.SLACK
-
-        index.insert = checked_insert
-        return index
-
-    monkeypatch.setattr(runner.psd, "assess", keep)
-    texts = [wl.templates(window=500)[k] for k in ("P3", "P4")]
-    # guided keeps the cluster index; bounds this loose never select
-    m = run(RunConfig(patterns=texts, strategy="guided", bounds=[1e9, 1e9],
-                      compute_golden=False), wl.gen_ds1(6000, 1))
-    assert m.counters["pms_created"] == len(inserts) > 1000

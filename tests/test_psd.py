@@ -74,8 +74,6 @@ def test_lookup_returns_shared_buffer():
     index = assess(plan)
     eng = Engine(plan)
     eng.step(el("A", 0))
-    for rec in plan.live_records():
-        index.insert(rec)
     got = index.lookup(0b111)
     assert len(got) == 1 and got[0].state_id == state_by_sig(plan, "A").state_id
 
@@ -94,9 +92,7 @@ def test_clusters_partition_live_records():
     stream = randgen.random_stream(rng, 100, "ABCDE")
     for d in stream:
         eng.expire(d.seq_index, d.timestamp)
-        res = eng.step(d)
-        for rec in res.new_pms:
-            index.insert(rec)
+        eng.step(d)
         if rng.random() < 0.1:  # random discard, mimicking the selector
             live = list(plan.live_records())
             if live:

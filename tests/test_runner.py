@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from matchshed import cli, cost, psd, runner, workloads as wl
+from matchshed import cli, cost, runner, workloads as wl
 from matchshed.engine import Engine
 from matchshed.model import DataElement
 from matchshed.runner import (Metrics, RunConfig, recall, rolling_recall,
@@ -127,7 +127,7 @@ def test_artifacts_written_and_deterministic(tmp_path):
 @pytest.fixture
 def upkeep(monkeypatch):
     """Counts the calls of the cost model's upkeep."""
-    calls = dict.fromkeys(("sketch_update", "insert", "decay"), 0)
+    calls = dict.fromkeys(("sketch_update", "decay"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -138,8 +138,6 @@ def upkeep(monkeypatch):
     monkeypatch.setattr(cost, "sketch_update",
                         counted("sketch_update", cost.sketch_update))
     monkeypatch.setattr(cost, "decay", counted("decay", cost.decay))
-    monkeypatch.setattr(psd.ClusterIndex, "insert",
-                        counted("insert", psd.ClusterIndex.insert))
     return calls
 
 
@@ -153,7 +151,7 @@ def test_unguided_run_skips_cost_model(upkeep, strategy):
     upkeep.update(dict.fromkeys(upkeep, 0))
     m = run(cfg(strategy=strategy, bounds=bounds), stream)
     assert m.counters["pms_created"] > 0
-    assert upkeep == {"sketch_update": 0, "insert": 0, "decay": 0}
+    assert upkeep == {"sketch_update": 0, "decay": 0}
 
 
 @pytest.mark.parametrize("strategy,out", [("guided", False)] +
@@ -165,7 +163,7 @@ def test_cost_model_kept_where_read(upkeep, tmp_path, strategy, out):
     out_dir = os.path.join(tmp_path, "out") if out else None
     m = run(cfg(strategy=strategy, bounds=bounds, out_dir=out_dir), stream)
     created = m.counters["pms_created"]
-    assert upkeep["sketch_update"] == upkeep["insert"] == created > 0
+    assert upkeep["sketch_update"] == created > 0
     assert upkeep["decay"] > 0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from matchshed import cost
 from matchshed.cost import Sketch, attr_key, estimate
-from matchshed.engine import LatencyMonitor
+from matchshed.engine import Engine, LatencyMonitor
 from matchshed.model import DataElement, MatchRecord
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
@@ -22,7 +22,7 @@ def el(tag, seq, ID=1.0):
 
 def rec(state_id, seq, bits, ID):
     e = el("A", seq, ID=ID)
-    return MatchRecord(bits, (e,), state_id, seq, float(seq), seq, float(seq))
+    return MatchRecord(bits, (e,), state_id, seq, float(seq), seq)
 
 
 def two_pattern_setup():
@@ -39,7 +39,6 @@ def add_pm(plan, index, sketch, cluster_bits, seq, ID, pn, cn=None):
                  if s.psd == cluster_bits and s.state_id != plan.start_id)
     pm = rec(state.state_id, seq, cluster_bits, ID)
     plan.insert(pm)
-    index.insert(pm)
     e = cost.SketchEntry(2)
     e.pn = [float(v) for v in pn]
     e.cn = [float(v) for v in (cn or (0, 0))]
@@ -151,6 +150,28 @@ def test_audit_row_shape():
     assert row[4] == "P2:2/5"
 
 
+def test_ties_break_in_creation_order_across_states():
+    """PMs of one cluster tied on contribution and first element rank in
+    creation order across its states: (0, 3) is the last created, though
+    its state is shallower than that of (0, 1, 2)."""
+    plan = merge([P("SEQ(A a, B b, C c, D d) WHERE SAME [ID] WITHIN 100")],
+                 mode="view")
+    index = assess(plan)
+    sketch = Sketch(plan)
+    eng = Engine(plan)
+    for seq, tag in enumerate("ABCB"):
+        eng.step(el(tag, seq))
+    pms = list(plan.live_records())
+    for pm in pms:
+        sketch.table[attr_key(sketch, pm)] = e = cost.SketchEntry(1)
+        e.pn = [1.0]
+    audit = select(index, 0b1, {0: 3.0}, sketch)
+    assert sorted(pm.seq_tuple() for pm in pms if pm.alive) == \
+        [(0,), (0, 1), (0, 1, 2)]
+    assert [pm.seq_tuple() for pm in pms if not pm.alive] == [(0, 3)]
+    assert (audit.kept, audit.discarded) == (3, 1)
+
+
 # ------------------------------------------------ heap-based reference
 
 def ref_budgets(index, sketch, monitor, bounds, theta=cost.theta_constant):
@@ -170,7 +191,8 @@ def ref_budgets(index, sketch, monitor, bounds, theta=cost.theta_constant):
 
 def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
     """Selection draining each overloaded cluster from a max-heap keyed
-    by contribution sum, ties to the older record, then list position."""
+    by contribution sum, ties to the older first element, then the older
+    last element, then cluster position."""
     n = index.n
     kept = discarded = 0
     spend = {i: 0.0 for i in budget_map}
@@ -183,7 +205,8 @@ def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
         heap = []
         for j, pm in enumerate(members):
             s = sum(estimate(sketch, pm, theta).contribution)
-            heapq.heappush(heap, (-s, pm.first_ts, pm.first_seq, j, pm))
+            heapq.heappush(heap, (-s, pm.first_ts, pm.first_seq,
+                                  pm.last_seq, j, pm))
         while heap:
             pm = heapq.heappop(heap)[-1]
             if not pm.alive:
@@ -208,8 +231,9 @@ def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
 
 def random_scene(seed):
     """Three patterns over clusters [111] A, [110] AB, [010] ABC, [001] AD.
-    PMs draw their first element from a small pool, so PMs of one state
-    share keys and tie on contribution and on first element; Kleene tails
+    PMs draw their first element from a small pool and pairs of them
+    share a last one, so PMs of one state share keys and tie on
+    contribution and on first and last element; Kleene tails
     of random length vary theta_length within a key.  Some keys have no
     sketch entry and some members are dead before selection."""
     rng = np.random.default_rng(seed)
@@ -226,12 +250,12 @@ def random_scene(seed):
         state = states[int(rng.integers(0, len(states)))]
         bits = state.psd & int(rng.integers(1, 8)) or state.psd
         first = firsts[int(rng.integers(0, len(firsts)))]
-        tail = tuple(el("B", 10 + j) for _ in range(int(rng.integers(0, 4))))
+        last = 10 + j // 2
+        tail = tuple(el("B", last) for _ in range(int(rng.integers(0, 4))))
         pm = MatchRecord(bits, (first, tail) if tail else (first,),
                          state.state_id, first.seq_index, first.timestamp,
-                         10 + j, 10.0 + j)
+                         last)
         plan.insert(pm)
-        index.insert(pm)
         pms.append(pm)
     for pm in pms:
         k = attr_key(sketch, pm)
@@ -262,7 +286,7 @@ def test_select_and_budgets_equal_heap_reference():
             b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds, theta)
             assert hexes(b_new) == hexes(b_ref), (seed, theta)
             # a second reduction with tighter budgets meets the first
-            # one's tombstones in the cluster lists
+            # one's tombstones in the state buffers
             for scale in (1.0, 0.5):
                 budget_map = {i: b * scale for i, b in b_new.items()}
                 audit = select(idx_new, b_ol, budget_map, sk_new, theta)

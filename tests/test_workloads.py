@@ -93,17 +93,6 @@ def test_csv_round_trip(tmp_path):
         assert a.seq_index == b.seq_index
 
 
-def test_csv_table_partitions(tmp_path):
-    path = os.path.join(tmp_path, "t.csv")
-    wl.write_csv(wl.gen_ds2(80, seed=7), path)
-    parts = wl.load_csv(path, partition_by="ID")
-    total = sum(len(v) for v in parts.values())
-    assert total == 80
-    for key, members in parts.items():
-        assert all(d.attrs["ID"] == key for d in members)
-        assert [d.seq_index for d in members] == list(range(len(members)))
-
-
 def test_csv_errors(tmp_path):
     p = os.path.join(tmp_path, "bad.csv")
     with open(p, "w") as f:
@@ -118,10 +107,6 @@ def test_csv_errors(tmp_path):
         f.write("type,ts,x\nA,5,1\nB,4,1\n")
     with pytest.raises(wl.CsvFormatError):
         wl.load_csv(p)
-    with open(p, "w") as f:
-        f.write("type,ts,x\nA,4,1\nB,5,1\n")
-    with pytest.raises(wl.CsvFormatError):
-        wl.load_csv(p, partition_by="ID")
 
 
 @pytest.mark.parametrize("row", ["A,nan,1", "A,2,NaN", "A,2,inf",
@@ -132,8 +117,6 @@ def test_csv_rejects_non_finite(tmp_path, row):
         f.write(f"type,ts,ID\nA,1,1\n{row}\n")
     with pytest.raises(wl.CsvFormatError, match=r"bad\.csv:3: NaN or infinite"):
         wl.load_csv(p)
-    with pytest.raises(wl.CsvFormatError, match=":3:"):
-        wl.load_csv(p, partition_by="ID")
 
 
 def test_csv_accepts_finite_values_whose_sum_overflows(tmp_path):
