@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import oracle
+from matchshed import psd, runner
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
 from matchshed.model import DataElement, SelectionPolicy
 from matchshed.parser import parse_pattern
-from matchshed.plan import compile_pattern, merge
+from matchshed.plan import PlanState, compile_pattern, merge
 from matchshed.runner import RunConfig, run
 
 
@@ -167,3 +168,35 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
                           compute_golden=False), stream)
         assert m.triggers > 0 and m.accounting_closes()
     assert len(checked) > 3 * len(stream)
+
+
+def test_cluster_index_stays_within_twice_live(monkeypatch):
+    """After every expiry each cluster holds at most twice its live
+    members plus each state's slack, and ``lookup`` yields exactly its
+    live members, in a run where selection never reads the index."""
+    indexes, checked = [], []
+    assess, expire = psd.assess, Engine.expire
+
+    def keep(plan, *args):
+        indexes.append(assess(plan, *args))
+        return indexes[-1]
+
+    def checked_expire(eng, now_seq, now_ts):
+        evicted = expire(eng, now_seq, now_ts)
+        (index,) = indexes
+        for b, members in index.clusters.items():
+            states = index.states[b]
+            live = sum(s.live for s in states)
+            assert len(members) <= 2 * live + PlanState.SLACK * len(states)
+            assert index.lookup(b) == [r for r in members if r.alive]
+            assert len(index.lookup(b)) == live
+        checked.append(now_seq)
+        return evicted
+
+    monkeypatch.setattr(runner.psd, "assess", keep)
+    monkeypatch.setattr(Engine, "expire", checked_expire)
+    texts = [wl.templates(window=500)[k] for k in ("P3", "P4")]
+    # guided keeps the cluster index; bounds this loose never select
+    m = run(RunConfig(patterns=texts, strategy="guided", bounds=[1e9, 1e9],
+                      compute_golden=False), wl.gen_ds1(6000, 1))
+    assert m.counters["pms_created"] > 1000 and len(checked) > 10
