@@ -23,16 +23,19 @@ keys would fail SAME for every pattern, so the outcome is the same as a
 scan of the whole state.  A child whose state is keyed like its parent's
 goes into the bucket the element probed.
 
-Guards: each engine generates Python source for one sweep function per
+Sweeps: each engine generates Python source for one sweep function per
 trigger event type (``sweep``) and compiles it once, in ``__init__``; the
 code depends on the engine's selection policies and binds its objects.
-``Engine.source`` is the text, registered with ``linecache`` so that a
-traceback through a sweep shows the generated line.  Patterns whose
-guards compute the same conjuncts share one ``checks`` tuple
-(``plan.merge``), which a record evaluates once for all of them.  At
-emission only the residual conjuncts no guard can decide (a SUM over a
-final Kleene step) go through ``expr.eval_predicate``.  Math faults on
-both paths are counted in ``diag``, once per evaluation.
+A sweep evaluates the guards and buffers its children; ``step`` applies
+skip-till-next, then sorts and checks the complete matches and returns
+them with their keys (``StepResult.match_keys``).  ``Engine.source`` is
+the text, registered with ``linecache`` so that a traceback through a
+sweep shows the generated line.  Patterns whose guards compute the same
+conjuncts share one ``checks`` tuple (``plan.merge``), which a record
+evaluates once for all of them.  At emission only the residual conjuncts
+no guard can decide (a SUM over a final Kleene step) go through
+``expr.eval_predicate``.  Math faults on both paths are counted in
+``diag``, once per evaluation.
 
 Side state: the negation history (the elements of each negated type,
 read only by the gap checks) and the tombstones stay bounded by the
@@ -46,7 +49,8 @@ last element goes.
 
 Expiry: every buffered record is queued by deadline, once per distinct
 window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
-O(expired), not a sweep of every buffer.  Windows are also checked at
+O(expired), not a sweep of every buffer; most children join their
+parent's deadline slot (``sweep``).  Windows are also checked at
 extension time, so when ``expire`` runs changes no match; it changes
 when ``PlanState.live`` drops, and so the work units, which is why the
 runner keeps its ``expire_every`` cadence.  Tombstoned records are
@@ -88,7 +92,7 @@ class LatencyMonitor:
             self.latency_ms = [0.0] * self.n
         if self.state_work is None:
             self.state_work = {}
-        # psd -> (indices of the patterns with their bit set, ascending;
+        # state id -> (indices of the patterns its psd has, ascending;
         # popcount), filled by measure
         self.sharers = {}
 
@@ -109,15 +113,15 @@ def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
     states = plan.states
     cache = monitor.sharers
     for sid, w in work_by_state.items():
-        psd = states[sid].psd
-        if psd == 0:
-            continue
-        got = cache.get(psd)
+        got = cache.get(sid)
         if got is None:
-            got = cache[psd] = (
+            psd = states[sid].psd
+            got = cache[sid] = (
                 tuple(i for i in range(n) if psd & (1 << (n - i - 1))),
                 psd.bit_count())
         sharers, count = got
+        if count == 0:
+            continue
         part = elapsed_ms * (w / total) / count
         for i in sharers:
             share[i] += part
@@ -137,6 +141,7 @@ class StepResult:
     new_pms: list
     complete: list      # (pattern_id, MatchRecord)
     work: dict          # state_id -> units this step
+    match_keys: list    # of each complete match: its element seqs, sorted
 
 
 @dataclass
@@ -216,59 +221,47 @@ class Engine:
         """Evaluate one element against the bucket of its key in each
         state its type triggers; windows must already be expired for d
         (call expire first)."""
-        plan = self.plan
         seq = d.seq_index
-        ts = d.timestamp
         hist = self.history.get(d.type_tag)
         if hist is not None:
             hist[0].append(seq)
             hist[1].append(d)
         kernel = self._sweeps.get(d.type_tag)
         if kernel is None:
-            return StepResult([], [], {})
-        work, new_records, new_keys, taken_bits = kernel(d, seq, ts)
+            return StepResult([], [], {}, [])
+        work, new_records, accept, taken_bits = kernel(d, seq, d.timestamp)
+        counters = self.counters
+        counters.pms_created += len(new_records)
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken
             if rec.pattern_bits == 0 and rec.alive:
-                plan.discard(rec)
-                self.counters.pms_policy_dropped += 1
-
-        accept = []
-        states = plan.states
-        self.counters.pms_created += len(new_records)
-        for rec, key in zip(new_records, new_keys):
-            plan.insert(rec, key)
-            accepting = states[rec.state_id].accepting_for
-            if accepting:
-                seqs = None
-                for pid in accepting:
-                    if rec.pattern_bits & self.bit[pid]:
-                        if seqs is None:
-                            seqs = rec.seq_tuple()
-                        accept.append((seqs, pid, rec))
+                self.plan.discard(rec)
+                counters.pms_policy_dropped += 1
 
         # deterministic emission order, then per-pattern consumption
-        complete = []
-        accept.sort(key=_emission_order)
-        residuals = plan.residuals
-        for seqs, pid, rec in accept:
-            residual = residuals.get((pid, rec.state_id))
-            if residual is not None:
-                names, pred = residual
-                if not eval_predicate(pred, dict(zip(names, rec.slots)),
-                                      self.diag):
-                    continue
-            if self.consumption[pid] is ConsumptionPolicy.CONSUME:
-                used = self.consumed[pid]
-                if not used.isdisjoint(seqs):
-                    continue
-                used.update(seqs)
-            rec.emit_index = self.counters.cms_emitted
-            self.counters.cms_emitted += 1
-            complete.append((pid, rec))
+        complete, keys = [], []
+        if accept:
+            accept.sort(key=_emission_order)
+            residuals = self.plan.residuals
+            for seqs, pid, rec in accept:
+                residual = residuals.get((pid, rec.state_id))
+                if residual is not None:
+                    names, pred = residual
+                    if not eval_predicate(pred, dict(zip(names, rec.slots)),
+                                          self.diag):
+                        continue
+                if self.consumption[pid] is ConsumptionPolicy.CONSUME:
+                    used = self.consumed[pid]
+                    if not used.isdisjoint(seqs):
+                        continue
+                    used.update(seqs)
+                rec.emit_index = counters.cms_emitted
+                counters.cms_emitted += 1
+                complete.append((pid, rec))
+                keys.append(seqs)
 
-        return StepResult(new_records, complete, work)
+        return StepResult(new_records, complete, work, keys)
 
     def live_pm_count(self) -> int:
         return sum(s.live for s in self.plan.states)

@@ -210,16 +210,15 @@ class ExecutionPlan:
                 if r.alive:
                     yield r
 
-    def insert(self, rec: MatchRecord, key=None):
-        """Buffer a new record in its state, in its key's bucket and in
-        the deadline queue of each window its patterns have.  ``key`` is
-        the bucket key when the caller knows it (a child keyed like its
-        parent's state); by default it is read from the first element."""
+    def insert(self, rec: MatchRecord):
+        """Buffer a new record in its state, in the bucket of its first
+        element's key and in the deadline queue of each window its
+        patterns have.  The sweeps buffer their own children and call
+        this only for a child keyed unlike its parent."""
         state = self.states[rec.state_id]
         state.buffer.append(rec)
-        if key is None:
-            first = rec.slots[0]
-            key = state.key_of(first[0] if type(first) is tuple else first)
+        first = rec.slots[0]
+        key = state.key_of(first[0] if type(first) is tuple else first)
         bucket = state.buckets.get(key)
         if bucket is None:
             state.buckets[key] = [rec]
@@ -232,8 +231,8 @@ class ExecutionPlan:
                 q.push(rec)
 
     def discard(self, rec: MatchRecord):
-        """Tombstone a record.  Every tombstone goes through here, so that
-        each state's live count stays exact."""
+        """Tombstone a record.  Every tombstone but an expiry's goes
+        through here, so that each state's live count stays exact."""
         if rec.alive:
             rec.alive = False
             self.states[rec.state_id].live -= 1
@@ -244,15 +243,17 @@ class ExecutionPlan:
         only the expired records, then compacts each state whose
         tombstones outnumber its alive records by more than the slack."""
         evicted = 0
+        states = self.states
         for q in self.deadlines:
             keep = ~q.mask
             for rec in q.pop_expired(now_seq if q.by_count else now_ts):
                 if rec.alive:
                     rec.pattern_bits &= keep
                     if rec.pattern_bits == 0:
-                        self.discard(rec)
+                        rec.alive = False
+                        states[rec.state_id].live -= 1
                         evicted += 1
-        for state in self.states:
+        for state in states:
             if len(state.buffer) - state.live > state.live + state.SLACK:
                 state.compact()
         return evicted
@@ -502,9 +503,10 @@ def merge(patterns, mode: str = "view"):
                              t["action"])
                 edges[ek] = e
                 edge_list.append(e)
-            # the probe of the source state's bucket proves SAME on its key
-            checks = t["conjs"] + tuple(ex.Same(a) for a in c.same_attrs
-                                        if a not in frm.key_attrs)
+            # one element satisfies SAME; a bucket probe proves it on the key
+            checks = t["conjs"] + tuple(
+                ex.Same(a) for a in c.same_attrs
+                if frm is not start and a not in frm.key_attrs)
             on_edge = placed.setdefault(ek, [])
             checks = next((o for o in on_edge if o == checks
                            and repr(o) == repr(checks)), checks)

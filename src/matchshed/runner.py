@@ -327,8 +327,8 @@ def _main_loop(config: RunConfig, stream: list):
         for i in range(n):
             lat_sum[i] += latency_ms[i]
 
-        for pid, rec in res.complete:
-            matches[pid].append((seq, match_key(rec)))
+        for (pid, rec), key in zip(res.complete, res.match_keys):
+            matches[pid].append((seq, key))
         if costed:
             cm_of = _NO_CMS
             if res.complete:

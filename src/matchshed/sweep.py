@@ -4,23 +4,32 @@ source once per engine.
 For each event type that triggers an edge, ``generate`` writes one
 function ``sweep_<i>(d, seq, ts)``.  It walks the type's edges in plan
 order (``ExecutionPlan.edges_by_trigger``).  A start edge evaluates its
-guards on the element alone.  Any other edge probes the source state's
-bucket for the element's key; for each alive record there it tests
-pattern bits, windows and strict adjacency against constants, one bit
-mask per distinct (window, adjacency) of the guards sharing a ``checks``
-tuple, and then evaluates that tuple once, inline.  Conjuncts read the
-incoming element's attributes from ``attrs`` and earlier ones from the
-record's slots, unpacked to ``s0, s1, ...``; a SAME check compares the
-incoming element with the first one, because every element the record
-already holds passed the same check when it was bound.  A child's slot
-tuple is built only once a guard has passed.  Negation gap checks are
-the functions ``gap_<i>``, which read the history lists of the negated
-type.
+guards on the element alone: SAME holds there, but its attributes are
+read, so that a missing one raises ``KeyError`` as in ``expr``.  Any other
+edge probes the source state's bucket for the element's key; for each
+alive record there it tests pattern bits, windows and strict adjacency
+against constants, one bit mask per distinct (window, adjacency) of the
+guards sharing a ``checks`` tuple, and then evaluates that tuple once,
+inline.  Conjuncts read the incoming element's attributes from
+``attrs`` and earlier ones from the record's slots, unpacked to ``s0,
+s1, ...``; a SAME check compares the incoming element with the first
+one, because every element the record already holds passed the same
+check when it was bound.  A child's slot tuple is built only once a
+guard has passed.  Negation gap checks are the functions ``gap_<i>``,
+which read the history lists of the negated type.
 
-A sweep returns ``(work, new records, their bucket keys, skip-till-next
-takes)``, each filled in the order of an edge-by-edge, record-by-record
-scan, so the work units and what the engine emits do not depend on how
-the guards are grouped.
+Each edge collects its children in a list ``c<j>``.  After every edge has
+run, the sweep adds them to the target state's ``buffer``, ``live`` and
+the bucket of the key the edge probed (from the start, the element's);
+``ExecutionPlan.insert`` takes a child keyed unlike its parent.  A child
+whose state's patterns have one window joins its parent's deadline slot,
+which stays queued until expiry clears that window's bits from the
+parent; a start edge's child is pushed.  A sweep returns ``(work, new
+records, accepted, skip-till-next takes)``, each filled in the order of
+an edge-by-edge, record-by-record scan, so the work units and what the
+engine emits do not depend on how the guards are grouped.  An accepted
+entry is ``(match key, pattern id, record)``, the key being the element
+seqs, read by a slot unpack (``seq_tuple()`` in a Kleene state).
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
@@ -109,9 +118,9 @@ class _Slots:
             d = depth + (i > 0)
             if i:
                 out.append("    " * depth + "if ok:")
-            if type(c) is ex.Same:
-                out.append("    " * d + f"ok = {subject}[{c.attr!r}] == "
-                           f"{self.attrs(0)}[{c.attr!r}]")
+            if type(c) is ex.Same:  # tuples, like expr's sets, try `is` first
+                out.append("    " * d + f"ok = ({subject}[{c.attr!r}],) == "
+                           f"({self.attrs(0)}[{c.attr!r}],)")
                 continue
             out += ["    " * d + "try:",
                     "    " * d + f"    ok = {self.num(c.left)} "
@@ -129,15 +138,18 @@ def generate(eng) -> tuple:
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
         out = m.sweeps
         out += [f"def sweep_{i}(d, seq, ts):  # {ttype!r}",
-                "    attrs = d.attrs", "    work = {}", "    new = []",
-                "    keys = []", "    taken = []"]
-        for e in edges:
+                "    attrs = d.attrs", "    work = {}", "    taken = []",
+                "    accept = []"]
+        for j, e in enumerate(edges):
             out.append(f"    # {e!r}")
             if e.from_id == plan.start_id:
-                _start_edge(m, eng, e)
+                _start_edge(m, eng, e, j)
             else:
-                _edge(m, eng, e)
-        out.append("    return work, new, keys, taken")
+                _edge(m, eng, e, j)
+        for j, e in enumerate(edges):
+            _buffer(m, eng, e, j)
+        new = " + ".join(f"c{j}" for j in range(len(edges)))
+        out.append(f"    return work, {new}, accept, taken")
         table.append(f"{ttype!r}: sweep_{i}")
     lines = m.sweeps + m.gaps + ["SWEEPS = {" + ", ".join(table) + "}"]
     return "\n".join(lines) + "\n", m.ns
@@ -152,26 +164,37 @@ def _groups(edge) -> list:
     return list(groups.values())
 
 
-def _start_edge(m: _Module, eng, e):
+def _key(attrs_of) -> str:
+    """Code of the bucket key of ``d`` over the attributes ``attrs_of``."""
+    return "(" + "".join(f"attrs.get({a!r}), " for a in attrs_of) + ")"
+
+
+def _start_edge(m: _Module, eng, e, j: int):
     out = m.sweeps
+    plan = eng.plan
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     at = _Slots(m, 0, set())
-    out += [f"    work[{frm}] = work.get({frm}, 0) + 1", "    passed = 0"]
+    out += [f"    c{j} = []",
+            f"    work[{frm}] = work.get({frm}, 0) + 1", "    passed = 0"]
     for checks, guards in _groups(e):
         mask = m.bind(sum(eng.bit[pid] for pid, _ in guards), "M")
+        pad = "        " if checks else "    "
         if checks:
             at.checks(out, 1, checks, "attrs")
             out.append("    if ok:")
-        out.append(f"    {'    ' if checks else ''}passed |= {mask}")
+        same = {c.attr for pid, _ in guards
+                for c in ex.conjuncts(plan.patterns[pid].predicate)
+                if type(c) is ex.Same}
+        out += [pad + f"attrs[{a!r}]  # SAME" for a in sorted(same)]
+        out.append(pad + f"passed |= {mask}")
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
     out += ["    if passed:",
-            f"        new.append(MatchRecord(passed, {slots}, {to}, "
+            f"        c{j}.append(MatchRecord(passed, {slots}, {to}, "
             "seq, ts, seq))",
-            "        keys.append(None)",
             f"        work[{to}] = work.get({to}, 0) + 1"]
 
 
-def _edge(m: _Module, eng, e):
+def _edge(m: _Module, eng, e, j: int):
     out = m.sweeps
     plan = eng.plan
     src = plan.states[e.from_id]
@@ -181,9 +204,8 @@ def _edge(m: _Module, eng, e):
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     state, buckets = m.bind(src, "S"), m.bind(src.buckets, "B")
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
-    key = "(" + "".join(f"attrs.get({a!r}), " for a in src.key_attrs) + ")"
-    out += [f"    key = {key}", "    n = 0",
-            f"    for rec in {buckets}.get(key, ()):",
+    out += [f"    k{j} = {_key(src.key_attrs)}", f"    c{j} = []",
+            f"    for rec in {buckets}.get(k{j}, ()):",
             "        if not rec.alive:", "            continue",
             "        bits = rec.pattern_bits", "        passed = 0"]
     next_mask = 0
@@ -232,19 +254,61 @@ def _edge(m: _Module, eng, e):
                 out += [pad + f"if m & {bit} and "
                         f"{_gap(m, at, g.neg_checks, unpack)}(rec, attrs, seq):",
                         pad + f"    passed |= {bit}"]
-    same_key = src.key_attrs == plan.states[e.to_id].key_attrs
     out += ["        if passed:",
-            f"            new.append(MatchRecord(passed, {_CHILD[e.action]}, "
-            f"{to}, rec.first_seq, rec.first_ts, seq, rec))",
-            f"            keys.append({'key' if same_key else 'None'})",
-            "            n += 1"]
+            f"            c{j}.append(MatchRecord(passed, {_CHILD[e.action]}, "
+            f"{to}, rec.first_seq, rec.first_ts, seq, rec))"]
     if next_mask:
         nxt = m.bind(next_mask, "M")
         out += [f"            if passed & {nxt}:",
                 f"                taken.append((rec, passed & {nxt}))"]
-    out += ["    if n:", f"        work[{to}] = work.get({to}, 0) + n",
+    out += [f"    if c{j}:",
+            f"        work[{to}] = work.get({to}, 0) + len(c{j})",
             f"    if {state}.live > 0:",
             f"        work[{frm}] = work.get({frm}, 0) + {state}.live"]
+
+
+def _buffer(m: _Module, eng, e, j: int):
+    """Lines that buffer the children ``c<j>`` of edge ``e``, then accept
+    the complete ones (see the module docstring)."""
+    out = m.sweeps
+    plan = eng.plan
+    to = plan.states[e.to_id]
+    start = e.from_id == plan.start_id
+    mask = sum(eng.bit[pid] for pid, path in plan.pattern_paths.items()
+               if e.to_id in path)
+    queues = [q for q in plan.deadlines if q.mask & mask]
+    out.append(f"    if c{j}:")
+    if start or to.key_attrs == plan.states[e.from_id].key_attrs:
+        state, buckets = m.bind(to, "S"), m.bind(to.buckets, "B")
+        key = _key(to.key_attrs) if start else f"k{j}"
+        out += [f"        {state}.buffer += c{j}",
+                f"        {buckets}.setdefault({key}, []).extend(c{j})",
+                f"        {state}.live += len(c{j})", f"        for c in c{j}:"]
+        if start or len(queues) > 1:
+            out += [f"            if c.pattern_bits & {m.bind(q.mask, 'M')}: "
+                    f"{m.bind(q, 'Q')}.push(c)" for q in queues]
+        else:
+            (q,) = queues
+            out.append(f"            {m.bind(q.slots, 'D')}[c.first_"
+                       f"{'seq' if q.by_count else 'ts'}].append(c)")
+    else:
+        out += [f"        for c in c{j}:",
+                f"            {m.bind(plan.insert, 'insert')}(c)"]
+    if not to.accepting_for:
+        return
+    out.append(f"        for c in c{j}:")
+    held = range(to.depth - 1)      # the last slot holds d
+    key = "(" + "".join(f"s{p}.seq_index, " for p in held) + "seq)"
+    if any(k is StepKind.KLEENE_PLUS for _, k in to.signature):
+        key = "c.seq_tuple()"
+    elif held:
+        out.append(f"            {''.join(f's{p}, ' for p in held)}_ = c.slots")
+    out.append(f"            key = {key}")
+    for pid in sorted(to.accepting_for):
+        test = ("" if mask == eng.bit[pid] else
+                f"if c.pattern_bits & {m.bind(eng.bit[pid], 'M')}: ")
+        out.append(f"            {test}accept.append((key, "
+                   f"{m.bind(pid, 'I')}, c))")
 
 
 def _gap(m: _Module, at: _Slots, neg_checks, unpack: str) -> str:

@@ -74,3 +74,16 @@ def random_pattern(rng, alphabet, pattern_id=0, max_steps=4,
         text += " WHERE " + " AND ".join(conjs)
     text += f" WITHIN {w}"
     return parse_pattern(text, pattern_id=pattern_id)
+
+
+def acceptance_cases(seed=2024, count=1000):
+    """The (pattern, stream) cases of acceptance check 1, in its order:
+    plain, Kleene and negation patterns in turn over 4-6 event types,
+    every 25th stream 200 elements long."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        force = ("plain", "kleene", "neg")[t % 3]
+        alphabet = "ABCDEF"[:4 + t % 3]
+        size = 200 if t % 25 == 24 else int(rng.integers(20, 81))
+        pat = random_pattern(rng, alphabet, 0, force=force)
+        yield pat, random_stream(rng, size, alphabet)

@@ -63,15 +63,9 @@ def oracle_cms(stream, pattern, sel):
 def policy_matrix():
     """1000 random (stream, pattern) cases with engine and oracle CM sets
     for every selection x consumption combination."""
-    rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     cases = []
-    for t in range(1000):
-        force = ("plain", "kleene", "neg")[t % 3]
-        alphabet = "ABCDEF"[:4 + t % 3]
-        size = 200 if t % 25 == 24 else int(rng.integers(20, 81))
-        pat = randgen.random_pattern(rng, alphabet, 0, force=force)
-        stream = randgen.random_stream(rng, size, alphabet)
+    for pat, stream in randgen.acceptance_cases():
         got, want = {}, {}
         for sel in SELECTIONS:
             want[sel, "reuse"] = oracle_cms(stream, pat, sel)

@@ -84,7 +84,7 @@ def test_keyed_edges_drop_only_proven_same_checks():
           for s in plan.states}
     n_checks = {(e.from_id, e.to_id): len(e.guards[min(e.guards)].checks)
                 for e in plan.edges}
-    assert n_checks[(st[""], st["A"])] >= 1       # the start is unkeyed
+    assert n_checks[(st[""], st["A"])] == 0       # one element: SAME holds
     assert n_checks[(st["A"], st["AB"])] == 0     # ID proven by the probe
     assert n_checks[(st["AB"], st["ABC"])] == 0
     assert n_checks[(st["A"], st["AD"])] == 1     # G still checked

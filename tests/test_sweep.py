@@ -1,9 +1,15 @@
 """Generated sweep kernels: guards and negation blockers decide and fault
-exactly as the interpreter does, and the generated source is debuggable."""
+exactly as the interpreter does, SAME on a start edge as well, and the
+generated source is debuggable and printable."""
 
 import gc
+import json
 import linecache
+import os
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,9 @@ from matchshed.model import (DataElement, Pattern, PatternStep, StepKind,
                              Window, WindowKind)
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
+from matchshed.runner import RunConfig, build_plan
 
+import oracle
 import randgen
 
 
@@ -177,3 +185,75 @@ def test_traceback_shows_the_generated_line():
     del eng, info
     gc.collect()
     assert name not in linecache.cache
+
+
+@pytest.mark.parametrize("texts", [
+    ["SEQ(A a, B b) WHERE SAME [ID] WITHIN 10"],
+    # the A state is unkeyed, so the B edge checks SAME itself
+    ["SEQ(A a, C c) WITHIN 10", "SEQ(A a, B b) WHERE SAME [ID] WITHIN 10"],
+])
+def test_same_holds_for_one_nan_object(texts):
+    """An A and a B that hold one NaN object as ID: ``expr`` and the oracle
+    find one ID, and so does the engine, whose start edge no longer
+    compares the A's NaN with itself and whose SAME checks compare by
+    identity first."""
+    nan = float("nan")
+    pats = [parse_pattern(t, pattern_id=i) for i, t in enumerate(texts)]
+    a = DataElement("A", 0, 0.0, {"ID": nan})
+    b = DataElement("B", 1, 1.0, {"ID": nan})
+    assert ex.eval_predicate(pats[-1].predicate, {"a": a, "b": b}, None)
+    assert oracle.enumerate_any([a, b], pats[-1]) == {(0, 1)}
+    got = golden_run([a, b], merge(pats))[len(pats) - 1]
+    assert [r.seq_tuple() for r in got] == [(0, 1)]
+
+
+def test_nan_object_blocks_a_negation_gap():
+    """A C holding the A's NaN object as ID blocks ``!C`` under SAME, as in
+    the oracle; a C holding another NaN does not."""
+    pat = parse_pattern("SEQ(A a, !C c, B b) WHERE SAME [ID] WITHIN 10")
+    nan = float("nan")
+    for c_id, want in [(nan, set()), (float("nan"), {(0, 2)})]:
+        stream = [DataElement("A", 0, 0.0, {"ID": nan}),
+                  DataElement("C", 1, 1.0, {"ID": c_id}),
+                  DataElement("B", 2, 2.0, {"ID": nan})]
+        assert oracle.enumerate_any(stream, pat) == want
+        got = golden_run(stream, merge([pat]))[0]
+        assert {r.seq_tuple() for r in got} == want
+
+
+@pytest.mark.parametrize("texts", [
+    ["SEQ(A a, B b) WHERE SAME [ID] WITHIN 10"],
+    # the A state is unkeyed: P0 has no SAME
+    ["SEQ(A a, C c) WITHIN 10", "SEQ(A a, B b) WHERE SAME [ID] WITHIN 10"],
+    # a first step that is a Kleene step
+    ["SEQ(A+ a[], B b) WHERE SAME [ID] WITHIN 10"],
+])
+def test_same_attribute_missing_raises(texts):
+    """A start edge checks no SAME, but an element without the attribute
+    still raises ``KeyError``, as ``expr.eval_predicate`` does."""
+    plan = merge([parse_pattern(t, pattern_id=i)
+                  for i, t in enumerate(texts)])
+    a = DataElement("A", 0, 0.0, {"x": 1.0})
+    with pytest.raises(KeyError):
+        ex.eval_predicate(plan.patterns[-1].predicate, {"a": a}, None)
+    with pytest.raises(KeyError):
+        golden_run([a], plan)
+
+
+def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
+    """``tools/sweep_source.py`` on the DS2 templates prints one sweep per
+    event type that triggers an edge, headed by that type."""
+    t = wl.templates(window=200)
+    config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "sweep_source.py"),
+         "--config", str(path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    types = list(build_plan(RunConfig(**config)).edges_by_trigger)
+    assert out.count("def sweep_") == len(types) == 6
+    for i, ttype in enumerate(types):
+        assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out

@@ -1,0 +1,33 @@
+"""Print the sweep module an Engine generates for a run configuration.
+
+    PYTHONPATH=src python3 tools/sweep_source.py --config run.json
+
+``run.json`` is a ``RunConfig`` JSON file, as ``matchshed run --config``
+reads it.  The output is ``Engine.source`` for the plan and the
+selection and consumption policies it names: one ``sweep_<i>`` function
+per trigger event type, then the negation gap checks.  Names such as
+``S12`` or ``M3`` are objects bound in the module's namespace (states,
+bucket dicts, masks, constants), not part of the text.
+"""
+
+from __future__ import annotations
+
+import argparse
+
+from matchshed.engine import Engine
+from matchshed.model import ConsumptionPolicy, SelectionPolicy
+from matchshed.runner import RunConfig, build_plan
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", required=True, help="RunConfig JSON file")
+    args = ap.parse_args(argv)
+    cfg = RunConfig.from_json(args.config)
+    eng = Engine(build_plan(cfg), SelectionPolicy(cfg.selection),
+                 ConsumptionPolicy(cfg.consumption))
+    print(eng.source, end="")
+
+
+if __name__ == "__main__":
+    main()
