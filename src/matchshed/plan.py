@@ -231,8 +231,8 @@ class ExecutionPlan:
                 q.push(rec)
 
     def discard(self, rec: MatchRecord):
-        """Tombstone a record.  Every tombstone but an expiry's goes
-        through here, so that each state's live count stays exact."""
+        """Tombstone a record.  Every tombstone goes through here, so that
+        each state's live count stays exact."""
         if rec.alive:
             rec.alive = False
             self.states[rec.state_id].live -= 1
@@ -243,17 +243,15 @@ class ExecutionPlan:
         only the expired records, then compacts each state whose
         tombstones outnumber its alive records by more than the slack."""
         evicted = 0
-        states = self.states
         for q in self.deadlines:
             keep = ~q.mask
             for rec in q.pop_expired(now_seq if q.by_count else now_ts):
                 if rec.alive:
                     rec.pattern_bits &= keep
                     if rec.pattern_bits == 0:
-                        rec.alive = False
-                        states[rec.state_id].live -= 1
+                        self.discard(rec)
                         evicted += 1
-        for state in states:
+        for state in self.states:
             if len(state.buffer) - state.live > state.live + state.SLACK:
                 state.compact()
         return evicted

@@ -29,7 +29,8 @@ records, accepted, skip-till-next takes)``, each filled in the order of
 an edge-by-edge, record-by-record scan, so the work units and what the
 engine emits do not depend on how the guards are grouped.  An accepted
 entry is ``(match key, pattern id, record)``, the key being the element
-seqs, read by a slot unpack (``seq_tuple()`` in a Kleene state).
+seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
+state).
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
@@ -298,10 +299,9 @@ def _buffer(m: _Module, eng, e, j: int):
         return
     out.append(f"        for c in c{j}:")
     held = range(to.depth - 1)      # the last slot holds d
-    key = "(" + "".join(f"s{p}.seq_index, " for p in held) + "seq)"
-    if any(k is StepKind.KLEENE_PLUS for _, k in to.signature):
-        key = "c.seq_tuple()"
-    elif held:
+    key = "c.seq_tuple()"
+    if held and not any(k is StepKind.KLEENE_PLUS for _, k in to.signature):
+        key = "(" + "".join(f"s{p}.seq_index, " for p in held) + "seq)"
         out.append(f"            {''.join(f's{p}, ' for p in held)}_ = c.slots")
     out.append(f"            key = {key}")
     for pid in sorted(to.accepting_for):

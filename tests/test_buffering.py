@@ -170,3 +170,37 @@ def test_run_matches_equal_golden_matches(monkeypatch):
         checked[sel, cons] += len(got[0])
     assert all(checked.values()), checked
 
+
+
+ONE_STEP = ["SEQ(A a) WITHIN 5", "SEQ(B b, A a) WITHIN 5"]
+
+
+@pytest.mark.parametrize("sel, cons", POLICIES,
+                         ids=[f"{s.value}-{c.value}" for s, c in POLICIES])
+@pytest.mark.parametrize("texts", [ONE_STEP[:1], ONE_STEP],
+                         ids=["alone", "beside-two-step"])
+def test_one_step_match_keys(monkeypatch, texts, sel, cons):
+    """A one-step pattern's match key is a one-element tuple, alone and
+    when its matches share a step with a two-step pattern's, so the keys
+    sort together and CONSUME can test them; the run's matches equal
+    ``golden_matches`` and, under skip-till-any/reuse, the oracle's."""
+    pats = [parse_pattern(t, pattern_id=i) for i, t in enumerate(texts)]
+    monkeypatch.setattr(runner, "build_plan", lambda config: merge(pats))
+    cfg = RunConfig(patterns=[], selection=sel.value,
+                    consumption=cons.value, compute_golden=False)
+    rng = np.random.default_rng(len(texts))
+    for trial in range(10):
+        stream = randgen.random_stream(rng, 30, "AB")
+        eng = Engine(merge(pats), sel, cons)
+        for d in stream:
+            eng.expire(d.seq_index, d.timestamp)
+            res = eng.step(d)
+            for key, (pid, rec) in zip(res.match_keys, res.complete):
+                assert type(key) is tuple and key == runner.match_key(rec)
+        got = runner.run(cfg, stream).matches
+        assert got[0] and got == runner.golden_matches(cfg, stream)
+        if (sel, cons) == (SelectionPolicy.SKIP_TILL_ANY,
+                           ConsumptionPolicy.REUSE):
+            for p in pats:
+                assert {k for _, k in got[p.id]} == \
+                    oracle.enumerate_any(stream, p)
