@@ -57,6 +57,9 @@ runner keeps its ``expire_every`` cadence.  Tombstoned records are
 compacted out of a state's buffers lazily, once they outnumber its alive
 records by more than a small slack.
 
+No reference cycles (``sweep.unlink``; a record points only at its
+parent): the per-element loops run with the cyclic collector paused.
+
 Work units, the cost measure that synthetic latency is made of: for each
 edge an element triggers, the alive records in the edge's source state
 (all of them, not only the probed bucket, so a unit means what it meant
@@ -66,9 +69,11 @@ created.
 
 from __future__ import annotations
 
+import gc
 import linecache
 import weakref
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -81,7 +86,8 @@ from .plan import ExecutionPlan
 
 @dataclass
 class LatencyMonitor:
-    """Per-pattern EWMA latency plus cumulative per-state work counters."""
+    """Per-pattern EWMA latency, its sum over the measured elements
+    (``lat_sum``) and cumulative per-state work counters."""
     n: int
     alpha: float = 0.2
     latency_ms: list = None
@@ -92,44 +98,63 @@ class LatencyMonitor:
             self.latency_ms = [0.0] * self.n
         if self.state_work is None:
             self.state_work = {}
-        # state id -> (indices of the patterns its psd has, ascending;
-        # popcount), filled by measure
-        self.sharers = {}
+        self.lat_sum = [0.0] * self.n
+        self.sharers = {}   # state id -> its psd's pattern indices
 
 
 def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
             plan: ExecutionPlan):
     """Apportion elapsed time to patterns via the worked states' PSD bits,
-    split evenly among sharers, and fold into the EWMA."""
+    split evenly among sharers, fold into the EWMA and add the EWMA to
+    ``lat_sum``."""
     state_work = monitor.state_work
     total = 0
     for sid, w in work_by_state.items():
         state_work[sid] = state_work.get(sid, 0) + w
         total += w
+    lat, lat_sum = monitor.latency_ms, monitor.lat_sum
     if total == 0:
+        for i, x in enumerate(lat):
+            lat_sum[i] += x
         return
     n = monitor.n
     share = [0.0] * n
-    states = plan.states
     cache = monitor.sharers
-    for sid, w in work_by_state.items():
-        got = cache.get(sid)
-        if got is None:
-            psd = states[sid].psd
-            got = cache[sid] = (
-                tuple(i for i in range(n) if psd & (1 << (n - i - 1))),
-                psd.bit_count())
-        sharers, count = got
-        if count == 0:
-            continue
-        part = elapsed_ms * (w / total) / count
-        for i in sharers:
-            share[i] += part
+    if not cache:   # psd is read once, at the first element with work
+        cache.update((s.state_id, tuple(
+            i for i in range(n) if s.psd & (1 << (n - i - 1))))
+            for s in plan.states)
+    if len(work_by_state) == 1:
+        # w / total is 1.0, and elapsed_ms * 1.0 is elapsed_ms
+        sharers = cache[sid]
+        if sharers:
+            part = elapsed_ms / len(sharers)
+            for i in sharers:
+                share[i] += part
+    else:
+        for sid, w in work_by_state.items():
+            sharers = cache[sid]
+            if sharers:
+                part = elapsed_ms * (w / total) / len(sharers)
+                for i in sharers:
+                    share[i] += part
     a = monitor.alpha
     keep = 1 - a
-    lat = monitor.latency_ms
-    for i in range(n):
-        lat[i] = keep * lat[i] + a * share[i]
+    for i, s in enumerate(share):
+        lat[i] = x = keep * lat[i] + a * s
+        lat_sum[i] += x
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector; on exit, resume it if it was on."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 # emission order: by element seqs, then pattern; stable on ties
@@ -141,7 +166,7 @@ class StepResult:
     new_pms: list
     complete: list      # (pattern_id, MatchRecord)
     work: dict          # state_id -> units this step
-    match_keys: list    # of each complete match: its element seqs, sorted
+    match_keys: list    # of each complete match: its element seqs
 
 
 @dataclass
@@ -180,7 +205,7 @@ class Engine:
                                      self.source.splitlines(True), filename)
         weakref.finalize(self, linecache.cache.pop, filename, None)
         exec(compile(self.source, filename, "exec"), namespace)
-        self._sweeps = namespace["SWEEPS"]
+        self._sweeps = sweep.unlink(namespace)
 
     # ------------------------------------------------------------- windows
 
@@ -232,6 +257,8 @@ class Engine:
         work, new_records, accept, taken_bits = kernel(d, seq, d.timestamp)
         counters = self.counters
         counters.pms_created += len(new_records)
+        if not (accept or taken_bits):
+            return StepResult(new_records, [], work, [])
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken
@@ -277,10 +304,11 @@ def golden_run(stream, plan: ExecutionPlan,
     matches the same at any cadence."""
     eng = Engine(plan, selection, consumption)
     out = {p.id: [] for p in plan.patterns}
-    for i, d in enumerate(stream):
-        if i % expire_every == 0:
-            eng.expire(d.seq_index, d.timestamp)
-        res = eng.step(d)
-        for pid, rec in res.complete:
-            out[pid].append(rec)
+    with collector_paused():
+        for i, d in enumerate(stream):
+            if i % expire_every == 0:
+                eng.expire(d.seq_index, d.timestamp)
+            res = eng.step(d)
+            for pid, rec in res.complete:
+                out[pid].append(rec)
     return out

@@ -214,29 +214,28 @@ def _validate(steps, predicate, pos_hint: int):
     for b in referenced_bindings(predicate):
         if b not in by_name:
             raise PatternSyntaxError(f"unknown binding {b!r}", pos_hint)
+    _check_refs(predicate, by_name, pos_hint)
 
-    def walk(e):
-        if e is None:
-            return
-        if type(e) is SumAgg:
-            if by_name[e.binding].kind is not StepKind.KLEENE_PLUS:
-                raise PatternSyntaxError(
-                    f"SUM over non-Kleene binding {e.binding!r}", pos_hint)
-        elif type(e) is AttrRef:
-            if by_name[e.binding].kind is StepKind.KLEENE_PLUS:
-                raise PatternSyntaxError(
-                    f"Kleene binding {e.binding!r} needs SUM or SAME",
-                    pos_hint)
-        elif type(e) is Bin or type(e) is Cmp:
-            walk(e.left)
-            walk(e.right)
-        elif type(e) is Func:
-            walk(e.arg)
-        elif type(e) is And:
-            for it in e.items:
-                walk(it)
 
-    walk(predicate)
+def _check_refs(e, by_name: dict, pos_hint: int):
+    """Raise unless each Kleene binding is read by SUM, and SUM by no other."""
+    t = type(e)
+    if t is SumAgg:
+        if by_name[e.binding].kind is not StepKind.KLEENE_PLUS:
+            raise PatternSyntaxError(
+                f"SUM over non-Kleene binding {e.binding!r}", pos_hint)
+    elif t is AttrRef:
+        if by_name[e.binding].kind is StepKind.KLEENE_PLUS:
+            raise PatternSyntaxError(
+                f"Kleene binding {e.binding!r} needs SUM or SAME", pos_hint)
+    elif t is Bin or t is Cmp:
+        _check_refs(e.left, by_name, pos_hint)
+        _check_refs(e.right, by_name, pos_hint)
+    elif t is Func:
+        _check_refs(e.arg, by_name, pos_hint)
+    elif t is And:
+        for it in e.items:
+            _check_refs(it, by_name, pos_hint)
 
 
 _SEL = {"skip-any": SelectionPolicy.SKIP_TILL_ANY,

@@ -406,22 +406,15 @@ def _chain(pattern: Pattern) -> _Chain:
                   residual=ex.And(tuple(emission)) if emission else None)
 
 
-def _refs_sum(c, binding) -> bool:
-    found = False
-
-    def walk(e):
-        nonlocal found
-        t = type(e)
-        if t is ex.SumAgg and e.binding == binding:
-            found = True
-        elif t in (ex.Bin, ex.Cmp):
-            walk(e.left)
-            walk(e.right)
-        elif t is ex.Func:
-            walk(e.arg)
-
-    walk(c)
-    return found
+def _refs_sum(e, binding) -> bool:
+    t = type(e)
+    if t is ex.SumAgg:
+        return e.binding == binding
+    if t is ex.Bin or t is ex.Cmp:
+        return _refs_sum(e.left, binding) or _refs_sum(e.right, binding)
+    if t is ex.Func:
+        return _refs_sum(e.arg, binding)
+    return False
 
 
 def _positional(e, pos_of: dict):

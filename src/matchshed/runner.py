@@ -3,7 +3,9 @@ together, apply a reduction strategy under overload, and report metrics.
 
 The per-element loop is: expire windows, check the overload trigger,
 reduce state if triggered (per the configured strategy), step the engine
-and update the latency monitor.  When the run reads the cost model, it
+and update the latency monitor, with the cyclic garbage collector paused
+(``engine.collector_paused``): no object of a run forms a reference
+cycle.  When the run reads the cost model, it
 also credits new matches to the sketch and rolls the sketch epoch at
 window boundaries.  Only guided selection and the ``sketch.csv``
 artifact read it, so ``none`` and random runs without ``out_dir`` skip
@@ -11,9 +13,9 @@ that upkeep; their output is the same either way.  The clusters guided
 selection drains are read from the state buffers (``psd.ClusterIndex``)
 and need no upkeep.
 
-Latency can be measured by wall clock or synthetically (elapsed =
-cost_unit * work units), which makes overload experiments machine
-independent and runs byte-for-byte reproducible.
+Latency can be measured by wall clock (no collector pause included) or
+synthetically (elapsed = cost_unit * work units), which makes overload
+experiments machine independent and runs byte-for-byte reproducible.
 
 Recall is measured against the golden pass, exhaustive matching of the
 same stream.  With synthetic latency, at least two CPUs and the fork
@@ -34,7 +36,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cost, psd, selector
-from .engine import Engine, LatencyMonitor, golden_run, measure
+from .engine import (Engine, LatencyMonitor, collector_paused, golden_run,
+                     measure)
 from .model import ConsumptionPolicy, SelectionPolicy, WindowKind
 from .parser import parse_pattern
 from .plan import merge
@@ -100,7 +103,9 @@ class Metrics:
 
 
 def match_key(rec) -> tuple:
-    return tuple(sorted(rec.seq_tuple()))
+    """The element seqs of a match; a record binds its elements in
+    arrival order, so they ascend."""
+    return rec.seq_tuple()
 
 
 def _theta_fn(name: str):
@@ -270,78 +275,75 @@ def _main_loop(config: RunConfig, stream: list):
     select_every = config.select_every
     synthetic = config.cost_mode == "synthetic"
     cost_unit = config.cost_unit
-    latency_ms = monitor.latency_ms     # measure updates it in place
     perf_counter = time.perf_counter
 
     matches = {p.id: [] for p in plan.patterns}
     audits = []
     triggers = 0
     elapsed_hist = []
-    lat_sum = [0.0] * n
     next_expire = 0
     last_select = -select_every
     wall_start = perf_counter()
 
-    for d in stream:
-        seq = d.seq_index
-        # extension-time window checks keep match semantics exact, so
-        # expiry runs periodically; its cadence sets when expired records
-        # stop counting as alive, and so the work units
-        if seq >= next_expire:
-            engine.expire(seq, d.timestamp)
-            next_expire = seq + expire_every
+    with collector_paused():
+        for d in stream:
+            seq = d.seq_index
+            # extension-time window checks keep match semantics exact, so
+            # expiry runs periodically; its cadence sets when expired records
+            # stop counting as alive, and so the work units
+            if seq >= next_expire:
+                engine.expire(seq, d.timestamp)
+                next_expire = seq + expire_every
 
-        if shedding:
-            b_ol = selector.trigger(monitor, bounds)
-            if b_ol:
-                triggers += 1
-                # state reductions are rate limited; input shedding is a
-                # per-element decision by nature
-                reduce_now = seq - last_select >= select_every
-                if strategy == "guided" and reduce_now:
-                    last_select = seq
-                    engine.expire(seq, d.timestamp)
-                    budget_map = selector.budgets(index, sketch, monitor,
-                                                  bounds, theta)
-                    audit = selector.select(index, b_ol, budget_map, sketch,
-                                            theta, now_ts=d.timestamp)
-                    audits.append(audit)
-                    engine.counters.pms_shed += audit.discarded
-                elif strategy == "random-state" and reduce_now:
-                    last_select = seq
-                    engine.counters.pms_shed += shed_random_state(
-                        engine, rng, drop_ratio)
-                elif strategy == "random-input":
-                    if shed_random_input(rng, drop_ratio):
-                        continue
+            if shedding:
+                b_ol = selector.trigger(monitor, bounds)
+                if b_ol:
+                    triggers += 1
+                    # state reductions are rate limited; input shedding is
+                    # a per-element decision by nature
+                    reduce_now = seq - last_select >= select_every
+                    if strategy == "guided" and reduce_now:
+                        last_select = seq
+                        engine.expire(seq, d.timestamp)
+                        budget_map = selector.budgets(index, sketch,
+                                                      monitor, bounds, theta)
+                        audit = selector.select(index, b_ol, budget_map,
+                                                sketch, theta, d.timestamp)
+                        audits.append(audit)
+                        engine.counters.pms_shed += audit.discarded
+                    elif strategy == "random-state" and reduce_now:
+                        last_select = seq
+                        engine.counters.pms_shed += shed_random_state(
+                            engine, rng, drop_ratio)
+                    elif strategy == "random-input":
+                        if shed_random_input(rng, drop_ratio):
+                            continue
 
-        if synthetic:
-            res = engine.step(d)
-            elapsed = cost_unit * sum(res.work.values())
-        else:
-            t0 = perf_counter()
-            res = engine.step(d)
-            elapsed = (perf_counter() - t0) * 1000.0
-        elapsed_hist.append(elapsed)
-        measure(monitor, elapsed, res.work, plan)
-        for i in range(n):
-            lat_sum[i] += latency_ms[i]
+            if synthetic:
+                res = engine.step(d)
+                elapsed = cost_unit * sum(res.work.values())
+            else:
+                t0 = perf_counter()
+                res = engine.step(d)
+                elapsed = (perf_counter() - t0) * 1000.0
+            elapsed_hist.append(elapsed)
+            measure(monitor, elapsed, res.work, plan)
 
-        for (pid, rec), key in zip(res.complete, res.match_keys):
-            matches[pid].append((seq, key))
-        if costed:
-            cm_of = _NO_CMS
-            if res.complete:
-                cm_of = {}
-                for pid, rec in res.complete:
-                    cm_of.setdefault(id(rec), []).append(pid)
-            for rec in res.new_pms:
-                cost.sketch_update(sketch, rec,
-                                   cm_pids=cm_of.get(id(rec), ()))
+            for (pid, rec), key in zip(res.complete, res.match_keys):
+                matches[pid].append((seq, key))
+            if costed:
+                cm_of = _NO_CMS
+                if res.complete:
+                    cm_of = {}
+                    for pid, rec in res.complete:
+                        cm_of.setdefault(id(rec), []).append(pid)
+                for rec in res.new_pms:
+                    cost.sketch_update(sketch, rec,
+                                       cm_pids=cm_of.get(id(rec), ()))
 
-        if next_epoch is not None and seq >= next_epoch:
-            cost.decay(sketch, 0.5)
-            next_epoch += epoch_len
+            if next_epoch is not None and seq >= next_epoch:
+                cost.decay(sketch, 0.5)
+                next_epoch += epoch_len
 
     engine.expire(len(stream), stream[-1].timestamp if stream else 0.0)
     wall = perf_counter() - wall_start
@@ -365,7 +367,8 @@ def _main_loop(config: RunConfig, stream: list):
     m = Metrics(n=n, matches=matches,
                 throughput=len(stream) / wall if wall > 0 else 0.0,
                 latency_ms=list(monitor.latency_ms),
-                latency_mean=[s / max(1, len(stream)) for s in lat_sum],
+                latency_mean=[s / max(1, len(stream))
+                              for s in monitor.lat_sum],
                 latency_pcts=pcts,
                 triggers=triggers, elements=len(stream), counters=counters,
                 audits=audits, state_work=dict(sorted(

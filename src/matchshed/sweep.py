@@ -6,8 +6,9 @@ function ``sweep_<i>(d, seq, ts)``.  It walks the type's edges in plan
 order (``ExecutionPlan.edges_by_trigger``).  A start edge evaluates its
 guards on the element alone: SAME holds there, but its attributes are
 read, so that a missing one raises ``KeyError`` as in ``expr``.  Any other
-edge probes the source state's bucket for the element's key; for each
-alive record there it tests pattern bits, windows and strict adjacency
+edge reads the element's key while the source state holds alive records
+(so a missing attribute raises there too) and probes that bucket; for
+each alive record there it tests pattern bits, windows and strict adjacency
 against constants, one bit mask per distinct (window, adjacency) of the
 guards sharing a ``checks`` tuple, and then evaluates that tuple once,
 inline.  Conjuncts read the incoming element's attributes from
@@ -41,6 +42,7 @@ check them, and a fault makes its conjunct false and is counted once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from types import FunctionType
 
 from . import expr as ex
 from .model import MatchRecord, SelectionPolicy, StepKind, WindowKind
@@ -156,6 +158,19 @@ def generate(eng) -> tuple:
     return "\n".join(lines) + "\n", m.ns
 
 
+def unlink(ns: dict) -> dict:
+    """``SWEEPS`` of the executed ``ns``, which it empties, rebuilt over
+    globals without the functions, so none is in a reference cycle."""
+    base = {k: v for k, v in ns.items()
+            if not k.startswith(("sweep_", "gap_", "SWEEPS"))}
+    glob = dict(base, **{k: FunctionType(v.__code__, base)
+                         for k, v in ns.items() if k.startswith("gap_")})
+    sweeps = {t: FunctionType(f.__code__, glob)
+              for t, f in ns["SWEEPS"].items()}
+    ns.clear()
+    return sweeps
+
+
 def _groups(edge) -> list:
     """The edge's guards as ``(checks, [(pattern id, guard)])``, one entry
     per shared ``checks`` tuple, in the order the tuples first occur."""
@@ -167,7 +182,7 @@ def _groups(edge) -> list:
 
 def _key(attrs_of) -> str:
     """Code of the bucket key of ``d`` over the attributes ``attrs_of``."""
-    return "(" + "".join(f"attrs.get({a!r}), " for a in attrs_of) + ")"
+    return "(" + "".join(f"attrs[{a!r}], " for a in attrs_of) + ")"
 
 
 def _start_edge(m: _Module, eng, e, j: int):
@@ -205,7 +220,8 @@ def _edge(m: _Module, eng, e, j: int):
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     state, buckets = m.bind(src, "S"), m.bind(src.buckets, "B")
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
-    out += [f"    k{j} = {_key(src.key_attrs)}", f"    c{j} = []",
+    out += [f"    k{j} = {_key(src.key_attrs)} if {state}.live else None",
+            f"    c{j} = []",
             f"    for rec in {buckets}.get(k{j}, ()):",
             "        if not rec.alive:", "            continue",
             "        bits = rec.pattern_bits", "        passed = 0"]

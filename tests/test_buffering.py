@@ -172,6 +172,30 @@ def test_run_matches_equal_golden_matches(monkeypatch):
 
 
 
+@pytest.mark.parametrize("sel, cons", [
+    (SelectionPolicy.SKIP_TILL_ANY, ConsumptionPolicy.REUSE),
+    (SelectionPolicy.SKIP_TILL_NEXT, ConsumptionPolicy.CONSUME)])
+def test_records_bind_seqs_ascending(sel, cons):
+    """Every record a step creates binds its elements in arrival order, so
+    its ``seq_tuple()``, which ``runner.match_key`` returns unsorted,
+    strictly ascends; on random plans of Kleene, negation and plain
+    patterns."""
+    rng = np.random.default_rng(13)
+    checked = kleene = 0
+    for trial in range(60):
+        pats = [randgen.random_pattern(rng, "ABCD", i, force=force)
+                for i, force in enumerate(("plain", "kleene", "neg"))]
+        eng = Engine(merge(pats), sel, cons)
+        for d in randgen.random_stream(rng, 60, "ABCD"):
+            eng.expire(d.seq_index, d.timestamp)
+            for rec in eng.step(d).new_pms:
+                seqs = rec.seq_tuple()
+                assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+                checked += 1
+                kleene += len(seqs) > len(rec.slots)
+    assert checked > 1000 and kleene
+
+
 ONE_STEP = ["SEQ(A a) WITHIN 5", "SEQ(B b, A a) WITHIN 5"]
 
 

@@ -144,6 +144,66 @@ def test_measure_alpha_zero_freezes():
     assert mon.latency_ms == [3.0]
 
 
+def two_pass_measure(monitor, lat_sum, elapsed_ms, work_by_state, plan):
+    """The reference fold: ``measure`` as a share list per element, then
+    the runner's second loop adding each EWMA to ``lat_sum``."""
+    total = 0
+    for sid, w in work_by_state.items():
+        monitor.state_work[sid] = monitor.state_work.get(sid, 0) + w
+        total += w
+    n = monitor.n
+    if total:
+        share = [0.0] * n
+        for sid, w in work_by_state.items():
+            psd = plan.states[sid].psd
+            count = psd.bit_count()
+            if count == 0:
+                continue
+            part = elapsed_ms * (w / total) / count
+            for i in range(n):
+                if psd & (1 << (n - i - 1)):
+                    share[i] += part
+        a = monitor.alpha
+        keep = 1 - a
+        for i in range(n):
+            monitor.latency_ms[i] = (keep * monitor.latency_ms[i]
+                                     + a * share[i])
+    for i in range(n):
+        lat_sum[i] += monitor.latency_ms[i]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+def test_measure_folds_as_the_two_pass_reference(alpha):
+    """On random work dicts of 0-4 states, psd 0 among them, with
+    synthetic and arbitrary elapsed times, ``measure`` leaves
+    ``latency_ms``, ``state_work`` and ``lat_sum`` bit for bit as the
+    two-pass reference does, after every call."""
+    pats = [P(f"SEQ(A a, {t} b, C c) WITHIN 5", i)
+            for i, t in enumerate("BBDE")]
+    plan = merge(pats, mode="view")
+    rng = np.random.default_rng(7)
+    for s in plan.states:
+        s.psd = int(rng.integers(0, 16))
+    plan.states[1].psd = 0
+    sids = range(len(plan.states))
+    got, want = LatencyMonitor(4, alpha=alpha), LatencyMonitor(4, alpha=alpha)
+    want_sum = [0.0] * 4
+    for t in range(3000):
+        k = int(rng.integers(0, 5))
+        work = {int(s): int(rng.integers(1, 50))
+                for s in rng.choice(sids, size=k, replace=False)}
+        elapsed = (0.01 * sum(work.values()) if t % 2 else
+                   float(rng.exponential(1.0)) * 10.0 ** rng.integers(-8, 4))
+        measure(got, elapsed, work, plan)
+        two_pass_measure(want, want_sum, elapsed, work, plan)
+        assert [x.hex() for x in got.latency_ms] == \
+            [x.hex() for x in want.latency_ms], t
+        assert [x.hex() for x in got.lat_sum] == \
+            [x.hex() for x in want_sum], t
+        assert got.state_work == want.state_work, t
+    assert alpha == 0 or all(got.lat_sum)
+
+
 def test_deterministic_emission_order():
     pat = P("SEQ(A a, B b) WITHIN 10")
     outs = []

@@ -230,14 +230,28 @@ def test_nan_object_blocks_a_negation_gap():
 ])
 def test_same_attribute_missing_raises(texts):
     """A start edge checks no SAME, but an element without the attribute
-    still raises ``KeyError``, as ``expr.eval_predicate`` does."""
-    plan = merge([parse_pattern(t, pattern_id=i)
-                  for i, t in enumerate(texts)])
+    still raises ``KeyError``, as ``expr.eval_predicate`` does; so does a
+    B without it after an A, but not a B that no A precedes, which the
+    oracle compares with nothing."""
+    pats = [parse_pattern(t, pattern_id=i) for i, t in enumerate(texts)]
+    pred = pats[-1].predicate
     a = DataElement("A", 0, 0.0, {"x": 1.0})
     with pytest.raises(KeyError):
-        ex.eval_predicate(plan.patterns[-1].predicate, {"a": a}, None)
+        ex.eval_predicate(pred, {"a": a}, None)
     with pytest.raises(KeyError):
-        golden_run([a], plan)
+        golden_run([a], merge(pats))
+    a = DataElement("A", 0, 0.0, {"ID": 1.0})
+    b = DataElement("B", 1, 1.0, {"x": 1.0})
+    env = {"a": [a] if "A+" in texts[-1] else a, "b": b}
+    with pytest.raises(KeyError):
+        ex.eval_predicate(pred, env, None)
+    with pytest.raises(KeyError):
+        oracle.enumerate_any([a, b], pats[-1])
+    with pytest.raises(KeyError):
+        golden_run([a, b], merge(pats))
+    b = DataElement("B", 0, 0.0, {"x": 1.0})
+    assert oracle.enumerate_any([b], pats[-1]) == set()
+    assert golden_run([b], merge(pats)) == {p.id: [] for p in pats}
 
 
 def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
