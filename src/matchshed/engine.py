@@ -124,20 +124,12 @@ def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
         cache.update((s.state_id, tuple(
             i for i in range(n) if s.psd & (1 << (n - i - 1))))
             for s in plan.states)
-    if len(work_by_state) == 1:
-        # w / total is 1.0, and elapsed_ms * 1.0 is elapsed_ms
+    for sid, w in work_by_state.items():
         sharers = cache[sid]
         if sharers:
-            part = elapsed_ms / len(sharers)
+            part = elapsed_ms * (w / total) / len(sharers)
             for i in sharers:
                 share[i] += part
-    else:
-        for sid, w in work_by_state.items():
-            sharers = cache[sid]
-            if sharers:
-                part = elapsed_ms * (w / total) / len(sharers)
-                for i in sharers:
-                    share[i] += part
     a = monitor.alpha
     keep = 1 - a
     for i, s in enumerate(share):
@@ -257,8 +249,6 @@ class Engine:
         work, new_records, accept, taken_bits = kernel(d, seq, d.timestamp)
         counters = self.counters
         counters.pms_created += len(new_records)
-        if not (accept or taken_bits):
-            return StepResult(new_records, [], work, [])
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken

@@ -5,13 +5,12 @@ The per-element loop is: expire windows, check the overload trigger,
 reduce state if triggered (per the configured strategy), step the engine
 and update the latency monitor, with the cyclic garbage collector paused
 (``engine.collector_paused``): no object of a run forms a reference
-cycle.  When the run reads the cost model, it
-also credits new matches to the sketch and rolls the sketch epoch at
-window boundaries.  Only guided selection and the ``sketch.csv``
-artifact read it, so ``none`` and random runs without ``out_dir`` skip
-that upkeep; their output is the same either way.  The clusters guided
-selection drains are read from the state buffers (``psd.ClusterIndex``)
-and need no upkeep.
+cycle.  When the run reads the cost model, it also credits new matches
+to the sketch and rolls the sketch epoch at window boundaries.  Only
+guided selection and the ``sketch.csv`` artifact read it, so ``none``
+and random runs without ``out_dir`` skip that upkeep; their output is
+the same either way.  The clusters guided selection drains are read from
+the state buffers (``psd.ClusterIndex``) and need no upkeep.
 
 Latency can be measured by wall clock (no collector pause included) or
 synthetically (elapsed = cost_unit * work units), which makes overload
@@ -307,8 +306,9 @@ def _main_loop(config: RunConfig, stream: list):
                         engine.expire(seq, d.timestamp)
                         budget_map = selector.budgets(index, sketch,
                                                       monitor, bounds, theta)
-                        audit = selector.select(index, b_ol, budget_map,
-                                                sketch, theta, d.timestamp)
+                        audit = selector.select(
+                            index, b_ol, budget_map, sketch, theta,
+                            now_ts=d.timestamp)
                         audits.append(audit)
                         engine.counters.pms_shed += audit.discarded
                     elif strategy == "random-state" and reduce_now:

@@ -6,18 +6,18 @@ function ``sweep_<i>(d, seq, ts)``.  It walks the type's edges in plan
 order (``ExecutionPlan.edges_by_trigger``).  A start edge evaluates its
 guards on the element alone: SAME holds there, but its attributes are
 read, so that a missing one raises ``KeyError`` as in ``expr``.  Any other
-edge reads the element's key while the source state holds alive records
-(so a missing attribute raises there too) and probes that bucket; for
-each alive record there it tests pattern bits, windows and strict adjacency
-against constants, one bit mask per distinct (window, adjacency) of the
-guards sharing a ``checks`` tuple, and then evaluates that tuple once,
-inline.  Conjuncts read the incoming element's attributes from
-``attrs`` and earlier ones from the record's slots, unpacked to ``s0,
-s1, ...``; a SAME check compares the incoming element with the first
-one, because every element the record already holds passed the same
-check when it was bound.  A child's slot tuple is built only once a
-guard has passed.  Negation gap checks are the functions ``gap_<i>``,
-which read the history lists of the negated type.
+edge reads the element's key (a missing attribute raises only where an
+alive source record is in a window, as in ``expr``) and probes that
+bucket; for each alive record there it tests pattern bits, windows and
+strict adjacency against constants, one bit mask per distinct (window,
+adjacency) of the guards sharing a ``checks`` tuple, and then evaluates
+that tuple once, inline.  Conjuncts read the incoming element's
+attributes from ``attrs`` and earlier ones from the record's slots,
+unpacked to ``s0, s1, ...``; a SAME check compares the incoming element
+with the first one, because every element the record already holds
+passed the same check when it was bound.  A child's slot tuple is built
+only once a guard has passed.  Negation gap checks are the functions
+``gap_<i>``, which read the history lists of the negated type.
 
 Each edge collects its children in a list ``c<j>``.  After every edge has
 run, the sweep adds them to the target state's ``buffer``, ``live`` and
@@ -220,11 +220,12 @@ def _edge(m: _Module, eng, e, j: int):
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     state, buckets = m.bind(src, "S"), m.bind(src.buckets, "B")
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
-    out += [f"    k{j} = {_key(src.key_attrs)} if {state}.live else None",
-            f"    c{j} = []",
+    head = len(out)     # where the key lines go, once the tests are known
+    out += [f"    c{j} = []",
             f"    for rec in {buckets}.get(k{j}, ()):",
             "        if not rec.alive:", "            continue",
             "        bits = rec.pattern_bits", "        passed = 0"]
+    windows = []
     next_mask = 0
     for checks, guards in _groups(e):
         classes = {}    # (count window?, size, strict?) -> bits
@@ -245,6 +246,7 @@ def _edge(m: _Module, eng, e, j: int):
             if strict:
                 test += " and seq == rec.last_seq + 1"
             tests.append((m.bind(bits, "M"), test))
+        windows += tests
         if len(tests) == 1:
             ((mask, test),) = tests
             out += [f"        m = bits & {mask}", f"        if m and {test}:"]
@@ -278,6 +280,14 @@ def _edge(m: _Module, eng, e, j: int):
         nxt = m.bind(next_mask, "M")
         out += [f"            if passed & {nxt}:",
                 f"                taken.append((rec, passed & {nxt}))"]
+    # a missing key attribute raises only at an alive record in a window
+    inside = " or ".join(f"rec.pattern_bits & {mask} and {test}"
+                         for mask, test in windows)
+    out[head:head] = [
+        "    try:", f"        k{j} = {_key(src.key_attrs)}",
+        "    except KeyError:", f"        for rec in {state}.buffer:",
+        f"            if rec.alive and ({inside}):", "                raise",
+        f"        k{j} = None"]
     out += [f"    if c{j}:",
             f"        work[{to}] = work.get({to}, 0) + len(c{j})",
             f"    if {state}.live > 0:",

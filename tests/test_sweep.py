@@ -232,7 +232,7 @@ def test_same_attribute_missing_raises(texts):
     """A start edge checks no SAME, but an element without the attribute
     still raises ``KeyError``, as ``expr.eval_predicate`` does; so does a
     B without it after an A, but not a B that no A precedes, which the
-    oracle compares with nothing."""
+    oracle compares with nothing, nor one after the A's window."""
     pats = [parse_pattern(t, pattern_id=i) for i, t in enumerate(texts)]
     pred = pats[-1].predicate
     a = DataElement("A", 0, 0.0, {"x": 1.0})
@@ -252,6 +252,13 @@ def test_same_attribute_missing_raises(texts):
     b = DataElement("B", 0, 0.0, {"x": 1.0})
     assert oracle.enumerate_any([b], pats[-1]) == set()
     assert golden_run([b], merge(pats)) == {p.id: [] for p in pats}
+    # a B after the A's window has passed compares with nothing either,
+    # whether or not an expiry has removed the A yet
+    b = DataElement("B", 20, 20.0, {"x": 1.0})
+    assert oracle.enumerate_any([a, b], pats[-1]) == set()
+    for every in (1, 16):
+        got = golden_run([a, b], merge(pats), expire_every=every)
+        assert got == {p.id: [] for p in pats}
 
 
 def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
