@@ -71,6 +71,12 @@ class RunConfig:
             raise ValueError("drop_ratio must be in [0, 1]")
         if self.cost_mode not in ("synthetic", "wallclock"):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
+        if self.bounds is not None and (
+                len(self.bounds) != len(self.patterns)
+                or not all(b > 0 for b in self.bounds)):
+            # `not b > 0` also rejects NaN, which would never trigger
+            raise ValueError("bounds must give one positive latency bound "
+                             "per pattern")
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":

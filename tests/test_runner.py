@@ -105,6 +105,20 @@ def test_config_validation():
         cfg(cost_mode="guesswork")
 
 
+@pytest.mark.parametrize("bounds", [
+    [0.01], [0.01, 0.01, 0.01], [], [0.0, 1.0], [1.0, -2.0],
+    [float("nan"), 1.0], [1.0, float("nan")]])
+def test_config_rejects_bounds_not_one_positive_per_pattern(bounds):
+    with pytest.raises(ValueError):
+        cfg(strategy="guided", bounds=bounds)
+
+
+def test_config_accepts_positive_bounds_and_none():
+    assert cfg(bounds=None).bounds is None
+    assert cfg(bounds=[1e-9, float("inf")]).bounds == [1e-9, float("inf")]
+    assert cfg(bounds=(0.5, 2)).bounds == (0.5, 2)
+
+
 def test_artifacts_written_and_deterministic(tmp_path):
     stream = small_stream()
     bounds, _ = overload_bounds(stream)

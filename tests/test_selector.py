@@ -285,10 +285,13 @@ def test_select_and_budgets_equal_heap_reference():
             b_new = budgets(idx_new, sk_new, mon, bounds, theta)
             b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds, theta)
             assert hexes(b_new) == hexes(b_ref), (seed, theta)
-            # a second reduction with tighter budgets meets the first
-            # one's tombstones in the state buffers
+            assert b_new.walk[2] == b_ol  # positive bounds: same overload
+            # the first reduction drains the walk budgets made; a second
+            # with tighter budgets walks afresh and meets the first one's
+            # tombstones in the state buffers
             for scale in (1.0, 0.5):
-                budget_map = {i: b * scale for i, b in b_new.items()}
+                budget_map = (b_new if scale == 1.0 else
+                              {i: b * scale for i, b in b_new.items()})
                 audit = select(idx_new, b_ol, budget_map, sk_new, theta)
                 kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
                                                     sk_ref, theta)
@@ -299,3 +302,30 @@ def test_select_and_budgets_equal_heap_reference():
                 assert hexes(audit.budget) == hexes(budget_map)
                 reductions += discarded > 0
     assert reductions > 100  # the scenes do shed
+
+
+def test_reused_or_stale_walk_selects_as_a_fresh_walk():
+    """``select`` on a ``budgets`` result after PMs were discarded since,
+    a second ``select`` on the same result, and one for another b_OL each
+    give what a walk made at that moment (a plain dict) gives."""
+    bounds = [10.0, 10.0, 10.0]
+    for theta in (cost.theta_constant, cost.theta_length):
+        for seed in range(80):
+            scenes = [random_scene(seed) for _ in range(2)]
+            b_ol = trigger(scenes[0][4], bounds)
+            other = 0b111 if b_ol != 0b111 else 0b100
+            results = []
+            for fresh, (plan, index, sketch, pms, mon) in zip((False, True),
+                                                               scenes):
+                b = budgets(index, sketch, mon, bounds, theta)
+                b_other = budgets(index, sketch, mon, bounds, theta)
+                for pm in pms[::4]:
+                    plan.discard(pm)
+                out = []
+                for ol, bm in ((b_ol, b), (b_ol, b), (other, b_other)):
+                    a = select(index, ol, dict(bm) if fresh else bm, sketch,
+                               theta)
+                    out.append(([p.alive for p in pms], a.kept, a.discarded,
+                                hexes(a.spend), hexes(a.budget)))
+                results.append(out)
+            assert results[0] == results[1], (seed, theta)
