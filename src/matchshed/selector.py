@@ -17,13 +17,12 @@ cannot hurt later candidates because spend only grows.
 
 Cost of a reduction: one walk over the live PMs of the clusters that
 serve an overloaded pattern.  ``budgets`` makes it, and per PM reads
-the key once, calls theta once (never for ``theta_constant``), adds the
-overhead to T_i and builds the rank tuple; each distinct sketch key is
-read once (its contribution sum and its pn counters).  The budgets it
-returns carry the walk, so ``select`` only sorts each cluster's ranks
-once and drains them; every other cluster is counted kept from its
-states' live counts.  A cluster is read from its states' buffers
-(``psd.ClusterIndex``)."""
+the key once, calls theta once, adds the overhead to T_i and builds the
+rank tuple; each distinct sketch key is read once (its contribution sum
+and its pn counters).  The budgets it returns carry the walk, so
+``select`` only sorts each cluster's ranks once and drains them; every
+other cluster is counted kept from its states' live counts.  A cluster
+is read from its states' buffers (``psd.ClusterIndex``)."""
 
 from __future__ import annotations
 
@@ -56,7 +55,6 @@ def _walk(index: ClusterIndex, sketch, theta, b_ol: int, budgeted):
     order.
     """
     n = index.n
-    const = theta is cost.theta_constant
     table = sketch.table
     zeros = (0.0,) * n
     reads = {}   # key -> (-contribution sum, pn)
@@ -84,7 +82,7 @@ def _walk(index: ClusterIndex, sketch, theta, b_ol: int, budgeted):
                         i for i in sketch.pattern_indices(bits)
                         if i in budgeted)
                 pn = read[1]
-                t = 1.0 if const else theta(pm)
+                t = theta(pm)
                 if pn is not zeros:
                     for i in idx:
                         totals[i] += pn[i] * t
@@ -97,7 +95,13 @@ def _walk(index: ClusterIndex, sketch, theta, b_ol: int, budgeted):
 class Budgets(dict):
     """B_i by overloaded pattern, carrying the walk that summed the T_i
     (``walk``: the index, sketch, b_OL and theta it read, and its ranks)
-    for one ``select`` to drain."""
+    for one ``select`` to drain.
+
+    The walk holds only if nothing is inserted into the index and the
+    sketch is not updated between ``budgets`` and ``select``: a PM
+    inserted in between is left out of the selection, and ranks and
+    overheads stay those the sketch gave at ``budgets``.  Discards in
+    between are the only change ``select`` allows for."""
 
     __slots__ = ("walk",)
 
@@ -161,7 +165,9 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
     ``budget_map`` from ``budgets`` carries the walk that ranked the PMs,
     and this call drains it, skipping PMs discarded since; a plain dict,
     a walk already drained, or one made for another ``b_ol``, index,
-    sketch or theta gets a fresh walk.
+    sketch or theta gets a fresh walk.  A carried walk is trusted as it
+    is otherwise: call ``select`` with no insert into the index and no
+    sketch update since ``budgets`` (see ``Budgets``).
     """
     n = index.n
     audit = SelectionAudit(ts=now_ts, b_ol=b_ol, budget=dict(budget_map))
