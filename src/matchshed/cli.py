@@ -34,13 +34,8 @@ def _cmd_datagen(args):
     print(f"wrote {spec.count} elements to {args.out}")
 
 
-def _load_config(path: str) -> RunConfig:
-    cfg = RunConfig.from_json(path)
-    return cfg
-
-
 def _cmd_run(args):
-    cfg = _load_config(args.config)
+    cfg = RunConfig.from_json(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
     stream = workloads.load_csv(args.input)

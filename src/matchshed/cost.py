@@ -13,7 +13,9 @@ been.  Estimates read the counters straight back: contribution is cn,
 overhead is pn scaled by a per-record cost Theta.
 
 Counters halve at every window-length epoch so estimates track recent
-history and recover from distribution drift.
+history and recover from distribution drift.  The epoch defaults to the
+largest count window; a plan with only time windows has none, and its
+sketch never decays.
 
 The runner keeps the sketch only where it is read: in guided runs, whose
 selection ranks PMs by it, and in runs that write ``sketch.csv``.  Other
@@ -25,7 +27,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from . import expr as ex
 from .model import MatchRecord
 from .plan import ExecutionPlan
 
@@ -59,12 +60,8 @@ class Sketch:
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
         self._indices = {}  # pattern_bits -> pattern indices, ascending
-        attrs = set()
-        for p in plan.patterns:
-            for c in ex.conjuncts(p.predicate):
-                if type(c) is ex.Same:
-                    attrs.add(c.attr)
-        self.partition_attrs = tuple(sorted(attrs))
+        self.partition_attrs = tuple(sorted(
+            {a for attrs in plan.same_attrs.values() for a in attrs}))
 
     def pattern_indices(self, bits: int) -> tuple:
         """The patterns whose bits are set in ``bits``, in ascending order."""

@@ -273,7 +273,6 @@ class Engine:
                     if not used.isdisjoint(seqs):
                         continue
                     used.update(seqs)
-                rec.emit_index = counters.cms_emitted
                 counters.cms_emitted += 1
                 complete.append((pid, rec))
                 keys.append(seqs)

@@ -236,23 +236,23 @@ def eval_predicate(expr: Optional[Expr], env: dict,
     return all(_conjunct(c, env, diag) for c in conjuncts(expr))
 
 
+def nodes(e: Optional[Expr]):
+    """The nodes of ``e``, depth first and left to right, each before its
+    operands; ``None`` has none."""
+    stack = [] if e is None else [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        t = type(e)
+        if t is Bin or t is Cmp:
+            stack += (e.right, e.left)
+        elif t is Func:
+            stack.append(e.arg)
+        elif t is And:
+            stack += reversed(e.items)
+
+
 def referenced_bindings(e: Optional[Expr]) -> frozenset:
     """Bindings a (sub)expression reads; Same reads none by name."""
-    if e is None:
-        return frozenset()
-    if type(e) in (Num, Same):
-        return frozenset()
-    if type(e) in (AttrRef, SumAgg):
-        return frozenset((e.binding,))
-    if type(e) is Bin:
-        return referenced_bindings(e.left) | referenced_bindings(e.right)
-    if type(e) is Func:
-        return referenced_bindings(e.arg)
-    if type(e) is Cmp:
-        return referenced_bindings(e.left) | referenced_bindings(e.right)
-    if type(e) is And:
-        out = frozenset()
-        for it in e.items:
-            out |= referenced_bindings(it)
-        return out
-    raise TypeError(f"unexpected node {e!r}")
+    return frozenset(n.binding for n in nodes(e)
+                     if type(n) is AttrRef or type(n) is SumAgg)

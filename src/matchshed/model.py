@@ -112,7 +112,7 @@ class MatchRecord:
     """
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",
-                 "last_seq", "parent", "alive", "key", "emit_index")
+                 "last_seq", "parent", "alive", "key")
 
     def __init__(self, pattern_bits: int, slots: tuple, state_id: int,
                  first_seq: int, first_ts: float, last_seq: int,
@@ -126,7 +126,6 @@ class MatchRecord:
         self.parent = parent
         self.alive = True
         self.key = None  # filled by the cost module on first use
-        self.emit_index = -1
 
     def elements(self) -> list:
         """All bound elements in sequence order (Kleene lists flattened)."""

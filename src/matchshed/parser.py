@@ -23,7 +23,7 @@ import re
 from typing import Optional
 
 from .expr import (And, AttrRef, Bin, Cmp, Expr, Func, Num, Same, SumAgg,
-                   referenced_bindings)
+                   nodes)
 from .model import (ConsumptionPolicy, Pattern, PatternStep, SelectionPolicy,
                     StepKind, Window, WindowKind)
 
@@ -211,31 +211,21 @@ def _validate(steps, predicate, pos_hint: int):
         raise PatternSyntaxError("pattern cannot end with a negated step",
                                  pos_hint)
     by_name = {s.binding_name: s for s in steps}
-    for b in referenced_bindings(predicate):
-        if b not in by_name:
-            raise PatternSyntaxError(f"unknown binding {b!r}", pos_hint)
-    _check_refs(predicate, by_name, pos_hint)
-
-
-def _check_refs(e, by_name: dict, pos_hint: int):
-    """Raise unless each Kleene binding is read by SUM, and SUM by no other."""
-    t = type(e)
-    if t is SumAgg:
-        if by_name[e.binding].kind is not StepKind.KLEENE_PLUS:
+    refs = [n for n in nodes(predicate)
+            if type(n) is AttrRef or type(n) is SumAgg]
+    for n in refs:
+        if n.binding not in by_name:
+            raise PatternSyntaxError(f"unknown binding {n.binding!r}",
+                                     pos_hint)
+    # each Kleene binding is read by SUM, and SUM by no other
+    for n in refs:
+        kleene = by_name[n.binding].kind is StepKind.KLEENE_PLUS
+        if type(n) is SumAgg and not kleene:
             raise PatternSyntaxError(
-                f"SUM over non-Kleene binding {e.binding!r}", pos_hint)
-    elif t is AttrRef:
-        if by_name[e.binding].kind is StepKind.KLEENE_PLUS:
+                f"SUM over non-Kleene binding {n.binding!r}", pos_hint)
+        if type(n) is AttrRef and kleene:
             raise PatternSyntaxError(
-                f"Kleene binding {e.binding!r} needs SUM or SAME", pos_hint)
-    elif t is Bin or t is Cmp:
-        _check_refs(e.left, by_name, pos_hint)
-        _check_refs(e.right, by_name, pos_hint)
-    elif t is Func:
-        _check_refs(e.arg, by_name, pos_hint)
-    elif t is And:
-        for it in e.items:
-            _check_refs(it, by_name, pos_hint)
+                f"Kleene binding {n.binding!r} needs SUM or SAME", pos_hint)
 
 
 _SEL = {"skip-any": SelectionPolicy.SKIP_TILL_ANY,

@@ -12,6 +12,9 @@ generates the code that evaluates them (``sweep``).  Each non-start
 state is keyed on the SAME attributes common to the patterns through it;
 an edge leaving a keyed state leaves out the SAME checks on those
 attributes, because the engine only meets records of the element's key.
+``merge`` also sets each state's psd, the bits of the patterns whose
+chains pass through it, and keeps each pattern's SAME attributes in
+``ExecutionPlan.same_attrs``; the other layers read both from the plan.
 
 Patterns whose guards on one edge have equal descriptors (the same
 conjuncts over the same slot positions, the same SAME attributes) share
@@ -184,8 +187,8 @@ class ExecutionPlan:
         # kleene extension takes priority over closing under skip-till-next
         for lst in self.edges_by_trigger.values():
             lst.sort(key=lambda e: 0 if e.action == "kleene-extend" else 1)
-        # pattern id -> ordered state ids along its chain (start excluded)
-        self.pattern_paths = {}
+        # pattern id -> its SAME attributes, in predicate order
+        self.same_attrs = {}
         # (pattern_id, accepting state) -> (binding names by position,
         # residual predicate), for patterns with emission-only conjuncts
         self.residuals = {}
@@ -336,6 +339,7 @@ def _chain(pattern: Pattern) -> _Chain:
             same_attrs.append(c.attr)
             continue
         refs = ex.referenced_bindings(c)
+        sums = {x.binding for x in ex.nodes(c) if type(x) is ex.SumAgg}
         neg_refs = refs & neg_names
         if len(neg_refs) > 1:
             raise PlanError("a conjunct may reference at most one negated "
@@ -356,7 +360,7 @@ def _chain(pattern: Pattern) -> _Chain:
         emission_only = False
         for r in refs:
             p = pos_of[r]
-            if p in kleene_pos and _refs_sum(c, r):
+            if p in kleene_pos and r in sums:
                 if p + 1 >= m:
                     emission_only = True
                 else:
@@ -404,17 +408,6 @@ def _chain(pattern: Pattern) -> _Chain:
     return _Chain(pattern=pattern, signatures=signatures,
                   transitions=transitions, same_attrs=tuple(same_attrs),
                   residual=ex.And(tuple(emission)) if emission else None)
-
-
-def _refs_sum(e, binding) -> bool:
-    t = type(e)
-    if t is ex.SumAgg:
-        return e.binding == binding
-    if t is ex.Bin or t is ex.Cmp:
-        return _refs_sum(e.left, binding) or _refs_sum(e.right, binding)
-    if t is ex.Func:
-        return _refs_sum(e.arg, binding)
-    return False
 
 
 def _positional(e, pos_of: dict):
@@ -478,7 +471,7 @@ def merge(patterns, mode: str = "view"):
 
     paths = {c.pattern.id: [state_of[key(c.pattern.id, sig)].state_id
                             for sig in c.signatures[1:]] for c in chains}
-    _assign_keys(states, chains, paths)
+    _mark_paths(states, chains, paths)
 
     edges = {}
     edge_list = []
@@ -506,7 +499,7 @@ def merge(patterns, mode: str = "view"):
             edges[ek].guards[pid] = EdgeGuard(pid, checks, t["neg_checks"])
 
     plan = ExecutionPlan(states, edge_list, patterns, mode)
-    plan.pattern_paths = paths
+    plan.same_attrs = {c.pattern.id: c.same_attrs for c in chains}
     for c in chains:
         pid = c.pattern.id
         acc_state = state_of[key(pid, c.signatures[-1])]
@@ -520,14 +513,20 @@ def merge(patterns, mode: str = "view"):
     return plan
 
 
-def _assign_keys(states, chains, paths):
-    """Key each non-start state on the SAME attributes that every pattern
-    through it has.  Every record there then agrees with its first element
-    on them, so an element need only meet the records of its own key."""
+def _mark_paths(states, chains, paths):
+    """Set each state's psd to the bits of the patterns through it, all of
+    them on the start state, and key each non-start state on the SAME
+    attributes that every pattern through it has.  Every record there
+    then agrees with its first element on them, so an element need only
+    meet the records of its own key."""
+    n = len(chains)
     common = {}
     for c in chains:
+        bit = pattern_bit(c.pattern.id, n)
+        states[0].psd |= bit
+        mine = set(c.same_attrs)
         for sid in paths[c.pattern.id]:
-            mine = set(c.same_attrs)
+            states[sid].psd |= bit
             common[sid] = common[sid] & mine if sid in common else mine
     for sid, attrs in common.items():
         states[sid].key_attrs = tuple(sorted(attrs))

@@ -58,7 +58,8 @@ class RunConfig:
     cost_unit: float = 0.01              # ms per work unit (synthetic)
     alpha: float = 0.2
     theta: str = "constant"              # or "length"
-    epoch_len: int = None                # None = max count window
+    epoch_len: int = None                # None = max count window, or 0
+                                         # (no decay) with time windows only
     expire_every: int = 16               # expiry cadence, in elements
     select_every: int = 1                # min elements between reductions
     compute_golden: bool = True
@@ -121,11 +122,6 @@ def build_plan(config: RunConfig):
     patterns = [parse_pattern(t, pattern_id=i, name=f"P{i + 1}")
                 for i, t in enumerate(config.patterns)]
     return merge(patterns, mode=config.mode)
-
-
-def shed_random_input(rng, ratio: float) -> bool:
-    """Decide whether to drop the incoming element."""
-    return rng.random() < ratio
 
 
 def shed_random_state(engine: Engine, rng, ratio: float) -> int:
@@ -322,7 +318,7 @@ def _main_loop(config: RunConfig, stream: list):
                         engine.counters.pms_shed += shed_random_state(
                             engine, rng, drop_ratio)
                     elif strategy == "random-input":
-                        if shed_random_input(rng, drop_ratio):
+                        if rng.random() < drop_ratio:
                             continue
 
             if synthetic:
@@ -353,15 +349,8 @@ def _main_loop(config: RunConfig, stream: list):
 
     engine.expire(len(stream), stream[-1].timestamp if stream else 0.0)
     wall = perf_counter() - wall_start
-    c = engine.counters
-    counters = {
-        "pms_created": c.pms_created,
-        "pms_expired": c.pms_expired,
-        "pms_policy_dropped": c.pms_policy_dropped,
-        "pms_shed": c.pms_shed,
-        "cms_emitted": c.cms_emitted,
-        "live_at_end": engine.live_pm_count(),
-    }
+    counters = {**asdict(engine.counters),
+                "live_at_end": engine.live_pm_count()}
 
     pcts = {}
     if elapsed_hist:

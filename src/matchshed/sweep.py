@@ -187,7 +187,6 @@ def _key(attrs_of) -> str:
 
 def _start_edge(m: _Module, eng, e, j: int):
     out = m.sweeps
-    plan = eng.plan
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     at = _Slots(m, 0, set())
     out += [f"    c{j} = []",
@@ -198,9 +197,7 @@ def _start_edge(m: _Module, eng, e, j: int):
         if checks:
             at.checks(out, 1, checks, "attrs")
             out.append("    if ok:")
-        same = {c.attr for pid, _ in guards
-                for c in ex.conjuncts(plan.patterns[pid].predicate)
-                if type(c) is ex.Same}
+        same = {a for pid, _ in guards for a in eng.plan.same_attrs[pid]}
         out += [pad + f"attrs[{a!r}]  # SAME" for a in sorted(same)]
         out.append(pad + f"passed |= {mask}")
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
@@ -301,9 +298,7 @@ def _buffer(m: _Module, eng, e, j: int):
     plan = eng.plan
     to = plan.states[e.to_id]
     start = e.from_id == plan.start_id
-    mask = sum(eng.bit[pid] for pid, path in plan.pattern_paths.items()
-               if e.to_id in path)
-    queues = [q for q in plan.deadlines if q.mask & mask]
+    queues = [q for q in plan.deadlines if q.mask & to.psd]
     out.append(f"    if c{j}:")
     if start or to.key_attrs == plan.states[e.from_id].key_attrs:
         state, buckets = m.bind(to, "S"), m.bind(to.buckets, "B")
@@ -331,7 +326,7 @@ def _buffer(m: _Module, eng, e, j: int):
         out.append(f"            {''.join(f's{p}, ' for p in held)}_ = c.slots")
     out.append(f"            key = {key}")
     for pid in sorted(to.accepting_for):
-        test = ("" if mask == eng.bit[pid] else
+        test = ("" if to.psd == eng.bit[pid] else
                 f"if c.pattern_bits & {m.bind(eng.bit[pid], 'M')}: ")
         out.append(f"            {test}accept.append((key, "
                    f"{m.bind(pid, 'I')}, c))")

@@ -210,7 +210,7 @@ def test_deterministic_emission_order():
     for _ in range(3):
         plan = compile_pattern(pat)
         out = golden_run(AABB, plan)[0]
-        outs.append([(r.seq_tuple(), r.emit_index) for r in out])
+        outs.append([r.seq_tuple() for r in out])
     assert outs[0] == outs[1] == outs[2]
 
 

@@ -102,8 +102,7 @@ def drive(pats, stream, rng_seed, selection, shed=0.0, inserts=0.0):
     shed_rngs = [np.random.default_rng(rng_seed + 1) for _ in range(2)]
     a_state = next((s for s in new.plan.states
                     if s.signature == (("A", StepKind.SINGLE),)), None)
-    through_a = sum(new.bit[pid] for pid, path in new.plan.pattern_paths.items()
-                    if a_state is not None and a_state.state_id in path)
+    through_a = 0 if a_state is None else a_state.psd
     expiries = evicted = 0
     for d in stream:
         if rng.random() < 0.5:

@@ -129,6 +129,12 @@ def test_referenced_bindings():
     conjs = ex.conjuncts(p)
     assert ex.referenced_bindings(conjs[0]) == {"a", "b", "c"}
     assert ex.referenced_bindings(conjs[1]) == frozenset()
+    # nodes: depth first, left to right, each node before its operands
+    assert [type(n).__name__ for n in ex.nodes(p)] == [
+        "And", "Cmp", "Bin", "AttrRef", "SumAgg", "AttrRef", "Same"]
+    assert [n.binding for n in ex.nodes(p)
+            if type(n) in (ex.AttrRef, ex.SumAgg)] == ["a", "b", "c"]
+    assert list(ex.nodes(None)) == []
 
 
 def test_conjuncts_flatten():

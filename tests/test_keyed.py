@@ -177,8 +177,8 @@ def test_cluster_index_stays_within_twice_live(monkeypatch):
     indexes, checked = [], []
     assess, expire = psd.assess, Engine.expire
 
-    def keep(plan, *args):
-        indexes.append(assess(plan, *args))
+    def keep(plan):
+        indexes.append(assess(plan))
         return indexes[-1]
 
     def checked_expire(eng, now_seq, now_ts):

@@ -73,6 +73,10 @@ def test_power_right_associative():
     ("SEQ(A a) WHERE z.x < 1 WITHIN 5", "unknown binding"),
     ("SEQ(A a, B b) WHERE SUM(b[].x) < 1 WITHIN 5", "non-Kleene"),
     ("SEQ(A a, B+ b[]) WHERE b.x < 1 WITHIN 5", "needs SUM"),
+    # two violations: the leftmost one is reported, unknown bindings first
+    ("SEQ(A a, B+ b[]) WHERE b.x < SUM(a[].x) WITHIN 5", "needs SUM"),
+    ("SEQ(A a, B+ b[]) WHERE SUM(a[].x) < b.x WITHIN 5", "non-Kleene"),
+    ("SEQ(A a, B+ b[]) WHERE b.x < z.x WITHIN 5", "unknown binding"),
     ("SEQ(A a, B b) WHERE a.x < b.x", "WITHIN"),
     ("SEQ(A a ? b) WITHIN 5", "unexpected"),
 ])

@@ -41,20 +41,35 @@ def test_single_pattern_all_ones():
 
 
 def test_prefix_oracle_random_plans():
+    """``merge`` sets psd, before and without ``assess``: all bits on the
+    start state, and a pattern's bit on exactly the states whose
+    signature is a prefix of its own; in ``separate`` mode on one such
+    state per positional step, and one bit per state.  ``assess`` leaves
+    every psd as it is."""
     rng = np.random.default_rng(5)
-    for _ in range(30):
+    for t in range(30):
         n = int(rng.integers(2, 5))
         pats = [randgen.random_pattern(rng, "ABCD", pid) for pid in range(n)]
-        plan = merge(pats, mode="view")
-        assess(plan)
-        for s in plan.states:
-            if s.state_id == plan.start_id:
-                continue
-            for p in pats:
-                sig = p.signature
-                is_prefix = s.signature == sig[:len(s.signature)]
-                bit = bool(s.psd & pattern_bit(p.id, n))
-                assert bit == is_prefix, (s.signature, sig)
+        for mode in ("view", "separate"):
+            plan = merge(pats, mode=mode)
+            assert plan.states[plan.start_id].psd == (1 << n) - 1
+            rest = [s for s in plan.states if s.state_id != plan.start_id]
+            for s in rest:
+                owners = {p.id for p in pats
+                          if s.psd & pattern_bit(p.id, n)}
+                prefix_of = {p.id for p in pats if s.signature
+                             == p.signature[:len(s.signature)]}
+                if mode == "view":
+                    assert owners == prefix_of, (t, s.signature)
+                else:
+                    assert len(owners) == 1 and owners <= prefix_of, t
+            if mode == "separate":
+                for p in pats:
+                    assert len(p.positional_steps) == sum(
+                        bool(s.psd & pattern_bit(p.id, n)) for s in rest)
+            merged = [s.psd for s in plan.states]
+            assess(plan)
+            assert [s.psd for s in plan.states] == merged
 
 
 def test_assess_is_deterministic():
