@@ -537,6 +537,10 @@ def _check_invariants(plan: ExecutionPlan, shared: bool):
         sigs = [s.signature for s in plan.states]
         if len(sigs) != len(set(sigs)):
             raise PlanError("duplicate sub-pattern signatures in shared plan")
+    for s in plan.states:
+        if s.psd == 0:
+            raise PlanError(f"state {s.state_id} ({s.signature!r}) lies on "
+                            "no pattern's chain; psd = 0")
     for e in plan.edges:
         if e.from_id == e.to_id and e.action != "kleene-extend":
             raise PlanError("non-kleene self loop")

@@ -9,23 +9,13 @@ it, so every plan carries it; this module groups records by it.
 
 from __future__ import annotations
 
-import logging
-
 from .model import MatchRecord
 from .plan import ExecutionPlan
-
-log = logging.getLogger(__name__)
 
 
 def assess(plan: ExecutionPlan) -> "ClusterIndex":
     """The cluster index over the plan's states, by the psd bitmaps
-    ``plan.merge`` set.  A state on no chain (unreachable) has psd 0; it
-    gets a warning and no cluster.
-    """
-    for s in plan.states:
-        if s.psd == 0:
-            log.warning("state %d (%r) is unreachable; psd = 0",
-                        s.state_id, s.signature)
+    ``plan.merge`` set (``merge`` rejects a plan with a psd-0 state)."""
     return ClusterIndex(plan)
 
 
@@ -42,7 +32,7 @@ class ClusterIndex:
         self.n = plan.n
         self.states = {}  # psd bitmap -> [PlanState], ascending state_id
         for s in plan.states:
-            if s.psd != 0 and s.state_id != plan.start_id:
+            if s.state_id != plan.start_id:
                 self.states.setdefault(s.psd, []).append(s)
 
     def insert(self, pm: MatchRecord):

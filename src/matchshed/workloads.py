@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import le
 
 import numpy as np
 
+from .engine import collector_paused
 from .model import DataElement
 
 EARTH_RADIUS_KM = 6371.0
@@ -118,10 +121,17 @@ def inject_drift(spec: GeneratorSpec, drifts) -> GeneratorSpec:
 # ------------------------------------------------------------------- CSV
 
 def write_csv(stream, path: str):
-    """Header ``type,ts,<attrs...>``; attribute order from the first
-    element, floats written via repr for lossless round-trips."""
+    """Header ``type,ts,<attrs...>``: the first element's attribute names,
+    sorted.  Every element must carry exactly those names.  Floats are
+    written via repr for lossless round-trips."""
     stream = list(stream)
     names = sorted(stream[0].attrs) if stream else []
+    keys = set(names)
+    for d in stream:
+        if d.attrs.keys() != keys:
+            raise ValueError(
+                f"{path}: element {d.seq_index} has attributes "
+                f"{sorted(d.attrs)}, the header has {names}")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["type", "ts"] + names)
@@ -134,13 +144,23 @@ class CsvFormatError(ValueError):
     pass
 
 
+# rows read, converted and checked per pass: enough to amortise a pass,
+# few enough that a chunk's lists stay small beside the elements
+_CHUNK_ROWS = 4096
+
+
 def load_csv(path: str):
     """Load ``type,ts,<attrs...>`` rows as one element list.
 
-    Every value must be a finite number, and timestamps must be
-    nondecreasing.
+    Attribute names must be unique and non-empty.  Every value must be a
+    finite number, and timestamps must be nondecreasing.  A bad file
+    raises ``CsvFormatError`` for its first bad line.
+
+    Rows are read, converted and checked a chunk at a time, column by
+    column; only a chunk that fails a check is walked row by row, to find
+    the line to report.
     """
-    with open(path, newline="") as f:
+    with open(path, newline="") as f, collector_paused():
         rd = csv.reader(f)
         try:
             header = next(rd)
@@ -149,29 +169,79 @@ def load_csv(path: str):
         if header[:2] != ["type", "ts"]:
             raise CsvFormatError(f"{path}: header must start with type,ts")
         names = header[2:]
-        stream = []
-        width = len(header)
-        prev_ts = -math.inf
-        isfinite = math.isfinite
-        for ln, row in enumerate(rd, start=2):
-            if len(row) != width:
-                raise CsvFormatError(f"{path}:{ln}: expected "
-                                     f"{width} columns")
-            try:
-                ts = float(row[1])
-                attrs = dict(zip(names, map(float, row[2:])))
-            except ValueError:
+        for col, nm in enumerate(names, start=3):
+            if not nm:
                 raise CsvFormatError(
-                    f"{path}:{ln}: non-numeric value") from None
-            # a finite sum has finite terms; only a large sum is rechecked
-            if not (isfinite(ts + sum(attrs.values()))
-                    or all(map(isfinite, (ts, *attrs.values())))):
-                raise CsvFormatError(f"{path}:{ln}: NaN or infinite value")
-            if ts < prev_ts:
-                raise CsvFormatError(f"{path}:{ln}: timestamps not sorted")
-            prev_ts = ts
-            stream.append(DataElement(row[0], ln - 2, ts, attrs))
-    return stream
+                    f"{path}: header column {col} has no attribute name")
+            if nm in names[:col - 3]:
+                raise CsvFormatError(
+                    f"{path}: header column {col} repeats attribute {nm!r}")
+        width = len(header)
+        stream = []
+        prev_ts = -math.inf
+        while True:
+            rows = []
+            try:
+                rows.extend(islice(rd, _CHUNK_ROWS))
+            except (csv.Error, UnicodeError):
+                # the rows read before the fault come first, as in a row loop
+                _check_rows(path, rows, len(stream) + 2, width, prev_ts)
+                raise
+            if not rows:
+                return stream
+            cols = _columns(rows, width, prev_ts)
+            if cols is None:
+                # raises: some row of the chunk fails a check
+                _check_rows(path, rows, len(stream) + 2, width, prev_ts)
+            types, ts, vals = cols
+            n = len(stream)
+            rows_vals = zip(*vals) if vals else repeat((), len(ts))
+            stream.extend(map(DataElement, types, range(n, n + len(ts)), ts,
+                              map(dict, map(zip, repeat(names), rows_vals))))
+            prev_ts = ts[-1]
+
+
+def _columns(rows, width: int, prev_ts: float):
+    """A chunk's type column, timestamps and attribute columns as floats,
+    or None when some row has the wrong width, a non-numeric or non-finite
+    value, or a timestamp below its predecessor's (``prev_ts`` for the
+    first)."""
+    if set(map(len, rows)) != {width}:
+        return None
+    types, *text = zip(*rows)
+    try:
+        ts, *vals = [list(map(float, c)) for c in text]
+    except ValueError:
+        return None
+    isfinite = math.isfinite
+    # a finite sum has finite terms; only a large sum is rechecked
+    for c in (ts, *vals):
+        if not (isfinite(sum(c)) or all(map(isfinite, c))):
+            return None
+    if ts[0] < prev_ts or not all(map(le, ts, islice(ts, 1, None))):
+        return None
+    return types, ts, vals
+
+
+def _check_rows(path: str, rows, first_ln: int, width: int,
+                prev_ts: float):
+    """Raise ``CsvFormatError`` for the first bad row, if any, ``rows[0]``
+    being on line ``first_ln`` and following a timestamp ``prev_ts``.
+    Each row is checked for width, then numeric, then finite values, then
+    timestamp order."""
+    isfinite = math.isfinite
+    for ln, row in enumerate(rows, start=first_ln):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}:{ln}: expected {width} columns")
+        try:
+            vals = list(map(float, row[1:]))
+        except ValueError:
+            raise CsvFormatError(f"{path}:{ln}: non-numeric value") from None
+        if not all(map(isfinite, vals)):
+            raise CsvFormatError(f"{path}:{ln}: NaN or infinite value")
+        if vals[0] < prev_ts:
+            raise CsvFormatError(f"{path}:{ln}: timestamps not sorted")
+        prev_ts = vals[0]
 
 
 # -------------------------------------------------------------- templates

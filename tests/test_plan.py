@@ -6,7 +6,7 @@ import randgen
 from matchshed.engine import golden_run
 from matchshed.model import StepKind
 from matchshed.parser import parse_pattern
-from matchshed.plan import PlanError, compile_pattern, merge
+from matchshed.plan import PlanError, _check_invariants, compile_pattern, merge
 
 
 def P(text, pid=0):
@@ -86,6 +86,15 @@ def test_multi_negated_bindings_in_one_conjunct_rejected():
     with pytest.raises(PlanError):
         compile_pattern(P("SEQ(A a, !B b, !C c, D d) "
                           "WHERE b.x < c.x WITHIN 10"))
+
+
+def test_state_on_no_chain_rejected():
+    plan = merge([P("SEQ(A, B, C) WITHIN 10", 0),
+                  P("SEQ(A, B, E) WITHIN 10", 1)], mode="view")
+    _check_invariants(plan, True)
+    plan.states[-1].psd = 0
+    with pytest.raises(PlanError, match=r"state 4 .* psd = 0"):
+        _check_invariants(plan, True)
 
 
 def test_acyclic_except_kleene():

@@ -1,10 +1,14 @@
+import csv
+import gc
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from matchshed import workloads as wl
-from matchshed.model import StepKind
+from matchshed.model import DataElement, StepKind
 from matchshed.parser import parse_pattern
 
 
@@ -150,3 +154,173 @@ def test_template_type_mapping():
     t = wl.templates(type_map={"A": "bike_trip", "B": "dock"})
     assert "bike_trip" in t["P1"] and "dock" in t["P1"]
     parse_pattern(t["P1"])
+
+
+def row_loop_load(path):
+    """The per-row loader that chunked ingest replaced, kept as the
+    reference for its output and its errors."""
+    with open(path, newline="") as f:
+        rd = csv.reader(f)
+        try:
+            header = next(rd)
+        except StopIteration:
+            raise wl.CsvFormatError(f"{path}: empty file") from None
+        if header[:2] != ["type", "ts"]:
+            raise wl.CsvFormatError(f"{path}: header must start with type,ts")
+        names = header[2:]
+        stream = []
+        width = len(header)
+        prev_ts = -math.inf
+        for ln, row in enumerate(rd, start=2):
+            if len(row) != width:
+                raise wl.CsvFormatError(f"{path}:{ln}: expected "
+                                        f"{width} columns")
+            try:
+                ts = float(row[1])
+                attrs = dict(zip(names, map(float, row[2:])))
+            except ValueError:
+                raise wl.CsvFormatError(
+                    f"{path}:{ln}: non-numeric value") from None
+            if not all(map(math.isfinite, (ts, *attrs.values()))):
+                raise wl.CsvFormatError(
+                    f"{path}:{ln}: NaN or infinite value")
+            if ts < prev_ts:
+                raise wl.CsvFormatError(
+                    f"{path}:{ln}: timestamps not sorted")
+            prev_ts = ts
+            stream.append(DataElement(row[0], ln - 2, ts, attrs))
+    return stream
+
+
+def element_bits(stream):
+    """Type, seq, attribute names and the bits of every float."""
+    return [(d.type_tag, d.seq_index, tuple(d.attrs),
+             struct.pack(f"<{1 + len(d.attrs)}d", d.timestamp,
+                         *d.attrs.values()),
+             type(d.timestamp), *map(type, d.attrs.values()))
+            for d in stream]
+
+
+def outcome(load, path):
+    try:
+        return element_bits(load(path))
+    except (wl.CsvFormatError, csv.Error) as e:
+        return type(e), str(e)
+
+
+CHUNK = wl._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("gen", [wl.gen_ds1, wl.gen_ds2])
+def test_bulk_load_matches_row_loop(tmp_path, gen):
+    s = gen(2 * CHUNK + 123, seed=7)
+    s[5].type_tag = 'A,"quoted"'          # csv.writer quotes it
+    s[CHUNK].type_tag = "B, C"
+    p = os.path.join(tmp_path, "s.csv")
+    wl.write_csv(s, p)
+    back = wl.load_csv(p)
+    assert element_bits(back) == element_bits(row_loop_load(p))
+    assert back[5].type_tag == 'A,"quoted"' and back[CHUNK].type_tag == "B, C"
+    assert element_bits(back) == element_bits(s)
+
+
+def _write_rows(path, rows, header="type,ts,ID,x"):
+    with open(path, "w") as f:
+        f.write("\n".join([header] + rows) + "\n")
+
+
+def _good_rows(n):
+    return [f"A,{i},{i % 7},{i * 0.5}" for i in range(n)]
+
+
+# (row index, replacement) faults, and the line the row loop reports (None
+# for a valid file): the first bad line wins whichever chunk holds it
+FAULTS = [
+    ([(10, "A,10,nan,1"), (2 * CHUNK + 5, "A,1,2")], 12),
+    ([(10, "A,10,1"), (2 * CHUNK + 5, "A,1,nan,2")], 12),
+    ([(CHUNK + 3, "A,x,1,1"), (CHUNK + 9, "A,1,1")], CHUNK + 5),
+    ([(CHUNK, f"A,{CHUNK - 2},1,1")], CHUNK + 2),   # drops at a boundary
+    ([(CHUNK, f"A,{CHUNK - 1},1,1")], None),        # equal is sorted
+    ([(7, "A,-inf,1,1")], 9),                       # finite before sorted
+    ([(7, "A,3,banana,inf,4")], 9),                 # width before numeric
+    ([(2 * CHUNK - 1, "A,0,1,1")], 2 * CHUNK + 1),  # last row of a chunk
+    # finite values whose row and column sums overflow
+    ([(7, "A,7,1e308,1e308"), (8, "A,8,1e308,1e308")], None),
+]
+
+
+@pytest.mark.parametrize("faults,line", FAULTS)
+def test_bulk_errors_match_row_loop(tmp_path, faults, line):
+    rows = _good_rows(2 * CHUNK + 50)
+    for i, row in faults:
+        rows[i] = row
+    p = os.path.join(tmp_path, "f.csv")
+    _write_rows(p, rows)
+    expected = outcome(row_loop_load, p)
+    assert outcome(wl.load_csv, p) == expected
+    if line is not None:
+        assert expected[1].startswith(f"{p}:{line}: ")
+
+
+def test_reader_fault_after_a_bad_row(tmp_path):
+    """A row the reader cannot parse (a field over csv's size limit) comes
+    after a bad row in the same chunk: the bad row is reported."""
+    rows = _good_rows(50)
+    rows[40] = "A,40,1," + "9" * (csv.field_size_limit() + 1)
+    p = os.path.join(tmp_path, "f.csv")
+    _write_rows(p, rows)
+    with pytest.raises(csv.Error):
+        wl.load_csv(p)
+    rows[3] = "A,3,nan,1"
+    _write_rows(p, rows)
+    assert outcome(wl.load_csv, p) == outcome(row_loop_load, p)
+    with pytest.raises(wl.CsvFormatError, match=r"f\.csv:5: NaN"):
+        wl.load_csv(p)
+
+
+def test_header_only_and_no_attributes(tmp_path):
+    p = os.path.join(tmp_path, "h.csv")
+    _write_rows(p, [])
+    assert wl.load_csv(p) == []
+    _write_rows(p, ["A,1", "B,2"], header="type,ts")
+    assert element_bits(wl.load_csv(p)) == element_bits(row_loop_load(p))
+
+
+@pytest.mark.parametrize("header,msg", [
+    ("type,ts,ID,ID", r"column 4 repeats attribute 'ID'"),
+    ("type,ts,,x", r"column 3 has no attribute name"),
+    ("type,ts,x,y,x", r"column 5 repeats attribute 'x'"),
+])
+def test_header_names_unique_and_non_empty(tmp_path, header, msg):
+    p = os.path.join(tmp_path, "h.csv")
+    _write_rows(p, [], header=header)
+    with pytest.raises(wl.CsvFormatError, match=msg):
+        wl.load_csv(p)
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_load_restores_collector_state(tmp_path, was_on):
+    good = os.path.join(tmp_path, "g.csv")
+    bad = os.path.join(tmp_path, "b.csv")
+    _write_rows(good, _good_rows(100))
+    _write_rows(bad, _good_rows(100) + ["A,0,1,1"])
+    (gc.enable if was_on else gc.disable)()
+    try:
+        assert len(wl.load_csv(good)) == 100
+        assert gc.isenabled() is was_on
+        with pytest.raises(wl.CsvFormatError):
+            wl.load_csv(bad)
+        assert gc.isenabled() is was_on
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("attrs", [{"ID": 1.0}, {"ID": 1.0, "x": 2.0,
+                                                 "y": 3.0}])
+def test_write_csv_rejects_other_attribute_names(tmp_path, attrs):
+    s = wl.gen_ds2(3, seed=1)
+    s[2] = DataElement("A", 2, 2.0, attrs)
+    p = os.path.join(tmp_path, "w.csv")
+    with pytest.raises(ValueError, match=r"element 2 has attributes"):
+        wl.write_csv(s, p)
+    assert not os.path.exists(p)

@@ -23,12 +23,20 @@ predecessors', so the engine trims its side state under decreasing
 timestamps.
 Latency bounds are half of a ``none`` run's mean latency (2x overload),
 as in the benchmark.
+
+After those, one ``csv`` line per dataset hashes what
+``load_csv(write_csv(...))`` returns for each seed's stream, element by
+element (type tag, seq, attribute names and the bits of the timestamp
+and attribute values), so a change to CSV ingest shows too.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import struct
+import tempfile
 
 from matchshed import workloads as wl
 from matchshed.runner import STRATEGIES, RunConfig, run
@@ -89,6 +97,21 @@ def digest(m) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def csv_digest(streams) -> str:
+    """Hash of every element of each stream after a CSV round trip."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.csv")
+        for stream in streams:
+            wl.write_csv(stream, path)
+            for d in wl.load_csv(path):
+                h.update(repr((d.type_tag, d.seq_index,
+                               tuple(d.attrs))).encode())
+                h.update(struct.pack(f"<{1 + len(d.attrs)}d", d.timestamp,
+                                     *d.attrs.values()))
+    return h.hexdigest()[:16]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ds1", type=int, default=15_000, help="DS1 elements")
@@ -110,6 +133,9 @@ def main(argv=None):
                                        bounds=bounds), stream))
                     print(name, seed, sel, cons, strategy, digest(m),
                           flush=True)
+    for ds in ("ds1", "ds2"):
+        streams = (GENERATORS[ds](sizes[ds], seed) for seed in args.seeds)
+        print("csv", ds, csv_digest(streams), flush=True)
 
 
 if __name__ == "__main__":
