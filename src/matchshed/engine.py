@@ -26,9 +26,11 @@ goes into the bucket the element probed.
 Sweeps: each engine generates Python source for one sweep function per
 trigger event type (``sweep``) and compiles it once, in ``__init__``; the
 code depends on the engine's selection policies and binds its objects.
-A sweep evaluates the guards and buffers its children; ``step`` applies
-skip-till-next, then sorts and checks the complete matches and returns
-them with their keys (``StepResult.match_keys``).  ``Engine.source`` is
+A sweep evaluates the guards and buffers its children.  When it
+accepted no match and took no skip-till-next parent, as for most
+elements, ``step`` returns at once; otherwise it applies skip-till-next,
+then sorts and checks the complete matches and returns them with their
+keys (``StepResult.match_keys``).  ``Engine.source`` is
 the text, registered with ``linecache`` so that a traceback through a
 sweep shows the generated line.  Patterns whose guards compute the same
 conjuncts share one ``checks`` tuple (``plan.merge``), which a record
@@ -37,9 +39,12 @@ no guard can decide (a SUM over a final Kleene step) go through
 ``expr.eval_predicate``.  Math faults on both paths are counted in
 ``diag``, once per evaluation.
 
-Side state: the negation history (the elements of each negated type,
-read only by the gap checks) and the tombstones stay bounded by the
-alive records, whatever the timestamps do.  Every 512 elements one scan
+Side state: the negation history holds the elements of each negated
+type, read only by the gap checks.  The sweep of that type appends to
+it, first thing; a negated type that triggers no edge gets a sweep that
+does only that, so ``step`` never looks the history up.  The history
+and the tombstones stay bounded by the alive records, whatever the
+timestamps do.  Every 512 elements one scan
 of the alive records finds the oldest first and the oldest last
 element.  A later match grows from an alive record or starts after
 ``now``, so it holds no element before its record's first one: the
@@ -53,12 +58,20 @@ O(expired), not a sweep of every buffer; most children join their
 parent's deadline slot (``sweep``).  Windows are also checked at
 extension time, so when ``expire`` runs changes no match; it changes
 when ``PlanState.live`` drops, and so the work units, which is why the
-runner keeps its ``expire_every`` cadence.  Tombstoned records are
+runner keeps its ``expire_every`` cadence.  ``ExecutionPlan.expire``
+tombstones what it evicts itself, with one live-count update per
+state, not one ``discard`` call per record.  Tombstoned records are
 compacted out of a state's buffers lazily, once they outnumber its alive
 records by more than a small slack.
 
-No reference cycles (``sweep.unlink``; a record points only at its
-parent): the per-element loops run with the cyclic collector paused.
+Latency: ``measure`` runs a fold generated once per monitor from the
+plan's psd (``sweep.generate_fold``), unrolled over the patterns: the
+same float operations in the same order as a loop over share lists,
+reading the monitor's lists at every call.
+
+No reference cycles (``sweep.unlink``, and the fold leaves its own
+globals; a record points only at its parent): the per-element loops run
+with the cyclic collector paused.
 
 Work units, the cost measure that synthetic latency is made of: for each
 edge an element triggers, the alive records in the edge's source state
@@ -70,8 +83,6 @@ created.
 from __future__ import annotations
 
 import gc
-import linecache
-import weakref
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,42 +110,24 @@ class LatencyMonitor:
         if self.state_work is None:
             self.state_work = {}
         self.lat_sum = [0.0] * self.n
-        self.sharers = {}   # state id -> its psd's pattern indices
+        self.fold = None    # generated at the first measure (sweep)
 
 
 def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
             plan: ExecutionPlan):
     """Apportion elapsed time to patterns via the worked states' PSD bits,
     split evenly among sharers, fold into the EWMA and add the EWMA to
-    ``lat_sum``."""
-    state_work = monitor.state_work
-    total = 0
-    for sid, w in work_by_state.items():
-        state_work[sid] = state_work.get(sid, 0) + w
-        total += w
-    lat, lat_sum = monitor.latency_ms, monitor.lat_sum
-    if total == 0:
-        for i, x in enumerate(lat):
-            lat_sum[i] += x
-        return
-    n = monitor.n
-    share = [0.0] * n
-    cache = monitor.sharers
-    if not cache:   # psd is read once, at the first element with work
-        cache.update((s.state_id, tuple(
-            i for i in range(n) if s.psd & (1 << (n - i - 1))))
-            for s in plan.states)
-    for sid, w in work_by_state.items():
-        sharers = cache[sid]
-        if sharers:
-            part = elapsed_ms * (w / total) / len(sharers)
-            for i in sharers:
-                share[i] += part
-    a = monitor.alpha
-    keep = 1 - a
-    for i, s in enumerate(share):
-        lat[i] = x = keep * lat[i] + a * s
-        lat_sum[i] += x
+    ``lat_sum``; an element without work only adds to ``lat_sum``.  The
+    fold is generated from the plan's psd at the first call
+    (``sweep.generate_fold``) and reads the monitor's lists and alpha
+    at every call."""
+    fold = monitor.fold
+    if fold is None:
+        source, ns = sweep.generate_fold(plan)
+        # no cycle: the function leaves the globals it runs in
+        fold = monitor.fold = sweep.load(source, ns, monitor,
+                                         "fold").pop("fold")
+    fold(monitor, elapsed_ms, work_by_state)
 
 
 @contextmanager
@@ -153,7 +146,7 @@ def collector_paused():
 _emission_order = itemgetter(0, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     new_pms: list
     complete: list      # (pattern_id, MatchRecord)
@@ -192,12 +185,8 @@ class Engine:
         self.diag = plan.diag
         self._trim_at = 0
         self.source, namespace = sweep.generate(self)
-        filename = f"<matchshed sweep {id(self):#x}>"
-        linecache.cache[filename] = (len(self.source), None,
-                                     self.source.splitlines(True), filename)
-        weakref.finalize(self, linecache.cache.pop, filename, None)
-        exec(compile(self.source, filename, "exec"), namespace)
-        self._sweeps = sweep.unlink(namespace)
+        self._sweeps = sweep.unlink(
+            sweep.load(self.source, namespace, self, "sweep"))
 
     # ------------------------------------------------------------- windows
 
@@ -238,17 +227,15 @@ class Engine:
         """Evaluate one element against the bucket of its key in each
         state its type triggers; windows must already be expired for d
         (call expire first)."""
-        seq = d.seq_index
-        hist = self.history.get(d.type_tag)
-        if hist is not None:
-            hist[0].append(seq)
-            hist[1].append(d)
         kernel = self._sweeps.get(d.type_tag)
         if kernel is None:
             return StepResult([], [], {}, [])
-        work, new_records, accept, taken_bits = kernel(d, seq, d.timestamp)
+        work, new_records, accept, taken_bits = kernel(d, d.seq_index,
+                                                       d.timestamp)
         counters = self.counters
         counters.pms_created += len(new_records)
+        if not (accept or taken_bits):
+            return StepResult(new_records, [], work, [])
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken

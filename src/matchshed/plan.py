@@ -234,8 +234,9 @@ class ExecutionPlan:
                 q.push(rec)
 
     def discard(self, rec: MatchRecord):
-        """Tombstone a record.  Every tombstone goes through here, so that
-        each state's live count stays exact."""
+        """Tombstone a record.  Every tombstone goes through
+        ``ExecutionPlan``: here, or in ``expire``, which tombstones what it
+        evicts itself; so each state's live count stays exact."""
         if rec.alive:
             rec.alive = False
             self.states[rec.state_id].live -= 1
@@ -243,21 +244,26 @@ class ExecutionPlan:
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Clear each alive record's bits of the windows it has left, and
         tombstone the records left with none; returns how many.  Visits
-        only the expired records, then compacts each state whose
-        tombstones outnumber its alive records by more than the slack."""
-        evicted = 0
+        only the expired records and tombstones them without a
+        ``discard`` call each: it counts them per state and takes the
+        counts off the live counts once.  Then it compacts each state
+        whose tombstones outnumber its alive records by more than the
+        slack."""
+        dead = [0] * len(self.states)
         for q in self.deadlines:
             keep = ~q.mask
             for rec in q.pop_expired(now_seq if q.by_count else now_ts):
                 if rec.alive:
-                    rec.pattern_bits &= keep
-                    if rec.pattern_bits == 0:
-                        self.discard(rec)
-                        evicted += 1
-        for state in self.states:
+                    bits = rec.pattern_bits & keep
+                    rec.pattern_bits = bits
+                    if not bits:
+                        rec.alive = False
+                        dead[rec.state_id] += 1
+        for state, k in zip(self.states, dead):
+            state.live -= k
             if len(state.buffer) - state.live > state.live + state.SLACK:
                 state.compact()
-        return evicted
+        return sum(dead)
 
     def dump(self) -> str:
         """Structured text dump of states, edges and PSD bits."""

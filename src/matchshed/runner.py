@@ -31,6 +31,7 @@ import os
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -72,6 +73,19 @@ class RunConfig:
             raise ValueError("drop_ratio must be in [0, 1]")
         if self.cost_mode not in ("synthetic", "wallclock"):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
+        if self.theta not in ("constant", "length"):
+            raise ValueError(f"unknown theta {self.theta!r}")
+        # comparisons written `not x > 0` also reject NaN
+        if not self.cost_unit > 0:
+            raise ValueError("cost_unit must be positive")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
+        if not (isinstance(self.expire_every, Integral)
+                and self.expire_every >= 1):
+            raise ValueError("expire_every must be an integer >= 1")
+        if self.epoch_len is not None and not (
+                isinstance(self.epoch_len, Integral) and self.epoch_len >= 0):
+            raise ValueError("epoch_len must be None or an integer >= 0")
         if self.bounds is not None and (
                 len(self.bounds) != len(self.patterns)
                 or not all(b > 0 for b in self.bounds)):
@@ -331,13 +345,15 @@ def _main_loop(config: RunConfig, stream: list):
             elapsed_hist.append(elapsed)
             measure(monitor, elapsed, res.work, plan)
 
-            for (pid, rec), key in zip(res.complete, res.match_keys):
-                matches[pid].append((seq, key))
+            complete = res.complete
+            if complete:
+                for (pid, rec), key in zip(complete, res.match_keys):
+                    matches[pid].append((seq, key))
             if costed:
                 cm_of = _NO_CMS
-                if res.complete:
+                if complete:
                     cm_of = {}
-                    for pid, rec in res.complete:
+                    for pid, rec in complete:
                         cm_of.setdefault(id(rec), []).append(pid)
                 for rec in res.new_pms:
                     cost.sketch_update(sketch, rec,

@@ -1,8 +1,11 @@
 """Sweep kernels: the edge sweep of ``Engine.step``, generated as Python
-source once per engine.
+source once per engine, and the latency fold of ``engine.measure``.
 
 For each event type that triggers an edge, ``generate`` writes one
-function ``sweep_<i>(d, seq, ts)``.  It walks the type's edges in plan
+function ``sweep_<i>(d, seq, ts)``.  If a gap check reads the type, the
+sweep first appends the element to the type's negation history; a
+negated type that triggers no edge gets a sweep that does only that.
+The sweep then walks the type's edges in plan
 order (``ExecutionPlan.edges_by_trigger``).  A start edge evaluates its
 guards on the element alone: SAME holds there, but its attributes are
 read, so that a missing one raises ``KeyError`` as in ``expr``.  Any other
@@ -33,6 +36,10 @@ entry is ``(match key, pattern id, record)``, the key being the element
 seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
 state).
 
+``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
+the plan's patterns (see its docstring).  ``load`` executes either
+module under a file name ``linecache`` knows.
+
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
 operands are evaluated left to right, the functions of ``expr.CHECKED``
@@ -41,11 +48,14 @@ check them, and a fault makes its conjunct false and is counted once.
 
 from __future__ import annotations
 
+import linecache
+import weakref
 from bisect import bisect_left, bisect_right
 from types import FunctionType
 
 from . import expr as ex
-from .model import MatchRecord, SelectionPolicy, StepKind, WindowKind
+from .model import (MatchRecord, SelectionPolicy, StepKind, WindowKind,
+                    pattern_bit)
 
 _INFIX = {"+": "+", "-": "-", "*": "*",
           "<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
@@ -138,10 +148,11 @@ def generate(eng) -> tuple:
     plan = eng.plan
     m = _Module(plan.diag, eng.history)
     table = []
+    out = m.sweeps
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
-        out = m.sweeps
-        out += [f"def sweep_{i}(d, seq, ts):  # {ttype!r}",
-                "    attrs = d.attrs", "    work = {}", "    taken = []",
+        out.append(f"def sweep_{i}(d, seq, ts):  # {ttype!r}")
+        _remember(m, ttype)
+        out += ["    attrs = d.attrs", "    work = {}", "    taken = []",
                 "    accept = []"]
         for j, e in enumerate(edges):
             out.append(f"    # {e!r}")
@@ -153,6 +164,14 @@ def generate(eng) -> tuple:
             _buffer(m, eng, e, j)
         new = " + ".join(f"c{j}" for j in range(len(edges)))
         out.append(f"    return work, {new}, accept, taken")
+        table.append(f"{ttype!r}: sweep_{i}")
+    for ttype in m.history:
+        if ttype in plan.edges_by_trigger:
+            continue
+        i = len(table)
+        out.append(f"def sweep_{i}(d, seq, ts):  # {ttype!r}, history only")
+        _remember(m, ttype)
+        out.append("    return {}, [], [], []")
         table.append(f"{ttype!r}: sweep_{i}")
     lines = m.sweeps + m.gaps + ["SWEEPS = {" + ", ".join(table) + "}"]
     return "\n".join(lines) + "\n", m.ns
@@ -169,6 +188,72 @@ def unlink(ns: dict) -> dict:
               for t, f in ns["SWEEPS"].items()}
     ns.clear()
     return sweeps
+
+
+def _remember(m: _Module, ttype: str):
+    """Lines that append the element to the history of its type, if a
+    gap check reads that type."""
+    hist = m.history.get(ttype)
+    if hist is not None:
+        m.sweeps += [f"    {m.bind(hist[0], 'H')}.append(seq)",
+                     f"    {m.bind(hist[1], 'H')}.append(d)"]
+
+
+def load(source: str, ns: dict, owner, kind: str) -> dict:
+    """Execute generated ``source`` in ``ns`` and return ``ns``.  The text
+    is registered with ``linecache`` for as long as ``owner`` lives, so a
+    traceback through it shows the generated line."""
+    filename = f"<matchshed {kind} {id(owner):#x}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    weakref.finalize(owner, linecache.cache.pop, filename, None)
+    exec(compile(source, filename, "exec"), ns)
+    return ns
+
+
+def generate_fold(plan) -> tuple:
+    """The source of ``plan``'s latency fold and the namespace to run it
+    in; it defines ``fold(monitor, elapsed, work)`` (see
+    ``engine.measure``).  Each pattern's share is a local ``x<i>``; the
+    states whose psd names the same patterns form one group, and the
+    loop over the work dict adds a group's part to each of its patterns'
+    shares, in the dict's order."""
+    n = plan.n
+    groups = {}         # sharer indices -> group number, from 1
+    of_state = []       # state id -> its group, 0 for psd 0
+    for s in plan.states:
+        sharers = tuple(i for i in range(n) if s.psd & pattern_bit(i, n))
+        of_state.append(groups.setdefault(sharers, len(groups) + 1)
+                        if sharers else 0)
+    out = ["def fold(monitor, elapsed, work):",
+           "    state_work = monitor.state_work",
+           "    total = 0",
+           "    for sid, w in work.items():",
+           "        state_work[sid] = state_work.get(sid, 0) + w",
+           "        total += w",
+           "    lat = monitor.latency_ms",
+           "    lat_sum = monitor.lat_sum",
+           "    if total == 0:"]
+    out += [f"        lat_sum[{i}] += lat[{i}]" for i in range(n)]
+    out += ["        return",
+            "    " + " = ".join(f"x{i}" for i in range(n)) + " = 0.0",
+            "    for sid, w in work.items():",
+            "        g = GROUP[sid]"]
+    for sharers, g in groups.items():
+        out.append(f"        {'elif' if g > 1 else 'if'} g == {g}:  # "
+                   f"pattern{'s' * (len(sharers) > 1)} "
+                   f"{', '.join(map(str, sharers))}")
+        if len(sharers) == 1:   # x / 1 is x
+            out.append(f"            x{sharers[0]} += elapsed * (w / total)")
+            continue
+        out.append(f"            part = elapsed * (w / total) / "
+                   f"{len(sharers)}")
+        out += [f"            x{i} += part" for i in sharers]
+    out += ["    a = monitor.alpha", "    keep = 1 - a"]
+    for i in range(n):
+        out += [f"    lat[{i}] = x = keep * lat[{i}] + a * x{i}",
+                f"    lat_sum[{i}] += x"]
+    return "\n".join(out) + "\n", {"GROUP": tuple(of_state)}
 
 
 def _groups(edge) -> list:

@@ -80,13 +80,16 @@ def generate(spec: GeneratorSpec) -> list:
             t = spec.alphabet.index(d.type_tag)
             mask = types[d.offset:] == t
             cols[d.attr][d.offset:][mask] = redraw[mask]
-    out = []
-    alphabet = spec.alphabet
-    for i in range(n):
-        out.append(DataElement(alphabet[types[i]], i, float(i),
-                               {nm: float(col[i])
-                                for nm, col in cols.items()}))
-    return out
+    # column-wise, as load_csv builds its elements: ``tolist`` gives the
+    # floats ``float(col[i])`` would
+    names = list(cols)
+    rows = zip(*[col.tolist() for col in cols.values()]) if names \
+        else repeat((), n)
+    with collector_paused():
+        return list(map(DataElement,
+                        map(spec.alphabet.__getitem__, types.tolist()),
+                        range(n), map(float, range(n)),
+                        map(dict, map(zip, repeat(names), rows))))
 
 
 def ds1_spec(n: int, seed: int, drifts=None) -> GeneratorSpec:

@@ -5,7 +5,8 @@ import pytest
 
 import oracle
 import randgen
-from matchshed.engine import Engine, LatencyMonitor, golden_run, measure
+from matchshed.engine import (Engine, LatencyMonitor, StepResult,
+                              golden_run, measure)
 from matchshed.model import (ConsumptionPolicy, DataElement, SelectionPolicy)
 from matchshed.parser import parse_pattern
 from matchshed.plan import compile_pattern, merge
@@ -174,34 +175,65 @@ def two_pass_measure(monitor, lat_sum, elapsed_ms, work_by_state, plan):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
 def test_measure_folds_as_the_two_pass_reference(alpha):
-    """On random work dicts of 0-4 states, psd 0 among them, with
+    """For 1 to 6 patterns (the generated fold is unrolled per pattern),
+    on random work dicts of 0-4 states, with psd-0 states, zero work and
     synthetic and arbitrary elapsed times, ``measure`` leaves
     ``latency_ms``, ``state_work`` and ``lat_sum`` bit for bit as the
     two-pass reference does, after every call."""
-    pats = [P(f"SEQ(A a, {t} b, C c) WITHIN 5", i)
-            for i, t in enumerate("BBDE")]
-    plan = merge(pats, mode="view")
     rng = np.random.default_rng(7)
-    for s in plan.states:
-        s.psd = int(rng.integers(0, 16))
-    plan.states[1].psd = 0
-    sids = range(len(plan.states))
-    got, want = LatencyMonitor(4, alpha=alpha), LatencyMonitor(4, alpha=alpha)
-    want_sum = [0.0] * 4
-    for t in range(3000):
-        k = int(rng.integers(0, 5))
-        work = {int(s): int(rng.integers(1, 50))
-                for s in rng.choice(sids, size=k, replace=False)}
-        elapsed = (0.01 * sum(work.values()) if t % 2 else
-                   float(rng.exponential(1.0)) * 10.0 ** rng.integers(-8, 4))
-        measure(got, elapsed, work, plan)
-        two_pass_measure(want, want_sum, elapsed, work, plan)
-        assert [x.hex() for x in got.latency_ms] == \
-            [x.hex() for x in want.latency_ms], t
-        assert [x.hex() for x in got.lat_sum] == \
-            [x.hex() for x in want_sum], t
-        assert got.state_work == want.state_work, t
-    assert alpha == 0 or all(got.lat_sum)
+    for n in range(1, 7):
+        pats = [P(f"SEQ(A a, {t} b, C c) WITHIN 5", i)
+                for i, t in enumerate("BBDEFG"[:n])]
+        plan = merge(pats, mode="view")
+        for s in plan.states:
+            s.psd = int(rng.integers(0, 1 << n))
+        plan.states[1].psd = 0
+        sids = range(len(plan.states))
+        got = LatencyMonitor(n, alpha=alpha)
+        want = LatencyMonitor(n, alpha=alpha)
+        want_sum = [0.0] * n
+        for t in range(2000):
+            k = int(rng.integers(0, 5))
+            most = 1 if t % 7 == 0 else 50   # every 7th element no work
+            work = {int(s): int(rng.integers(0, most))
+                    for s in rng.choice(sids, size=k, replace=False)}
+            elapsed = (0.01 * sum(work.values()) if t % 2 else
+                       float(rng.exponential(1.0))
+                       * 10.0 ** rng.integers(-8, 4))
+            measure(got, elapsed, work, plan)
+            two_pass_measure(want, want_sum, elapsed, work, plan)
+            assert [x.hex() for x in got.latency_ms] == \
+                [x.hex() for x in want.latency_ms], (n, t)
+            assert [x.hex() for x in got.lat_sum] == \
+                [x.hex() for x in want_sum], (n, t)
+            assert got.state_work == want.state_work, (n, t)
+        assert alpha == 0 or all(got.lat_sum), n
+
+
+def test_measure_reads_the_monitor_at_each_call():
+    """The fold is generated at the first call and reads the monitor's
+    lists, work counters and alpha at every call, so a caller may replace
+    them (``tests/test_selector.py::monitor_with`` does)."""
+    plan = merge([P("SEQ(A a, B b) WITHIN 5", 0),
+                  P("SEQ(A a, C c) WITHIN 5", 1)])
+    shared = plan.states[1]   # A
+    assert shared.psd == 0b11
+    mon = LatencyMonitor(2, alpha=0.5)
+    measure(mon, 4.0, {shared.state_id: 2}, plan)
+    assert mon.latency_ms == [1.0, 1.0] and mon.lat_sum == [1.0, 1.0]
+    fold = mon.fold
+    mon.latency_ms = [10.0, 20.0]
+    mon.lat_sum = [100.0, 0.0]
+    mon.state_work = {}
+    mon.alpha = 0.25
+    measure(mon, 4.0, {shared.state_id: 2}, plan)
+    assert mon.fold is fold
+    assert mon.latency_ms == [8.0, 15.5]
+    assert mon.lat_sum == [108.0, 15.5]
+    assert mon.state_work == {shared.state_id: 2}
+    measure(mon, 4.0, {}, plan)
+    assert mon.latency_ms == [8.0, 15.5]
+    assert mon.lat_sum == [116.0, 31.0]
 
 
 def test_deterministic_emission_order():
@@ -334,3 +366,45 @@ def test_nan_trig_or_root_argument_is_a_domain_error(guard):
     # the A with x=1e200 faults against both Bs
     assert emitted == [(2, 3)]
     assert eng.diag.domain_error == 2
+
+
+@pytest.mark.parametrize("text", [
+    "SEQ(A a, !C c, B b) WITHIN 8",
+    "SEQ(A a, !C c, B b) WHERE c.x > a.x WITHIN 8",
+    "SEQ(A a, !C c, B b) WHERE SAME [ID] WITHIN 8",
+    "SEQ(A a, B+ b[], !C c, D d) WITHIN 8"])
+def test_negated_type_without_an_edge_still_blocks(text):
+    """A negated type that triggers no edge gets a sweep of its own that
+    only appends to its history, and the gap checks read it."""
+    pat = P(text)
+    eng = Engine(compile_pattern(pat))
+    assert "'C', history only" in eng.source
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        stream = [el(str(rng.choice(list("ABCD"))), i,
+                     x=int(rng.integers(0, 4)), ID=int(rng.integers(1, 3)))
+                  for i in range(int(rng.integers(10, 40)))]
+        for sel in POLICIES:
+            assert run_policy(stream, pat, sel) == \
+                oracle_for(stream, pat, sel), (sel, trial)
+    if "b[]" not in text:
+        a, c, b = el("A", 0, x=1), el("C", 1, x=3), el("B", 2)
+        assert run_policy([a, b], pat, SelectionPolicy.SKIP_TILL_ANY) == \
+            {(0, 2)}
+        assert run_policy([a, c, b], pat,
+                          SelectionPolicy.SKIP_TILL_ANY) == set()
+
+
+def test_step_result_fields():
+    """``StepResult`` is a slotted dataclass; perfbench reads ``work`` and
+    ``new_pms`` by name."""
+    assert [f.name for f in dataclasses.fields(StepResult)] == \
+        ["new_pms", "complete", "work", "match_keys"]
+    eng = Engine(compile_pattern(P("SEQ(A a, B b) WITHIN 5")))
+    res = eng.step(el("A", 0))
+    assert not hasattr(res, "__dict__")
+    assert (len(res.new_pms), res.complete, res.match_keys) == (1, [], [])
+    assert sum(res.work.values()) == 2
+    res = eng.step(el("B", 1))
+    assert [r.seq_tuple() for _, r in res.complete] == res.match_keys == \
+        [(0, 1)]

@@ -105,6 +105,28 @@ def test_config_validation():
         cfg(cost_mode="guesswork")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("expire_every", 0), ("expire_every", -16), ("expire_every", 2.5),
+    ("theta", "lenght"), ("alpha", 1.5), ("alpha", -0.1),
+    ("alpha", float("nan")), ("epoch_len", -5), ("epoch_len", 2.5),
+    ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan"))])
+def test_config_rejects_knobs_that_break_a_run(field, value):
+    """Values that crashed a run (``expire_every=0`` divides by zero in
+    the golden pass), ran silently as something else (a misspelt theta
+    ran as ``constant``) or broke it (an EWMA that over-corrects, a decay
+    at every element, negative latencies that never trigger)."""
+    with pytest.raises(ValueError, match=field):
+        cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("expire_every", 1), ("theta", "length"), ("alpha", 0.0), ("alpha", 1.0),
+    ("epoch_len", 0), ("epoch_len", None), ("epoch_len", 250),
+    ("cost_unit", 1e-6)])
+def test_config_accepts_knobs_at_their_limits(field, value):
+    assert getattr(cfg(**{field: value}), field) == value
+
+
 @pytest.mark.parametrize("bounds", [
     [0.01], [0.01, 0.01, 0.01], [], [0.0, 1.0], [1.0, -2.0],
     [float("nan"), 1.0], [1.0, float("nan")]])

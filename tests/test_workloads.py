@@ -324,3 +324,56 @@ def test_write_csv_rejects_other_attribute_names(tmp_path, attrs):
     with pytest.raises(ValueError, match=r"element 2 has attributes"):
         wl.write_csv(s, p)
     assert not os.path.exists(p)
+
+
+def row_loop_generate(spec):
+    """The per-row generator that the column-wise build replaced, kept as
+    the reference for its output."""
+    n = spec.count
+    rngs = wl._substreams(spec)
+    types = rngs["type"].integers(0, len(spec.alphabet), size=n)
+    cols = {nm: wl._draw(rngs[nm], dist, n)
+            for nm, dist in sorted(spec.attrs.items())}
+    for d in spec.drifts:
+        redraw = np.random.default_rng(
+            np.random.SeedSequence([spec.seed, d.offset,
+                                    *map(ord, d.attr)])).uniform(
+            d.low, d.high, size=n - d.offset)
+        if d.type_tag is None:
+            cols[d.attr][d.offset:] = redraw
+        else:
+            t = spec.alphabet.index(d.type_tag)
+            mask = types[d.offset:] == t
+            cols[d.attr][d.offset:][mask] = redraw[mask]
+    return [DataElement(spec.alphabet[types[i]], i, float(i),
+                        {nm: float(col[i]) for nm, col in cols.items()})
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("spec", [
+    wl.ds1_spec(3000, seed=4, drifts=[
+        wl.Drift(1200, "v", 1.0, 10.0),
+        wl.Drift(700, "ID", 2.0, 5.0, type_tag="D")]),
+    wl.ds2_spec(2000, seed=8, drifts=[wl.Drift(0, "x", -1.0, 1.0,
+                                               type_tag="B")]),
+    wl.ds2_spec(0, seed=1),
+    wl.GeneratorSpec(alphabet=("A", "B"), attrs={}, count=50, seed=2)],
+    ids=["ds1-drifts", "ds2-typed-drift", "empty", "no-attributes"])
+def test_generate_matches_row_loop(spec):
+    """The column-wise build gives the row loop's elements bit for bit,
+    drifted columns, seq and type of every value included."""
+    got = wl.generate(spec)
+    want = row_loop_generate(spec)
+    assert len(got) == spec.count
+    assert element_bits(got) == element_bits(want)
+    assert [type(d.seq_index) for d in got] == [int] * spec.count
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_generate_restores_collector_state(was_on):
+    (gc.enable if was_on else gc.disable)()
+    try:
+        assert len(wl.gen_ds2(100, seed=1)) == 100
+        assert gc.isenabled() is was_on
+    finally:
+        gc.enable()
