@@ -17,6 +17,12 @@ history and recover from distribution drift.  The epoch defaults to the
 largest count window; a plan with only time windows has none, and its
 sketch never decays.
 
+Each credited record holds its entry (``MatchRecord.entry``), so a
+guided reduction reads a PM's counters without rebuilding its key or
+looking it up.  That is sound only while entries are never deleted or
+replaced: a sketch that evicts entries must clear the records' ``entry``
+too.
+
 The runner keeps the sketch only where it is read: in guided runs, whose
 selection ranks PMs by it, and in runs that write ``sketch.csv``.  Other
 runs never credit, decay or read it.
@@ -36,7 +42,14 @@ def theta_constant(pm: MatchRecord) -> float:
 
 
 def theta_length(pm: MatchRecord) -> float:
-    return float(len(pm.elements()))
+    """The number of bound elements, ``len(pm.elements())``, counted
+    from the slots: one per slot, plus a Kleene tuple's length less one."""
+    slots = pm.slots
+    n = len(slots)
+    for s in slots:
+        if isinstance(s, tuple):
+            n += len(s) - 1
+    return float(n)
 
 
 @dataclass
@@ -92,7 +105,8 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     ``cm_pids`` lists the patterns for which the match was emitted
     complete; its pattern_bits say which patterns it serves as a PM.
     Each generator's counters get one ``+= 1`` per credited pattern, in
-    ascending pattern order, so counters stay bit-identical after decays.
+    ascending pattern order, so counters stay bit-identical after decays,
+    and each generator's ``entry`` is set to the entry it credited.
     A record's key is derived from its parent's when the parent has one,
     so ``attr_key`` reads elements only for start records.
     """
@@ -114,6 +128,7 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
         entry = table.get(k)
         if entry is None:
             entry = table[k] = SketchEntry(n)
+        rho.entry = entry
         pn = entry.pn
         for i in idx:
             pn[i] += 1

@@ -34,6 +34,9 @@ class ClusterIndex:
         for s in plan.states:
             if s.state_id != plan.start_id:
                 self.states.setdefault(s.psd, []).append(s)
+        # theta -> (walk, drain), generated at the first guided reduction
+        # (``selector.generate``)
+        self.kernels = {}
 
     def insert(self, pm: MatchRecord):
         """A no-op, kept because acceptance check 2 calls it and perfbench

@@ -16,80 +16,182 @@ Infeasible PMs are discarded immediately (tombstoned); skipping them
 cannot hurt later candidates because spend only grows.
 
 Cost of a reduction: one walk over the live PMs of the clusters that
-serve an overloaded pattern.  ``budgets`` makes it, and per PM reads
-the key once, calls theta once, adds the overhead to T_i and builds the
-rank tuple; each distinct sketch key is read once (its contribution sum
-and its pn counters).  The budgets it returns carry the walk, so
-``select`` only sorts each cluster's ranks once and drains them; every
-other cluster is counted kept from its states' live counts.  A cluster
-is read from its states' buffers (``psd.ClusterIndex``)."""
+serve an overloaded pattern, one sort per such cluster and one drain.
+Walk and drain are Python source generated per cluster index and theta
+(``generate``), at the index's first guided reduction, and unrolled
+over its clusters and patterns: totals and spend are locals, a flag per
+pattern says whether it is budgeted, a cluster of one pattern tests no
+pattern bits, and under ``theta_constant`` theta is neither called nor
+multiplied by.  ``budgets`` walks: per PM it reads the sketch entry the
+record holds (``MatchRecord.entry``; the table's for a record never
+credited), calls theta once, adds the overhead to T_i and builds the
+rank tuple.  The budgets it returns carry the walk, so ``select`` only
+sorts each cluster's ranks once and drains them, tombstoning in place;
+every other cluster is counted kept from its states' live counts.  A
+cluster is read from its states' buffers (``psd.ClusterIndex``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import cost
-from .model import render_bitmap
+from . import cost, sweep
+from .model import pattern_bit, render_bitmap
 from .psd import ClusterIndex
+
+
+_PAIRS = {}  # n -> ((i, bit of pattern i) for each of n patterns)
+
+
+def _pairs(n: int) -> tuple:
+    _PAIRS[n] = pairs = tuple((i, pattern_bit(i, n)) for i in range(n))
+    return pairs
 
 
 def trigger(monitor, bounds) -> int:
     """Overload label: bit i set when l_i >= L_i."""
-    n = monitor.n
+    lat = monitor.latency_ms
     b = 0
-    for i in range(n):
-        if monitor.latency_ms[i] >= bounds[i]:
-            b |= 1 << (n - i - 1)
+    # runs on every element: the bits come from a memo, one read per call
+    for i, bit in _PAIRS.get(monitor.n) or _pairs(monitor.n):
+        if lat[i] >= bounds[i]:
+            b |= bit
     return b
 
 
-def _walk(index: ClusterIndex, sketch, theta, b_ol: int, budgeted):
-    """One pass over the live PMs of the clusters meeting ``b_ol``.
+def generate(index: ClusterIndex, theta) -> tuple:
+    """The source of the reduction kernel of ``index`` under ``theta``
+    and the namespace to run it in.  It defines two functions, unrolled
+    over the clusters (``c<j>`` in ``index.states`` order) and patterns:
 
-    Returns ``(ranks, totals)``.  ``ranks`` maps each such cluster to one
-    row per live member, ``(-contribution, first_ts, first_seq, last_seq,
-    position, pm, pn, theta(pm), idx)``, where ``idx`` lists the patterns
-    of ``budgeted`` the PM serves.  ``totals[i]`` sums ``pn_i * theta(pm)``
-    over those PMs serving pattern i whose key the sketch has seen, in
-    cluster order: clusters as in ``index.states``, each state's buffer in
-    order.
-    """
+    * ``walk(sketch, b_ol, flags)`` visits the live PMs of each cluster
+      meeting ``b_ol``, state by state, each state's buffer in order, and
+      returns ``(ranks, totals)``: one list of rows per cluster, ``(-sum
+      of cn, first_ts, first_seq, last_seq, position, pm, pn, theta)``,
+      and per pattern i the sum of ``pn_i * theta`` over the PMs with an
+      entry that serve i, where ``flags[i]`` says i is budgeted.  A PM's
+      entry is ``pm.entry`` or, if never credited, the table's; without
+      one it ranks at -0.0 and its pn is ``ZEROS``.
+    * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
+      ``b_ol`` kept from their states' live counts, then sorts and drains
+      the ranked clusters in descending psd value, tombstoning a PM as
+      ``ExecutionPlan.discard`` does once a budgeted pattern it serves
+      would pass its limit; it returns ``(kept, discarded, spend)``.
+
+    Under ``theta_constant`` the rows leave out theta, which would
+    multiply by 1.0; a cluster of one pattern tests no pattern bits."""
     n = index.n
-    table = sketch.table
-    zeros = (0.0,) * n
-    reads = {}   # key -> (-contribution sum, pn)
-    idx_of = {}  # pattern_bits -> budgeted patterns it serves
-    totals = [0.0] * n
-    ranks = {}
-    for b, states in index.states.items():
-        if not b & b_ol:
-            continue
-        rows = ranks[b] = []
-        for s in states:
-            for pm in s.buffer:
-                if not pm.alive:
-                    continue
-                k = pm.key or cost.attr_key(sketch, pm)
-                read = reads.get(k)
-                if read is None:
-                    entry = table.get(k)
-                    read = reads[k] = ((-sum(entry.cn), entry.pn)
-                                       if entry is not None else (-0.0, zeros))
-                bits = pm.pattern_bits
-                idx = idx_of.get(bits)
-                if idx is None:
-                    idx = idx_of[bits] = tuple(
-                        i for i in sketch.pattern_indices(bits)
-                        if i in budgeted)
-                pn = read[1]
-                t = theta(pm)
-                if pn is not zeros:
-                    for i in idx:
-                        totals[i] += pn[i] * t
-                # the position is unique, so the sort never compares pm
-                rows.append((read[0], pm.first_ts, pm.first_seq,
-                             pm.last_seq, len(rows), pm, pn, t, idx))
-    return ranks, totals
+    plan = index.plan
+    const = theta is cost.theta_constant
+    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "STATES": plan.states,
+          "attr_key": cost.attr_key}
+    clusters = list(index.states.items())
+    pats = [tuple(i for i in range(n) if b & pattern_bit(i, n))
+            for b, _ in clusters]
+    for _, states in clusters:
+        ns.update((f"S{s.state_id}", s) for s in states)
+    k = len(clusters)
+
+    def names(fmt, count=n):
+        """``fmt`` formatted with 0 .. count-1, comma separated; a
+        trailing comma after a single name makes a one-tuple target."""
+        return ", ".join(map(fmt.format, range(count))) \
+            + ("," if count == 1 else "")
+
+    def served(i, single):
+        """The test that a PM serves budgeted pattern i."""
+        return f"u{i}" if single else f"u{i} and bits & {pattern_bit(i, n)}"
+
+    cost_of = "pn[{0}]" if const else "pn[{0}] * t"
+    row = ", pm.first_ts, pm.first_seq, pm.last_seq, len(rows), pm, {}" \
+        + ("" if const else ", t")
+    out = ["def walk(sketch, b_ol, flags):",
+           "    table = sketch.table",
+           f"    {names('u{}')} = flags",
+           "    " + " = ".join(map("tot{}".format, range(n))) + " = 0.0"]
+    out += [f"    r{j} = []" for j in range(k)]
+    for j, (b, states) in enumerate(clusters):
+        single = len(pats[j]) == 1
+        out += [f"    if b_ol & {b}:  # c{j} {render_bitmap(b, n)}",
+                f"        rows = r{j}"]
+        if len(states) == 1:
+            out.append(f"        for pm in S{states[0].state_id}.buffer:")
+            pad = " " * 12
+        else:
+            out += ["        for buf in " + ", ".join(
+                        f"S{s.state_id}.buffer" for s in states) + ":",
+                    "            for pm in buf:"]
+            pad = " " * 16
+        body = ["if not pm.alive:",
+                "    continue",
+                "e = pm.entry",
+                "if e is None:",
+                "    e = table.get(pm.key or attr_key(sketch, pm))"]
+        if not const:
+            body.append("t = THETA(pm)")
+        body += ["if e is None:",
+                 "    rows.append((-0.0" + row.format("ZEROS") + "))",
+                 "    continue",
+                 "pn = e.pn"]
+        if not single:
+            body.append("bits = pm.pattern_bits")
+        for i in pats[j]:
+            body += [f"if {served(i, single)}:",
+                     f"    tot{i} += " + cost_of.format(i)]
+        body.append("rows.append((-sum(e.cn)" + row.format("pn") + "))")
+        out += [pad + line for line in body]
+    out += [f"    return ({names('r{}', k)}), ({names('tot{}')})", ""]
+
+    unpack = "_, _, _, _, _, pm, pn" + ("" if const else ", t")
+    out += ["def drain(ranks, b_ol, flags, limits):",
+            f"    {names('u{}')} = flags",
+            f"    {names('lim{}')} = limits",
+            f"    {names('r{}', k)} = ranks",
+            "    " + " = ".join(map("sp{}".format, range(n))) + " = 0.0",
+            "    kept = discarded = 0"]
+    for j, (b, states) in enumerate(clusters):
+        out += [f"    if not b_ol & {b}:",
+                "        kept += " + " + ".join(f"S{s.state_id}.live"
+                                                for s in states)]
+    for j in sorted(range(k), key=lambda j: -clusters[j][0]):
+        b, states = clusters[j]
+        single = len(pats[j]) == 1
+        live = (f"S{states[0].state_id}.live" if len(states) == 1
+                else "STATES[pm.state_id].live")
+        over = "\n                    or ".join(
+            f"{served(i, single)} and sp{i} + " + cost_of.format(i)
+            + f" > lim{i}" for i in pats[j])
+        out += [f"    if r{j}:  # c{j} {render_bitmap(b, n)}",
+                f"        r{j}.sort()",
+                f"        for {unpack} in r{j}:",
+                "            if not pm.alive:",
+                "                continue"]
+        if not single:
+            out.append("            bits = pm.pattern_bits")
+        if len(pats[j]) > 1:
+            over = f"({over})"
+        out += [f"            if {over}:",
+                "                pm.alive = False",
+                f"                {live} -= 1",
+                "                discarded += 1",
+                "                continue"]
+        for i in pats[j]:
+            out += [f"            if {served(i, single)}:",
+                    f"                sp{i} += " + cost_of.format(i)]
+        out.append("            kept += 1")
+    out.append(f"    return kept, discarded, ({names('sp{}')})")
+    return "\n".join(out) + "\n", ns
+
+
+def _kernel(index: ClusterIndex, theta) -> tuple:
+    """``(walk, drain)`` of ``index`` under ``theta``, generated at the
+    first reduction that asks for them."""
+    kernel = index.kernels.get(theta)
+    if kernel is None:
+        source, ns = generate(index, theta)
+        sweep.load(source, ns, index, f"reduction {len(index.kernels)}")
+        # no cycle: the functions leave the globals they run in
+        kernel = index.kernels[theta] = (ns.pop("walk"), ns.pop("drain"))
+    return kernel
 
 
 class Budgets(dict):
@@ -118,10 +220,11 @@ def budgets(index: ClusterIndex, sketch, monitor, bounds,
     """
     n = monitor.n
     lat = monitor.latency_ms
-    over = [i for i in range(n) if lat[i] >= bounds[i] and lat[i] > 0]
-    over_bits = sum(1 << (n - i - 1) for i in over)
-    ranks, totals = _walk(index, sketch, theta, over_bits, over)
-    out = Budgets((i, (bounds[i] / lat[i]) * totals[i]) for i in over)
+    flags = [lat[i] >= bounds[i] and lat[i] > 0 for i in range(n)]
+    over_bits = sum(1 << (n - i - 1) for i in range(n) if flags[i])
+    ranks, totals = _kernel(index, theta)[0](sketch, over_bits, flags)
+    out = Budgets((i, (bounds[i] / lat[i]) * totals[i])
+                  for i in range(n) if flags[i])
     out.walk = (index, sketch, over_bits, theta, ranks)
     return out
 
@@ -171,39 +274,18 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
     """
     n = index.n
     audit = SelectionAudit(ts=now_ts, b_ol=b_ol, budget=dict(budget_map))
-    walk = getattr(budget_map, "walk", None)
-    if walk is not None:
+    walk, drain = _kernel(index, theta)
+    flags = [i in budget_map for i in range(n)]
+    carried = getattr(budget_map, "walk", None)
+    if carried is not None:
         budget_map.walk = None  # one drain per walk
-    if walk is not None and walk[:4] == (index, sketch, b_ol, theta):
-        ranks = walk[4]
+    if carried is not None and carried[:4] == (index, sketch, b_ol, theta):
+        ranks = carried[4]
     else:
-        ranks = _walk(index, sketch, theta, b_ol, budget_map)[0]
-
-    for b, states in index.states.items():
-        if not b & b_ol:
-            audit.kept += sum(s.live for s in states)
-    spend = [0.0] * n
-    limit = [0.0] * n
+        ranks = walk(sketch, b_ol, flags)[0]
+    limits = [0.0] * n
     for i, budget in budget_map.items():
-        limit[i] = budget + 1e-12
-    discard = index.plan.discard
-    kept = discarded = 0
-    for b in sorted(ranks, reverse=True):
-        rows = ranks[b]
-        rows.sort()
-        for _, _, _, _, _, pm, pn, t, idx in rows:
-            if not pm.alive:
-                continue
-            for i in idx:
-                if spend[i] + pn[i] * t > limit[i]:
-                    discard(pm)
-                    discarded += 1
-                    break
-            else:
-                for i in idx:
-                    spend[i] += pn[i] * t
-                kept += 1
-    audit.kept += kept
-    audit.discarded = discarded
+        limits[i] = budget + 1e-12
+    audit.kept, audit.discarded, spend = drain(ranks, b_ol, flags, limits)
     audit.spend = {i: spend[i] for i in budget_map}
     return audit

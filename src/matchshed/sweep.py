@@ -38,7 +38,8 @@ state).
 
 ``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
 the plan's patterns (see its docstring).  ``load`` executes either
-module under a file name ``linecache`` knows.
+module, and the selector's reduction kernel (``selector.generate``),
+under a file name ``linecache`` knows.
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:

@@ -1,15 +1,20 @@
+import gc
 import heapq
+import linecache
+import weakref
 
 import numpy as np
 
+import randgen
 from matchshed import cost
-from matchshed.cost import Sketch, attr_key, estimate
+from matchshed import workloads as wl
+from matchshed.cost import Sketch, attr_key, estimate, sketch_update
 from matchshed.engine import Engine, LatencyMonitor
 from matchshed.model import DataElement, MatchRecord
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
 from matchshed.psd import assess
-from matchshed.selector import budgets, select, trigger
+from matchshed.selector import budgets, generate, select, trigger
 
 
 def P(text, pid=0):
@@ -329,3 +334,196 @@ def test_reused_or_stale_walk_selects_as_a_fresh_walk():
                                 hexes(a.spend), hexes(a.budget)))
                 results.append(out)
             assert results[0] == results[1], (seed, theta)
+
+
+# ---------------------------------------- generated reduction kernel
+
+def bit_loop_trigger(monitor, bounds):
+    """The overload label as one bit shift per pattern."""
+    n = monitor.n
+    b = 0
+    for i in range(n):
+        if monitor.latency_ms[i] >= bounds[i]:
+            b |= 1 << (n - i - 1)
+    return b
+
+
+def test_trigger_equals_the_bit_loop():
+    """On random latencies, latencies equal to their bound (ties) and NaN
+    in latencies or bounds."""
+    rng = np.random.default_rng(5)
+    nan = float("nan")
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        bounds = [float(rng.choice([0.5, 1.0, 2.0])) for _ in range(n)]
+        lat = []
+        for i in range(n):
+            r = rng.random()
+            lat.append(bounds[i] if r < 0.25 else nan if r < 0.35
+                       else float(rng.uniform(0, 3)))
+        if rng.random() < 0.1:
+            bounds[int(rng.integers(0, n))] = nan
+        mon = monitor_with(lat)
+        assert trigger(mon, bounds) == bit_loop_trigger(mon, bounds)
+
+
+def test_kernel_equals_reference_on_zero_negative_and_plain_budgets():
+    """Zero and negative budgets, under which even a PM without a sketch
+    entry (overhead 0) can be shed, a plain-dict map that also names
+    patterns outside b_OL and one that leaves patterns of b_OL out
+    select as the heap reference does."""
+    bounds = [10.0] * 3
+    shed_without_entry = 0
+    for theta in (cost.theta_constant, cost.theta_length):
+        for seed in range(60):
+            b_ol = trigger(random_scene(seed)[4], bounds) or 0b010
+            named = [i for i in range(3) if b_ol & (0b100 >> i)]
+            rng = np.random.default_rng(seed)
+            maps = ({i: 0.0 for i in named}, {i: -1.0 for i in named},
+                    {i: float(rng.integers(-1, 8)) for i in range(3)},
+                    {named[-1]: 0.0})
+            for budget_map in maps:
+                _, idx_new, sk_new, pms_new, _ = random_scene(seed)
+                _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
+                bare = [p for p in pms_new
+                        if p.alive and attr_key(sk_new, p) not in sk_new.table]
+                audit = select(idx_new, b_ol, budget_map, sk_new, theta)
+                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                    sk_ref, theta)
+                assert [p.alive for p in pms_new] == \
+                    [p.alive for p in pms_ref], (seed, theta, budget_map)
+                assert (audit.kept, audit.discarded) == (kept, discarded)
+                assert hexes(audit.spend) == hexes(spend)
+                shed_without_entry += sum(not p.alive for p in bare)
+    assert shed_without_entry > 0
+
+
+def engine_scene(seed):
+    """A plan of 1 to 6 random patterns (``randgen``) after a random
+    stream: the engine's records, most credited to the sketch (they hold
+    their entry), some never (read through the table, or without an
+    entry), with counters decayed along the way; random latencies."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    plan = merge([randgen.random_pattern(rng, "ABC", pid)
+                  for pid in range(n)])
+    sketch = Sketch(plan)
+    eng = Engine(plan)
+    for d in randgen.random_stream(rng, 80, "ABC"):
+        eng.expire(d.seq_index, d.timestamp)
+        res = eng.step(d)
+        cms = {}
+        for pid, r in res.complete:
+            cms.setdefault(id(r), []).append(pid)
+        for r in res.new_pms:
+            if rng.random() < 0.8:
+                sketch_update(sketch, r, cm_pids=cms.get(id(r), ()))
+        if d.seq_index % 30 == 29:
+            cost.decay(sketch)
+    monitor = monitor_with([float(rng.uniform(0, 20)) for _ in range(n)])
+    return plan, assess(plan), sketch, monitor
+
+
+def test_kernel_equals_reference_on_random_plans():
+    shed = 0
+    for theta in (cost.theta_constant, cost.theta_length):
+        for seed in range(90):
+            plan, index, sketch, mon = engine_scene(seed)
+            plan_ref, idx_ref, sk_ref, _ = engine_scene(seed)
+            bounds = [10.0] * plan.n
+            b_ol = trigger(mon, bounds)
+            if not b_ol:
+                continue
+            b = budgets(index, sketch, mon, bounds, theta)
+            assert hexes(b) == hexes(ref_budgets(idx_ref, sk_ref, mon, bounds,
+                                                 theta)), (seed, theta)
+            for scale in (1.0, 0.5):
+                budget_map = (b if scale == 1.0 else
+                              {i: v * scale for i, v in b.items()})
+                audit = select(index, b_ol, budget_map, sketch, theta)
+                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                    sk_ref, theta)
+                for state, twin in zip(plan.states, plan_ref.states):
+                    assert [r.alive for r in state.buffer] == \
+                        [r.alive for r in twin.buffer]
+                    assert state.live == twin.live
+                assert (audit.kept, audit.discarded) == (kept, discarded)
+                assert hexes(audit.spend) == hexes(spend)
+                shed += discarded
+    assert shed > 100
+
+
+def test_credited_records_hold_their_entry():
+    """After an engine run that credits every new record, across decays,
+    each record holds the entry its key names."""
+    credited = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        plan = merge([randgen.random_pattern(rng, "ABC", pid)
+                      for pid in range(1 + seed % 4)])
+        sketch = Sketch(plan)
+        eng = Engine(plan)
+        records = []
+        for d in randgen.random_stream(rng, 120, "ABC"):
+            eng.expire(d.seq_index, d.timestamp)
+            res = eng.step(d)
+            cms = {}
+            for pid, r in res.complete:
+                cms.setdefault(id(r), []).append(pid)
+            for r in res.new_pms:
+                sketch_update(sketch, r, cm_pids=cms.get(id(r), ()))
+            records += res.new_pms
+            if d.seq_index % 40 == 39:
+                cost.decay(sketch)
+        for r in records:
+            assert r.entry is sketch.table[r.key]
+        credited += len(records)
+    assert credited > 1000
+
+
+def test_generated_reduction_source():
+    """Under theta_constant theta is not called; only the cluster serving
+    two patterns reads pattern bits, once in the walk and once in the
+    drain."""
+    _, index, _ = two_pattern_setup()
+    const = generate(index, cost.theta_constant)[0]
+    length = generate(index, cost.theta_length)[0]
+    assert "THETA" not in const and "* t" not in const
+    assert length.count("t = THETA(pm)") == len(index.states)
+    for source in (const, length):
+        assert source.count("bits = pm.pattern_bits") == 2
+
+
+def test_deleted_index_leaves_no_cycle():
+    """A cluster index with generated kernels, for both thetas, goes by
+    reference counting once deleted, its kernels and their source in
+    ``linecache`` with it."""
+    plan = merge([P(wl.templates(window=200)[k], i)
+                  for i, k in enumerate(("P1", "P2", "P5", "P6"))])
+    index = assess(plan)
+    sketch = Sketch(plan)
+    eng = Engine(plan)
+    for d in wl.gen_ds2(1000, 3):
+        eng.expire(d.seq_index, d.timestamp)
+        for r in eng.step(d).new_pms:
+            sketch_update(sketch, r)
+    mon = monitor_with([1.0] * 4)
+    for theta in (cost.theta_constant, cost.theta_length):
+        select(index, 0b1111, budgets(index, sketch, mon, [0.5] * 4, theta),
+               sketch, theta)
+    kernels = [weakref.ref(f) for pair in index.kernels.values()
+               for f in pair]
+    assert len(kernels) == 4
+    files = [k for k in linecache.cache
+             if k.startswith("<matchshed reduction") and
+             k.endswith(f" {id(index):#x}>")]
+    assert len(files) == 2
+    gc.collect()
+    gc.disable()
+    try:
+        del index
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(k() is None for k in kernels)
+    assert not any(f in linecache.cache for f in files)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matchshed import cost, selector
 from matchshed import expr as ex
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
@@ -21,6 +22,7 @@ from matchshed.model import (DataElement, Pattern, PatternStep, StepKind,
                              Window, WindowKind)
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
+from matchshed.psd import assess
 from matchshed.runner import RunConfig, build_plan
 
 import oracle
@@ -263,9 +265,11 @@ def test_same_attribute_missing_raises(texts):
 
 def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     """``tools/sweep_source.py`` on the DS2 templates prints one sweep per
-    event type that triggers an edge, headed by that type."""
+    event type that triggers an edge, headed by that type, and ends with
+    the reduction kernel for the configuration's theta."""
     t = wl.templates(window=200)
-    config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")]}
+    config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")],
+              "theta": "length"}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     root = Path(__file__).resolve().parents[1]
@@ -278,3 +282,6 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     assert out.count("def sweep_") == len(types) == 6
     for i, ttype in enumerate(types):
         assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
+    kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))),
+                                  cost.theta_length)
+    assert out.endswith("\n# reduction kernel, theta='length'\n" + kernel)

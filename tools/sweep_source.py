@@ -1,5 +1,6 @@
 """Print the code generated for a run configuration: the sweep module of
-its Engine and the latency fold of its monitor.
+its Engine, the latency fold of its monitor and its guided-reduction
+kernel.
 
     PYTHONPATH=src python3 tools/sweep_source.py --config run.json
 
@@ -13,16 +14,21 @@ module's namespace (states, bucket dicts, masks, constants), not part
 of the text.  Then comes the ``fold`` that ``engine.measure`` runs for
 the plan, after a comment line that gives its ``GROUP`` table: state id
 -> the group of states whose psd names the same patterns, 0 for none.
+Last comes the reduction kernel that ``selector.budgets`` and
+``selector.select`` run for the plan's cluster index under the
+configuration's theta: ``walk`` and ``drain``, unrolled over the
+clusters (``c<j>``, commented with their psd) and patterns.  ``S<id>``
+is the state of that id, ``STATES`` the plan's state list.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from matchshed import sweep
+from matchshed import psd, selector, sweep
 from matchshed.engine import Engine
 from matchshed.model import ConsumptionPolicy, SelectionPolicy
-from matchshed.runner import RunConfig, build_plan
+from matchshed.runner import RunConfig, _theta_fn, build_plan
 
 
 def main(argv=None):
@@ -35,6 +41,9 @@ def main(argv=None):
     print(eng.source, end="")
     source, ns = sweep.generate_fold(eng.plan)
     print(f"\n# GROUP = {ns['GROUP']}")
+    print(source, end="")
+    source, _ = selector.generate(psd.assess(eng.plan), _theta_fn(cfg.theta))
+    print(f"\n# reduction kernel, theta={cfg.theta!r}")
     print(source, end="")
 
 
