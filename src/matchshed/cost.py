@@ -19,9 +19,11 @@ sketch never decays.
 
 Each credited record holds its entry (``MatchRecord.entry``), so a
 guided reduction reads a PM's counters without rebuilding its key or
-looking it up.  That is sound only while entries are never deleted or
-replaced: a sketch that evicts entries must clear the records' ``entry``
-too.
+looking it up.  An entry carries the tag of the sketch that made it
+(``SketchEntry.owner``), and a reduction against another sketch reads
+that sketch's table instead.  Holding entries is sound only while they
+are never deleted or replaced: a sketch that evicts entries must clear
+the records' ``entry`` too.
 
 The runner keeps the sketch only where it is read: in guided runs, whose
 selection ranks PMs by it, and in runs that write ``sketch.csv``.  Other
@@ -42,14 +44,7 @@ def theta_constant(pm: MatchRecord) -> float:
 
 
 def theta_length(pm: MatchRecord) -> float:
-    """The number of bound elements, ``len(pm.elements())``, counted
-    from the slots: one per slot, plus a Kleene tuple's length less one."""
-    slots = pm.slots
-    n = len(slots)
-    for s in slots:
-        if isinstance(s, tuple):
-            n += len(s) - 1
-    return float(n)
+    return float(len(pm.elements()))
 
 
 @dataclass
@@ -59,11 +54,12 @@ class CostVectors:
 
 
 class SketchEntry:
-    __slots__ = ("cn", "pn")
+    __slots__ = ("cn", "pn", "owner")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, owner=None):
         self.cn = [0.0] * n
         self.pn = [0.0] * n
+        self.owner = owner  # the ``Sketch.tag`` of the table holding it
 
 
 class Sketch:
@@ -72,6 +68,9 @@ class Sketch:
     def __init__(self, plan: ExecutionPlan):
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
+        # marks the entries this sketch credits, so a record's entry is
+        # read only by the sketch it came from (no reference back: no cycle)
+        self.tag = object()
         self._indices = {}  # pattern_bits -> pattern indices, ascending
         self.partition_attrs = tuple(sorted(
             {a for attrs in plan.same_attrs.values() for a in attrs}))
@@ -127,7 +126,7 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
                 k = attr_key(sketch, rho)
         entry = table.get(k)
         if entry is None:
-            entry = table[k] = SketchEntry(n)
+            entry = table[k] = SketchEntry(n, sketch.tag)
         rho.entry = entry
         pn = entry.pn
         for i in idx:

@@ -139,15 +139,11 @@ def build_plan(config: RunConfig):
 
 
 def shed_random_state(engine: Engine, rng, ratio: float) -> int:
-    """Tombstone a random fraction of live PMs; returns the count.  One
-    draw per live PM, in ``live_records`` order, all in one call: the
-    same doubles a scalar ``rng.random()`` per PM gives."""
-    live = list(engine.plan.live_records())
-    discard = engine.plan.discard
+    """Tombstone a random fraction of live PMs; returns the count."""
     dropped = 0
-    for rec, u in zip(live, rng.random(len(live)).tolist()):
-        if u < ratio:
-            discard(rec)
+    for rec in list(engine.plan.live_records()):
+        if rng.random() < ratio:
+            engine.plan.discard(rec)
             dropped += 1
     return dropped
 

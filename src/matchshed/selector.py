@@ -24,11 +24,12 @@ pattern says whether it is budgeted, a cluster of one pattern tests no
 pattern bits, and under ``theta_constant`` theta is neither called nor
 multiplied by.  ``budgets`` walks: per PM it reads the sketch entry the
 record holds (``MatchRecord.entry``; the table's for a record never
-credited), calls theta once, adds the overhead to T_i and builds the
-rank tuple.  The budgets it returns carry the walk, so ``select`` only
-sorts each cluster's ranks once and drains them, tombstoning in place;
-every other cluster is counted kept from its states' live counts.  A
-cluster is read from its states' buffers (``psd.ClusterIndex``)."""
+credited, or credited by another sketch), calls theta once, adds the
+overhead to T_i and builds the rank tuple.  The budgets it returns
+carry the walk, so ``select`` only sorts each cluster's ranks once and
+drains them, tombstoning in place; every other cluster is counted kept
+from its states' live counts.  A cluster is read from its states'
+buffers (``psd.ClusterIndex``)."""
 
 from __future__ import annotations
 
@@ -39,22 +40,13 @@ from .model import pattern_bit, render_bitmap
 from .psd import ClusterIndex
 
 
-_PAIRS = {}  # n -> ((i, bit of pattern i) for each of n patterns)
-
-
-def _pairs(n: int) -> tuple:
-    _PAIRS[n] = pairs = tuple((i, pattern_bit(i, n)) for i in range(n))
-    return pairs
-
-
 def trigger(monitor, bounds) -> int:
     """Overload label: bit i set when l_i >= L_i."""
-    lat = monitor.latency_ms
+    n = monitor.n
     b = 0
-    # runs on every element: the bits come from a memo, one read per call
-    for i, bit in _PAIRS.get(monitor.n) or _pairs(monitor.n):
-        if lat[i] >= bounds[i]:
-            b |= bit
+    for i in range(n):
+        if monitor.latency_ms[i] >= bounds[i]:
+            b |= 1 << (n - i - 1)
     return b
 
 
@@ -69,8 +61,9 @@ def generate(index: ClusterIndex, theta) -> tuple:
       of cn, first_ts, first_seq, last_seq, position, pm, pn, theta)``,
       and per pattern i the sum of ``pn_i * theta`` over the PMs with an
       entry that serve i, where ``flags[i]`` says i is budgeted.  A PM's
-      entry is ``pm.entry`` or, if never credited, the table's; without
-      one it ranks at -0.0 and its pn is ``ZEROS``.
+      entry is ``pm.entry`` if ``sketch`` made it and otherwise (never
+      credited, or credited by another sketch) the table's; without one
+      it ranks at -0.0 and its pn is ``ZEROS``.
     * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
       ``b_ol`` kept from their states' live counts, then sorts and drains
       the ranked clusters in descending psd value, tombstoning a PM as
@@ -106,6 +99,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
         + ("" if const else ", t")
     out = ["def walk(sketch, b_ol, flags):",
            "    table = sketch.table",
+           "    tag = sketch.tag",
            f"    {names('u{}')} = flags",
            "    " + " = ".join(map("tot{}".format, range(n))) + " = 0.0"]
     out += [f"    r{j} = []" for j in range(k)]
@@ -124,7 +118,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
         body = ["if not pm.alive:",
                 "    continue",
                 "e = pm.entry",
-                "if e is None:",
+                "if e is None or e.owner is not tag:",
                 "    e = table.get(pm.key or attr_key(sketch, pm))"]
         if not const:
             body.append("t = THETA(pm)")

@@ -198,25 +198,3 @@ def test_sketch_update_equals_chain_walk_reference():
             want = sk_ref.table[k]
             assert [c.hex() for c in e.cn] == [c.hex() for c in want.cn]
             assert [p.hex() for p in e.pn] == [p.hex() for p in want.pn]
-
-
-def test_theta_length_counts_the_bound_elements():
-    """Counted from the slots, theta_length gives the float that counting
-    ``elements()`` gives, over single and Kleene slots of random lengths."""
-    rng = np.random.default_rng(41)
-    for _ in range(300):
-        slots = []
-        seq = 0
-        for _ in range(int(rng.integers(1, 6))):
-            if rng.random() < 0.5:
-                run = int(rng.integers(1, 6))
-                slots.append(tuple(el("B", seq + j) for j in range(run)))
-                seq += run
-            else:
-                slots.append(el("A", seq))
-                seq += 1
-        first = slots[0][0] if isinstance(slots[0], tuple) else slots[0]
-        pm = MatchRecord(0b1, tuple(slots), 1, first.seq_index,
-                         first.timestamp, seq - 1)
-        want = float(len(pm.elements()))
-        assert cost.theta_length(pm).hex() == want.hex()

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import os
 
-import numpy as np
 import pytest
 
 from matchshed import cli, cost, runner, workloads as wl
@@ -88,36 +87,6 @@ def test_random_input_sheds_elements():
             stream)
     assert m.triggers > 0
     assert all(r < 1.0 for r in m.recall)
-
-
-def test_random_state_draws_as_one_scalar_per_live_record():
-    """One vector draw gives the doubles of one ``rng.random()`` per live
-    record, in ``live_records`` order, and an empty one consumes none."""
-    for seed in range(6):
-        engines = []
-        for _ in range(2):
-            eng = Engine(runner.build_plan(cfg()))
-            for d in small_stream(seed, 300):
-                eng.expire(d.seq_index, d.timestamp)
-                eng.step(d)
-            engines.append(eng)
-        new, ref = engines
-        assert ref.live_pm_count()
-        rng_new = np.random.default_rng(seed)
-        rng_ref = np.random.default_rng(seed)
-        for ratio in (0.3, 0.0, 0.7, 1.0, 0.5):
-            live = list(ref.plan.live_records())
-            dropped = 0
-            for rec in live:  # the scalar reference
-                if rng_ref.random() < ratio:
-                    ref.plan.discard(rec)
-                    dropped += 1
-            assert runner.shed_random_state(new, rng_new, ratio) == dropped
-            assert ([r.alive for s in new.plan.states for r in s.buffer]
-                    == [r.alive for s in ref.plan.states for r in s.buffer])
-        assert not ref.live_pm_count()
-        assert runner.shed_random_state(new, rng_new, 0.5) == 0
-        assert rng_new.random() == rng_ref.random()
 
 
 def test_rolling_recall_bucketing():

@@ -338,35 +338,6 @@ def test_reused_or_stale_walk_selects_as_a_fresh_walk():
 
 # ---------------------------------------- generated reduction kernel
 
-def bit_loop_trigger(monitor, bounds):
-    """The overload label as one bit shift per pattern."""
-    n = monitor.n
-    b = 0
-    for i in range(n):
-        if monitor.latency_ms[i] >= bounds[i]:
-            b |= 1 << (n - i - 1)
-    return b
-
-
-def test_trigger_equals_the_bit_loop():
-    """On random latencies, latencies equal to their bound (ties) and NaN
-    in latencies or bounds."""
-    rng = np.random.default_rng(5)
-    nan = float("nan")
-    for _ in range(3000):
-        n = int(rng.integers(1, 7))
-        bounds = [float(rng.choice([0.5, 1.0, 2.0])) for _ in range(n)]
-        lat = []
-        for i in range(n):
-            r = rng.random()
-            lat.append(bounds[i] if r < 0.25 else nan if r < 0.35
-                       else float(rng.uniform(0, 3)))
-        if rng.random() < 0.1:
-            bounds[int(rng.integers(0, n))] = nan
-        mon = monitor_with(lat)
-        assert trigger(mon, bounds) == bit_loop_trigger(mon, bounds)
-
-
 def test_kernel_equals_reference_on_zero_negative_and_plain_budgets():
     """Zero and negative budgets, under which even a PM without a sketch
     entry (overhead 0) can be shed, a plain-dict map that also names
@@ -479,6 +450,49 @@ def test_credited_records_hold_their_entry():
             assert r.entry is sketch.table[r.key]
         credited += len(records)
     assert credited > 1000
+
+
+def test_kernel_reads_the_sketch_it_is_given():
+    """Records hold entries of two sketches; budgets and select against
+    the second read its counters, as the reference does, not the
+    entries the first sketch left on the records."""
+    foreign = 0
+    for seed in range(40):
+        scenes = []
+        for _ in range(2):
+            plan, index, sketch, mon = engine_scene(seed)
+            rng = np.random.default_rng(1000 + seed)
+            other = Sketch(plan)
+            live = [r for s in plan.states for r in s.buffer if r.alive]
+            for r in live:
+                if rng.random() < 0.6:
+                    sketch_update(other, r,
+                                  cm_pids=(0,) if rng.random() < 0.5 else ())
+            for r in live:
+                if rng.random() < 0.3:
+                    sketch_update(sketch, r)
+            scenes.append((plan, index, sketch, other, mon, live))
+        plan, index, sketch, other, mon, live = scenes[0]
+        plan_ref, idx_ref, _, other_ref, _, _ = scenes[1]
+        foreign += sum(r.entry is not None and r.entry.owner is sketch.tag
+                       for r in live)
+        bounds = [10.0] * plan.n
+        b_ol = trigger(mon, bounds)
+        if not b_ol:
+            continue
+        b = budgets(index, other, mon, bounds)
+        assert hexes(b) == hexes(ref_budgets(idx_ref, other_ref, mon,
+                                             bounds)), seed
+        audit = select(index, b_ol, {i: v * 0.5 for i, v in b.items()},
+                       other)
+        kept, discarded, spend = ref_select(
+            idx_ref, b_ol, {i: v * 0.5 for i, v in b.items()}, other_ref)
+        for state, twin in zip(plan.states, plan_ref.states):
+            assert [r.alive for r in state.buffer] == \
+                [r.alive for r in twin.buffer]
+        assert (audit.kept, audit.discarded) == (kept, discarded)
+        assert hexes(audit.spend) == hexes(spend)
+    assert foreign > 100
 
 
 def test_generated_reduction_source():
