@@ -17,13 +17,13 @@ history and recover from distribution drift.  The epoch defaults to the
 largest count window; a plan with only time windows has none, and its
 sketch never decays.
 
-Each credited record holds its entry (``MatchRecord.entry``), so a
-guided reduction reads a PM's counters without rebuilding its key or
-looking it up.  An entry carries the tag of the sketch that made it
-(``SketchEntry.owner``), and a reduction against another sketch reads
-that sketch's table instead.  Holding entries is sound only while they
-are never deleted or replaced: a sketch that evicts entries must clear
-the records' ``entry`` too.
+A record reaches its counters only through the entry it holds
+(``MatchRecord.entry``), set when it is first credited; a record never
+credited estimates at zero.  An entry holds its key, so a child's key is
+its parent's with the child's state, and a credit looks up only records
+not credited before.  The records of one plan are credited by one sketch.
+Holding entries is sound only while they are never deleted or replaced:
+a sketch that evicts entries must clear the records' ``entry`` too.
 
 The runner keeps the sketch only where it is read: in guided runs, whose
 selection ranks PMs by it, and in runs that write ``sketch.csv``.  Other
@@ -54,12 +54,12 @@ class CostVectors:
 
 
 class SketchEntry:
-    __slots__ = ("cn", "pn", "owner")
+    __slots__ = ("cn", "pn", "key")
 
-    def __init__(self, n: int, owner=None):
+    def __init__(self, n: int, key=None):
         self.cn = [0.0] * n
         self.pn = [0.0] * n
-        self.owner = owner  # the ``Sketch.tag`` of the table holding it
+        self.key = key  # the table key naming it
 
 
 class Sketch:
@@ -68,9 +68,6 @@ class Sketch:
     def __init__(self, plan: ExecutionPlan):
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
-        # marks the entries this sketch credits, so a record's entry is
-        # read only by the sketch it came from (no reference back: no cycle)
-        self.tag = object()
         self._indices = {}  # pattern_bits -> pattern indices, ascending
         self.partition_attrs = tuple(sorted(
             {a for attrs in plan.same_attrs.values() for a in attrs}))
@@ -87,13 +84,11 @@ class Sketch:
 
 def attr_key(sketch: Sketch, pm: MatchRecord):
     """Stable key: (state_id, partition attribute values of the first
-    element).  Cached on the record."""
-    if pm.key is None:
-        first = pm.slots[0]
-        el = first[0] if isinstance(first, tuple) else first
-        pm.key = (pm.state_id,) + tuple(el.attrs.get(a)
-                                        for a in sketch.partition_attrs)
-    return pm.key
+    element)."""
+    first = pm.slots[0]
+    el = first[0] if isinstance(first, tuple) else first
+    return (pm.state_id,) + tuple(el.attrs.get(a)
+                                  for a in sketch.partition_attrs)
 
 
 def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
@@ -104,10 +99,11 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     ``cm_pids`` lists the patterns for which the match was emitted
     complete; its pattern_bits say which patterns it serves as a PM.
     Each generator's counters get one ``+= 1`` per credited pattern, in
-    ascending pattern order, so counters stay bit-identical after decays,
-    and each generator's ``entry`` is set to the entry it credited.
-    A record's key is derived from its parent's when the parent has one,
-    so ``attr_key`` reads elements only for start records.
+    ascending pattern order, so counters stay bit-identical after decays.
+    A generator credited before is credited through its ``entry``; any
+    other is looked up once and its ``entry`` set.  Its key is derived
+    from its parent's entry when the parent has one, so ``attr_key``
+    reads elements only for start records.
     """
     n = sketch.n
     table = sketch.table
@@ -115,19 +111,19 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     gens = None if generators is None else iter(generators)
     rho = new_match if gens is None else next(gens, None)
     while rho is not None:
-        k = rho.key
-        if k is None:
+        entry = rho.entry
+        if entry is None:
             # a child keeps its parent's first element, so its key is the
             # parent's with its own state
             parent = rho.parent
-            if parent is not None and parent.key is not None:
-                k = rho.key = (rho.state_id,) + parent.key[1:]
+            if parent is not None and parent.entry is not None:
+                k = (rho.state_id,) + parent.entry.key[1:]
             else:
                 k = attr_key(sketch, rho)
-        entry = table.get(k)
-        if entry is None:
-            entry = table[k] = SketchEntry(n, sketch.tag)
-        rho.entry = entry
+            entry = table.get(k)
+            if entry is None:
+                entry = table[k] = SketchEntry(n, k)
+            rho.entry = entry
         pn = entry.pn
         for i in idx:
             pn[i] += 1
@@ -139,7 +135,9 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
 
 
 def estimate(sketch: Sketch, pm: MatchRecord, theta=theta_constant) -> CostVectors:
-    entry = sketch.table.get(attr_key(sketch, pm))
+    """The counters of ``pm``'s entry, overhead scaled by ``theta``; zeros
+    for a record never credited."""
+    entry = pm.entry
     if entry is None:
         z = [0.0] * sketch.n
         return CostVectors(z, list(z))

@@ -109,14 +109,14 @@ class MatchRecord:
     ``slots`` holds one entry per bound positional step: a DataElement for
     single steps, a tuple of DataElements for Kleene steps.  ``pattern_bits``
     is the n-bit membership of patterns this record can still serve.
-    ``key`` and ``entry`` are the record's sketch key and its
-    ``cost.SketchEntry``, set by the cost module: ``entry`` once the
-    record is credited, and valid only while the sketch never deletes or
-    replaces an entry, so an eviction of entries must clear it.
+    ``entry`` is the record's ``cost.SketchEntry``, its only link to its
+    cost counters: set by ``cost.sketch_update`` once the record is
+    credited, and valid only while the sketch never deletes or replaces
+    an entry, so an eviction of entries must clear it.
     """
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",
-                 "last_seq", "parent", "alive", "key", "entry")
+                 "last_seq", "parent", "alive", "entry")
 
     def __init__(self, pattern_bits: int, slots: tuple, state_id: int,
                  first_seq: int, first_ts: float, last_seq: int,
@@ -129,7 +129,6 @@ class MatchRecord:
         self.last_seq = last_seq
         self.parent = parent
         self.alive = True
-        self.key = None  # filled by the cost module on first use
         self.entry = None  # filled by cost.sketch_update
 
     def elements(self) -> list:

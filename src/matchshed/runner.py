@@ -80,9 +80,10 @@ class RunConfig:
             raise ValueError("cost_unit must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if not (isinstance(self.expire_every, Integral)
-                and self.expire_every >= 1):
-            raise ValueError("expire_every must be an integer >= 1")
+        for knob in ("expire_every", "select_every"):
+            v = getattr(self, knob)
+            if not (isinstance(v, Integral) and v >= 1):
+                raise ValueError(f"{knob} must be an integer >= 1")
         if self.epoch_len is not None and not (
                 isinstance(self.epoch_len, Integral) and self.epoch_len >= 0):
             raise ValueError("epoch_len must be None or an integer >= 0")
@@ -320,11 +321,10 @@ def _main_loop(config: RunConfig, stream: list):
                     if strategy == "guided" and reduce_now:
                         last_select = seq
                         engine.expire(seq, d.timestamp)
-                        budget_map = selector.budgets(index, sketch,
-                                                      monitor, bounds, theta)
-                        audit = selector.select(
-                            index, b_ol, budget_map, sketch, theta,
-                            now_ts=d.timestamp)
+                        budget_map = selector.budgets(index, monitor,
+                                                      bounds, theta)
+                        audit = selector.select(index, b_ol, budget_map,
+                                                theta, now_ts=d.timestamp)
                         audits.append(audit)
                         engine.counters.pms_shed += audit.discarded
                     elif strategy == "random-state" and reduce_now:

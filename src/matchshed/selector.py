@@ -23,12 +23,12 @@ over its clusters and patterns: totals and spend are locals, a flag per
 pattern says whether it is budgeted, a cluster of one pattern tests no
 pattern bits, and under ``theta_constant`` theta is neither called nor
 multiplied by.  ``budgets`` walks: per PM it reads the sketch entry the
-record holds (``MatchRecord.entry``; the table's for a record never
-credited, or credited by another sketch), calls theta once, adds the
-overhead to T_i and builds the rank tuple.  The budgets it returns
-carry the walk, so ``select`` only sorts each cluster's ranks once and
-drains them, tombstoning in place; every other cluster is counted kept
-from its states' live counts.  A cluster is read from its states'
+record holds (``MatchRecord.entry``, none for a record never credited),
+calls theta once, adds the overhead to T_i and builds the rank tuple;
+it reads no sketch.  The budgets it returns carry the walk, so
+``select`` only sorts each cluster's ranks once and drains them,
+tombstoning in place; every other cluster is counted kept from its
+states' live counts.  A cluster is read from its states'
 buffers (``psd.ClusterIndex``)."""
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ def generate(index: ClusterIndex, theta) -> tuple:
     and the namespace to run it in.  It defines two functions, unrolled
     over the clusters (``c<j>`` in ``index.states`` order) and patterns:
 
-    * ``walk(sketch, b_ol, flags)`` visits the live PMs of each cluster
-      meeting ``b_ol``, state by state, each state's buffer in order, and
+    * ``walk(b_ol, flags)`` visits the live PMs of each cluster meeting
+      ``b_ol``, state by state, each state's buffer in order, and
       returns ``(ranks, totals)``: one list of rows per cluster, ``(-sum
       of cn, first_ts, first_seq, last_seq, position, pm, pn, theta)``,
       and per pattern i the sum of ``pn_i * theta`` over the PMs with an
       entry that serve i, where ``flags[i]`` says i is budgeted.  A PM's
-      entry is ``pm.entry`` if ``sketch`` made it and otherwise (never
-      credited, or credited by another sketch) the table's; without one
-      it ranks at -0.0 and its pn is ``ZEROS``.
+      entry is ``pm.entry``; a PM never credited has none, ranks at -0.0
+      and its pn is ``ZEROS``.
     * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
       ``b_ol`` kept from their states' live counts, then sorts and drains
       the ranked clusters in descending psd value, tombstoning a PM as
@@ -75,8 +74,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
     n = index.n
     plan = index.plan
     const = theta is cost.theta_constant
-    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "STATES": plan.states,
-          "attr_key": cost.attr_key}
+    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "STATES": plan.states}
     clusters = list(index.states.items())
     pats = [tuple(i for i in range(n) if b & pattern_bit(i, n))
             for b, _ in clusters]
@@ -97,9 +95,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
     cost_of = "pn[{0}]" if const else "pn[{0}] * t"
     row = ", pm.first_ts, pm.first_seq, pm.last_seq, len(rows), pm, {}" \
         + ("" if const else ", t")
-    out = ["def walk(sketch, b_ol, flags):",
-           "    table = sketch.table",
-           "    tag = sketch.tag",
+    out = ["def walk(b_ol, flags):",
            f"    {names('u{}')} = flags",
            "    " + " = ".join(map("tot{}".format, range(n))) + " = 0.0"]
     out += [f"    r{j} = []" for j in range(k)]
@@ -117,9 +113,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
             pad = " " * 16
         body = ["if not pm.alive:",
                 "    continue",
-                "e = pm.entry",
-                "if e is None or e.owner is not tag:",
-                "    e = table.get(pm.key or attr_key(sketch, pm))"]
+                "e = pm.entry"]
         if not const:
             body.append("t = THETA(pm)")
         body += ["if e is None:",
@@ -190,36 +184,37 @@ def _kernel(index: ClusterIndex, theta) -> tuple:
 
 class Budgets(dict):
     """B_i by overloaded pattern, carrying the walk that summed the T_i
-    (``walk``: the index, sketch, b_OL and theta it read, and its ranks)
-    for one ``select`` to drain.
+    (``walk``: the index, theta and b_OL it read, and its ranks) for one
+    ``select`` to drain.
 
-    The walk holds only if nothing is inserted into the index and the
-    sketch is not updated between ``budgets`` and ``select``: a PM
-    inserted in between is left out of the selection, and ranks and
-    overheads stay those the sketch gave at ``budgets``.  Discards in
-    between are the only change ``select`` allows for."""
+    The walk holds only if nothing is inserted into the index and no
+    record is credited between ``budgets`` and ``select``: a PM inserted
+    in between is left out of the selection, and ranks and overheads
+    stay those the entries gave at ``budgets``.  Discards in between are
+    the only change ``select`` allows for."""
 
     __slots__ = ("walk",)
 
 
-def budgets(index: ClusterIndex, sketch, monitor, bounds,
+def budgets(index: ClusterIndex, monitor, bounds,
             theta=cost.theta_constant) -> Budgets:
     """B_i for each overloaded pattern i (others are unconstrained).
 
     T_i sums, PM by PM in cluster order, the overhead ``pn_i * theta(pm)``
-    of every live PM serving pattern i; a PM whose key the sketch has not
-    seen adds nothing.  A PM's ``pattern_bits`` lie within its state's
-    psd, so a cluster whose psd has no overloaded pattern is skipped.
+    of every live PM serving pattern i, read from the entry it holds; a
+    PM never credited adds nothing.  A PM's ``pattern_bits`` lie within
+    its state's psd, so a cluster whose psd has no overloaded pattern is
+    skipped.
     The same walk ranks the PMs it reads, for ``select``.
     """
     n = monitor.n
     lat = monitor.latency_ms
     flags = [lat[i] >= bounds[i] and lat[i] > 0 for i in range(n)]
     over_bits = sum(1 << (n - i - 1) for i in range(n) if flags[i])
-    ranks, totals = _kernel(index, theta)[0](sketch, over_bits, flags)
+    ranks, totals = _kernel(index, theta)[0](over_bits, flags)
     out = Budgets((i, (bounds[i] / lat[i]) * totals[i])
                   for i in range(n) if flags[i])
-    out.walk = (index, sketch, over_bits, theta, ranks)
+    out.walk = (index, theta, over_bits, ranks)
     return out
 
 
@@ -241,7 +236,7 @@ class SelectionAudit:
         return cols
 
 
-def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
+def select(index: ClusterIndex, b_ol: int, budget_map: dict,
            theta=cost.theta_constant, now_ts: float = 0.0) -> SelectionAudit:
     """Greedy budgeted selection; discarded PMs are tombstoned in place.
 
@@ -261,10 +256,10 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
 
     ``budget_map`` from ``budgets`` carries the walk that ranked the PMs,
     and this call drains it, skipping PMs discarded since; a plain dict,
-    a walk already drained, or one made for another ``b_ol``, index,
-    sketch or theta gets a fresh walk.  A carried walk is trusted as it
-    is otherwise: call ``select`` with no insert into the index and no
-    sketch update since ``budgets`` (see ``Budgets``).
+    a walk already drained, or one made for another ``b_ol``, index or
+    theta gets a fresh walk.  A carried walk is trusted as it is
+    otherwise: call ``select`` with no insert into the index and no
+    credit since ``budgets`` (see ``Budgets``).
     """
     n = index.n
     audit = SelectionAudit(ts=now_ts, b_ol=b_ol, budget=dict(budget_map))
@@ -273,10 +268,10 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict, sketch,
     carried = getattr(budget_map, "walk", None)
     if carried is not None:
         budget_map.walk = None  # one drain per walk
-    if carried is not None and carried[:4] == (index, sketch, b_ol, theta):
-        ranks = carried[4]
+    if carried is not None and carried[:3] == (index, theta, b_ol):
+        ranks = carried[3]
     else:
-        ranks = walk(sketch, b_ol, flags)[0]
+        ranks = walk(b_ol, flags)[0]
     limits = [0.0] * n
     for i, budget in budget_map.items():
         limits[i] = budget + 1e-12

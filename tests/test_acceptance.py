@@ -238,7 +238,7 @@ def test_acceptance_4_selector_safety_maximality():
         budget_map = {i: float(rng.integers(0, 12)) for i in range(2)
                       if b_ol & (0b10 >> i)}
         before = {id(p): estimate(sketch, p) for p in pms}
-        select(index, b_ol, budget_map, sketch)
+        select(index, b_ol, budget_map)
         spend = {i: 0.0 for i in budget_map}
         for p in pms:
             if p.alive:

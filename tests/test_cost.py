@@ -41,7 +41,7 @@ def test_attr_key_groups_by_state_and_partition_value():
     assert attr_key(sk, a) == attr_key(sk, b)
     assert attr_key(sk, a) != attr_key(sk, c)
     assert attr_key(sk, a) != attr_key(sk, d)
-    assert attr_key(sk, a) == attr_key(sk, a)  # stable, cached
+    assert attr_key(sk, a) == attr_key(sk, a)  # stable
 
 
 def test_first_pm_counts_itself():

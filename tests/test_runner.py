@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from matchshed import cli, cost, runner, workloads as wl
+from matchshed import cli, cost, runner, selector, workloads as wl
 from matchshed.engine import Engine
 from matchshed.model import DataElement
 from matchshed.runner import (Metrics, RunConfig, recall, rolling_recall,
@@ -69,6 +69,50 @@ def test_guided_reduces_and_recall_in_range():
     assert all(0.0 <= r <= 1.0 for r in m.recall)
 
 
+GUIDED_SCENES = {
+    "ds1": (lambda: [wl.templates(window=500)[k] for k in ("P3", "P4")],
+            lambda: wl.gen_ds1(3000, 0)),
+    "ds2": (lambda: [wl.templates(window=200)[k].replace(
+                         "WITHIN 200", "WITHIN 200 ms")
+                     for k in ("P1", "P2", "P5", "P6")],
+            lambda: wl.gen_ds2(1500, 3)),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(GUIDED_SCENES))
+def test_guided_reductions_find_every_live_pm_credited(monkeypatch, scene):
+    """At every reduction of a guided run each live PM holds the entry of
+    its own key: a run credits each record in the step that creates it,
+    so the kernel, which reads only ``MatchRecord.entry``, reads the
+    counters a table lookup would."""
+    patterns, stream = (make() for make in GUIDED_SCENES[scene])
+    base = run(RunConfig(patterns=patterns, strategy="none",
+                         compute_golden=False), stream)
+    bounds = [max(x, 1e-9) / 2 for x in base.latency_mean]
+    sketches, checked = [], []
+    budgets = selector.budgets
+
+    class KeptSketch(cost.Sketch):
+        def __init__(self, plan):
+            super().__init__(plan)
+            sketches.append(self)
+
+    def checked_budgets(index, *args, **kwargs):
+        (sketch,) = sketches
+        live = list(index.plan.live_records())
+        assert all(pm.entry is sketch.table.get(cost.attr_key(sketch, pm))
+                   for pm in live)
+        checked.append(len(live))
+        return budgets(index, *args, **kwargs)
+
+    monkeypatch.setattr(cost, "Sketch", KeptSketch)
+    monkeypatch.setattr(selector, "budgets", checked_budgets)
+    m = run(RunConfig(patterns=patterns, strategy="guided", bounds=bounds,
+                      compute_golden=False), stream)
+    assert len(checked) == len(m.audits) > 10
+    assert sum(checked) > 1000 and m.counters["pms_shed"] > 0
+
+
 def test_random_state_full_drop_kills_buffered_matches():
     stream = small_stream()
     bounds, base = overload_bounds(stream)
@@ -107,20 +151,25 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("expire_every", 0), ("expire_every", -16), ("expire_every", 2.5),
+    ("select_every", 0), ("select_every", float("nan")),
+    ("select_every", 2.5), ("select_every", "400"),
     ("theta", "lenght"), ("alpha", 1.5), ("alpha", -0.1),
     ("alpha", float("nan")), ("epoch_len", -5), ("epoch_len", 2.5),
     ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan"))])
 def test_config_rejects_knobs_that_break_a_run(field, value):
     """Values that crashed a run (``expire_every=0`` divides by zero in
-    the golden pass), ran silently as something else (a misspelt theta
-    ran as ``constant``) or broke it (an EWMA that over-corrects, a decay
-    at every element, negative latencies that never trigger)."""
+    the golden pass, a string ``select_every`` fails mid-loop), ran
+    silently as something else (a misspelt theta ran as ``constant``, a
+    NaN ``select_every`` turned guided reductions off) or broke it (an
+    EWMA that over-corrects, a decay at every element, negative
+    latencies that never trigger)."""
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
-    ("expire_every", 1), ("theta", "length"), ("alpha", 0.0), ("alpha", 1.0),
+    ("expire_every", 1), ("select_every", 1), ("select_every", 400),
+    ("theta", "length"), ("alpha", 0.0), ("alpha", 1.0),
     ("epoch_len", 0), ("epoch_len", None), ("epoch_len", 250),
     ("cost_unit", 1e-6)])
 def test_config_accepts_knobs_at_their_limits(field, value):

@@ -47,7 +47,7 @@ def add_pm(plan, index, sketch, cluster_bits, seq, ID, pn, cn=None):
     e = cost.SketchEntry(2)
     e.pn = [float(v) for v in pn]
     e.cn = [float(v) for v in (cn or (0, 0))]
-    sketch.table[attr_key(sketch, pm)] = e
+    sketch.table[attr_key(sketch, pm)] = pm.entry = e
     return pm
 
 
@@ -69,14 +69,14 @@ def test_budget_ratio_and_hand_sum():
     for j, d in enumerate((1, 2, 3)):
         add_pm(plan, index, sketch, 0b10, j, float(j), pn=(d, 0))
     mon = monitor_with([20.0, 1.0])
-    b = budgets(index, sketch, mon, [10.0, 10.0])
+    b = budgets(index, mon, [10.0, 10.0])
     assert set(b) == {0}          # only the overloaded pattern has a budget
     assert b[0] == 3.0            # (10/20) * (1+2+3)
 
 
 def test_budget_empty_when_no_pms():
     plan, index, sketch = two_pattern_setup()
-    b = budgets(index, sketch, monitor_with([20.0, 20.0]), [10.0, 10.0])
+    b = budgets(index, monitor_with([20.0, 20.0]), [10.0, 10.0])
     assert b == {0: 0.0, 1: 0.0}
 
 
@@ -84,7 +84,7 @@ def test_non_overloaded_cluster_untouched():
     plan, index, sketch = two_pattern_setup()
     safe = add_pm(plan, index, sketch, 0b10, 0, 1.0, pn=(100, 0))
     hot = add_pm(plan, index, sketch, 0b01, 1, 2.0, pn=(0, 100))
-    audit = select(index, 0b01, {1: 0.0}, sketch)
+    audit = select(index, 0b01, {1: 0.0})
     assert safe.alive and not hot.alive
     assert audit.kept == 1 and audit.discarded == 1
 
@@ -95,7 +95,7 @@ def test_higher_psd_cluster_drains_first():
     solo = add_pm(plan, index, sketch, 0b01, 1, 2.0, pn=(0, 1), cn=(0, 9))
     # budget admits exactly one unit of P2 overhead; the shared cluster is
     # admitted first despite the solo PM's higher contribution
-    audit = select(index, 0b01, {1: 1.0}, sketch)
+    audit = select(index, 0b01, {1: 1.0})
     assert shared.alive and not solo.alive
     assert audit.spend[1] == 1.0
 
@@ -115,7 +115,7 @@ def test_select_safety_and_maximality_random():
         budget_map = {i: float(rng.integers(0, 12)) for i in range(2)
                       if b_ol & (0b10 >> i)}
         before = {id(p): estimate(sketch, p) for p in pms}
-        select(index, b_ol, budget_map, sketch)
+        select(index, b_ol, budget_map)
         spend = {i: 0.0 for i in budget_map}
         for p in pms:
             if p.alive:
@@ -140,8 +140,8 @@ def test_select_idempotent_on_kept_set():
         add_pm(plan, index, sketch, (0b11, 0b10, 0b01)[j % 3], j, float(j),
                pn=(j % 4, (j + 1) % 4), cn=(1, 1))
     budget_map = {0: 6.0, 1: 6.0}
-    first = select(index, 0b11, budget_map, sketch)
-    second = select(index, 0b11, budget_map, sketch)
+    first = select(index, 0b11, budget_map)
+    second = select(index, 0b11, budget_map)
     assert second.discarded == 0
     assert second.kept == first.kept
 
@@ -149,7 +149,7 @@ def test_select_idempotent_on_kept_set():
 def test_audit_row_shape():
     plan, index, sketch = two_pattern_setup()
     add_pm(plan, index, sketch, 0b01, 1, 2.0, pn=(0, 2))
-    audit = select(index, 0b01, {1: 5.0}, sketch, now_ts=7.0)
+    audit = select(index, 0b01, {1: 5.0}, now_ts=7.0)
     row = audit.csv_row(2)
     assert row[0] == "7.0" and row[1] == "[01]"
     assert row[4] == "P2:2/5"
@@ -168,9 +168,9 @@ def test_ties_break_in_creation_order_across_states():
         eng.step(el(tag, seq))
     pms = list(plan.live_records())
     for pm in pms:
-        sketch.table[attr_key(sketch, pm)] = e = cost.SketchEntry(1)
-        e.pn = [1.0]
-    audit = select(index, 0b1, {0: 3.0}, sketch)
+        pm.entry = sketch.table[attr_key(sketch, pm)] = cost.SketchEntry(1)
+        pm.entry.pn = [1.0]
+    audit = select(index, 0b1, {0: 3.0})
     assert sorted(pm.seq_tuple() for pm in pms if pm.alive) == \
         [(0,), (0, 1), (0, 1, 2)]
     assert [pm.seq_tuple() for pm in pms if not pm.alive] == [(0, 3)]
@@ -268,6 +268,7 @@ def random_scene(seed):
             e = sketch.table[k] = cost.SketchEntry(3)
             e.cn = [float(rng.integers(0, 3)) * 0.3 for _ in range(3)]
             e.pn = [float(rng.integers(0, 6)) * 0.7 for _ in range(3)]
+        pm.entry = sketch.table.get(k)
     for pm in pms:
         if rng.random() < 0.15:
             plan.discard(pm)
@@ -287,7 +288,7 @@ def test_select_and_budgets_equal_heap_reference():
             _, idx_new, sk_new, pms_new, mon = random_scene(seed)
             _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
             b_ol = trigger(mon, bounds)
-            b_new = budgets(idx_new, sk_new, mon, bounds, theta)
+            b_new = budgets(idx_new, mon, bounds, theta)
             b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds, theta)
             assert hexes(b_new) == hexes(b_ref), (seed, theta)
             assert b_new.walk[2] == b_ol  # positive bounds: same overload
@@ -297,7 +298,7 @@ def test_select_and_budgets_equal_heap_reference():
             for scale in (1.0, 0.5):
                 budget_map = (b_new if scale == 1.0 else
                               {i: b * scale for i, b in b_new.items()})
-                audit = select(idx_new, b_ol, budget_map, sk_new, theta)
+                audit = select(idx_new, b_ol, budget_map, theta)
                 kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
                                                     sk_ref, theta)
                 assert [p.alive for p in pms_new] == \
@@ -322,14 +323,13 @@ def test_reused_or_stale_walk_selects_as_a_fresh_walk():
             results = []
             for fresh, (plan, index, sketch, pms, mon) in zip((False, True),
                                                                scenes):
-                b = budgets(index, sketch, mon, bounds, theta)
-                b_other = budgets(index, sketch, mon, bounds, theta)
+                b = budgets(index, mon, bounds, theta)
+                b_other = budgets(index, mon, bounds, theta)
                 for pm in pms[::4]:
                     plan.discard(pm)
                 out = []
                 for ol, bm in ((b_ol, b), (b_ol, b), (other, b_other)):
-                    a = select(index, ol, dict(bm) if fresh else bm, sketch,
-                               theta)
+                    a = select(index, ol, dict(bm) if fresh else bm, theta)
                     out.append(([p.alive for p in pms], a.kept, a.discarded,
                                 hexes(a.spend), hexes(a.budget)))
                 results.append(out)
@@ -358,7 +358,7 @@ def test_kernel_equals_reference_on_zero_negative_and_plain_budgets():
                 _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
                 bare = [p for p in pms_new
                         if p.alive and attr_key(sk_new, p) not in sk_new.table]
-                audit = select(idx_new, b_ol, budget_map, sk_new, theta)
+                audit = select(idx_new, b_ol, budget_map, theta)
                 kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
                                                     sk_ref, theta)
                 assert [p.alive for p in pms_new] == \
@@ -372,8 +372,8 @@ def test_kernel_equals_reference_on_zero_negative_and_plain_budgets():
 def engine_scene(seed):
     """A plan of 1 to 6 random patterns (``randgen``) after a random
     stream: the engine's records, most credited to the sketch (they hold
-    their entry), some never (read through the table, or without an
-    entry), with counters decayed along the way; random latencies."""
+    their entry), some never (without an entry unless a descendant was
+    credited), with counters decayed along the way; random latencies."""
     rng = np.random.default_rng(seed)
     n = 1 + seed % 6
     plan = merge([randgen.random_pattern(rng, "ABC", pid)
@@ -405,13 +405,13 @@ def test_kernel_equals_reference_on_random_plans():
             b_ol = trigger(mon, bounds)
             if not b_ol:
                 continue
-            b = budgets(index, sketch, mon, bounds, theta)
+            b = budgets(index, mon, bounds, theta)
             assert hexes(b) == hexes(ref_budgets(idx_ref, sk_ref, mon, bounds,
                                                  theta)), (seed, theta)
             for scale in (1.0, 0.5):
                 budget_map = (b if scale == 1.0 else
                               {i: v * scale for i, v in b.items()})
-                audit = select(index, b_ol, budget_map, sketch, theta)
+                audit = select(index, b_ol, budget_map, theta)
                 kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
                                                     sk_ref, theta)
                 for state, twin in zip(plan.states, plan_ref.states):
@@ -447,58 +447,15 @@ def test_credited_records_hold_their_entry():
             if d.seq_index % 40 == 39:
                 cost.decay(sketch)
         for r in records:
-            assert r.entry is sketch.table[r.key]
+            assert r.entry is sketch.table[attr_key(sketch, r)]
         credited += len(records)
     assert credited > 1000
-
-
-def test_kernel_reads_the_sketch_it_is_given():
-    """Records hold entries of two sketches; budgets and select against
-    the second read its counters, as the reference does, not the
-    entries the first sketch left on the records."""
-    foreign = 0
-    for seed in range(40):
-        scenes = []
-        for _ in range(2):
-            plan, index, sketch, mon = engine_scene(seed)
-            rng = np.random.default_rng(1000 + seed)
-            other = Sketch(plan)
-            live = [r for s in plan.states for r in s.buffer if r.alive]
-            for r in live:
-                if rng.random() < 0.6:
-                    sketch_update(other, r,
-                                  cm_pids=(0,) if rng.random() < 0.5 else ())
-            for r in live:
-                if rng.random() < 0.3:
-                    sketch_update(sketch, r)
-            scenes.append((plan, index, sketch, other, mon, live))
-        plan, index, sketch, other, mon, live = scenes[0]
-        plan_ref, idx_ref, _, other_ref, _, _ = scenes[1]
-        foreign += sum(r.entry is not None and r.entry.owner is sketch.tag
-                       for r in live)
-        bounds = [10.0] * plan.n
-        b_ol = trigger(mon, bounds)
-        if not b_ol:
-            continue
-        b = budgets(index, other, mon, bounds)
-        assert hexes(b) == hexes(ref_budgets(idx_ref, other_ref, mon,
-                                             bounds)), seed
-        audit = select(index, b_ol, {i: v * 0.5 for i, v in b.items()},
-                       other)
-        kept, discarded, spend = ref_select(
-            idx_ref, b_ol, {i: v * 0.5 for i, v in b.items()}, other_ref)
-        for state, twin in zip(plan.states, plan_ref.states):
-            assert [r.alive for r in state.buffer] == \
-                [r.alive for r in twin.buffer]
-        assert (audit.kept, audit.discarded) == (kept, discarded)
-        assert hexes(audit.spend) == hexes(spend)
-    assert foreign > 100
 
 
 def test_generated_reduction_source():
     """Under theta_constant theta is not called; only the cluster serving
     two patterns reads pattern bits, once in the walk and once in the
-    drain."""
+    drain; the walk reads no sketch, only the entries the PMs hold."""
     _, index, _ = two_pattern_setup()
     const = generate(index, cost.theta_constant)[0]
     length = generate(index, cost.theta_length)[0]
@@ -506,6 +463,9 @@ def test_generated_reduction_source():
     assert length.count("t = THETA(pm)") == len(index.states)
     for source in (const, length):
         assert source.count("bits = pm.pattern_bits") == 2
+        assert source.startswith("def walk(b_ol, flags):\n")
+        assert not any(name in source for name in ("table", "tag",
+                                                   "attr_key"))
 
 
 def test_deleted_index_leaves_no_cycle():
@@ -523,8 +483,7 @@ def test_deleted_index_leaves_no_cycle():
             sketch_update(sketch, r)
     mon = monitor_with([1.0] * 4)
     for theta in (cost.theta_constant, cost.theta_length):
-        select(index, 0b1111, budgets(index, sketch, mon, [0.5] * 4, theta),
-               sketch, theta)
+        select(index, 0b1111, budgets(index, mon, [0.5] * 4, theta), theta)
     kernels = [weakref.ref(f) for pair in index.kernels.values()
                for f in pair]
     assert len(kernels) == 4

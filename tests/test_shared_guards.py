@@ -249,9 +249,7 @@ def test_keys_are_inherited_and_buckets_hold_their_records():
                 cost.sketch_update(sketch, rec, cm_pids=())
             created += res.new_pms
         for rec in created:
-            derived = rec.key
-            rec.key = None
-            assert cost.attr_key(sketch, rec) == derived
+            assert rec.entry is sketch.table[cost.attr_key(sketch, rec)]
         for state in plan.states:
             for rec in state.buffer:
                 first = rec.slots[0]
