@@ -35,7 +35,10 @@ def _cmd_datagen(args):
 
 
 def _cmd_run(args):
-    cfg = RunConfig.from_json(args.config)
+    try:
+        cfg = RunConfig.from_json(args.config)
+    except ValueError as e:     # not JSON, or a bad key or value
+        args.parser.error(str(e))
     if args.out_dir:
         cfg.out_dir = args.out_dir
     stream = workloads.load_csv(args.input)
@@ -89,7 +92,7 @@ def main(argv=None):
     r.add_argument("--config", required=True, help="RunConfig JSON")
     r.add_argument("--input", required=True, help="stream CSV")
     r.add_argument("--out-dir")
-    r.set_defaults(fn=_cmd_run)
+    r.set_defaults(fn=_cmd_run, parser=r)
 
     p = sub.add_parser("report", help="aggregate run artifacts")
     p.add_argument("--in", dest="in_dir", required=True)
@@ -97,6 +100,8 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_report)
 
     args = ap.parse_args(argv)
+    if args.cmd == "datagen" and args.dataset == "custom" and not args.spec:
+        g.error("--dataset custom needs --spec")
     return args.fn(args) or 0
 
 

@@ -29,15 +29,17 @@ code depends on the engine's selection policies and binds its objects.
 A sweep evaluates the guards and buffers its children.  When it
 accepted no match and took no skip-till-next parent, as for most
 elements, ``step`` returns at once; otherwise it applies skip-till-next,
-then sorts and checks the complete matches and returns them with their
-keys (``StepResult.match_keys``).  ``Engine.source`` is
+then sorts the complete matches, applies consumption and returns them
+with their keys (``StepResult.match_keys``).  ``Engine.source`` is
 the text, registered with ``linecache`` so that a traceback through a
 sweep shows the generated line.  Patterns whose guards compute the same
 conjuncts share one ``checks`` tuple (``plan.merge``), which a record
-evaluates once for all of them.  At emission only the residual conjuncts
-no guard can decide (a SUM over a final Kleene step) go through
-``expr.eval_predicate``.  Math faults on both paths are counted in
-``diag``, once per evaluation.
+evaluates once for all of them.  The conjuncts no guard can decide (a
+SUM over a final Kleene step, the plan's residual) are generated code
+too, checked on the transition into the accepting state: a match that
+fails them is never accepted, so it is neither emitted nor consumed.
+``step`` evaluates no predicate.  Math faults are counted in ``diag``,
+once per evaluation.
 
 Side state: the negation history holds the elements of each negated
 type, read only by the gap checks.  The sweep of that type appends to
@@ -89,7 +91,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import sweep
-from .expr import eval_predicate
+# not called here; perfbench's layer probe wraps engine.eval_predicate
+from .expr import eval_predicate  # noqa: F401
 from .model import (ConsumptionPolicy, DataElement, SelectionPolicy,
                     pattern_bit)
 from .plan import ExecutionPlan
@@ -247,14 +250,7 @@ class Engine:
         complete, keys = [], []
         if accept:
             accept.sort(key=_emission_order)
-            residuals = self.plan.residuals
             for seqs, pid, rec in accept:
-                residual = residuals.get((pid, rec.state_id))
-                if residual is not None:
-                    names, pred = residual
-                    if not eval_predicate(pred, dict(zip(names, rec.slots)),
-                                          self.diag):
-                        continue
                 if self.consumption[pid] is ConsumptionPolicy.CONSUME:
                     used = self.consumed[pid]
                     if not used.isdisjoint(seqs):

@@ -13,11 +13,12 @@ powers make the conjunct false and bump a diagnostic counter.  NaN in a
 bare comparison is not a fault: the comparison is false, uncounted.
 
 The operations that can fault are the functions of ``CHECKED``, which
-the engine's generated sweep code (``sweep``) calls too, so both paths
-count the same faults in the same order: operands left to right, then
-the check.  The engine calls ``eval_predicate`` only for the residual
-conjuncts no guard can decide; ``tests/oracle.py`` uses this interpreter
-as its reference.
+the engine's generated sweep code (``sweep``) calls too, so both count
+the same faults in the same order: operands left to right, then the
+check.  The engine evaluates every conjunct, residuals included, in that
+generated code and never calls ``eval_predicate``; this interpreter is
+the reference that ``tests/oracle.py`` and the sweep tests compare
+against.
 """
 
 from __future__ import annotations

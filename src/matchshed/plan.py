@@ -22,7 +22,9 @@ one ``checks`` tuple, so the engine evaluates it once per record for all
 of them.  A conjunct that faults (division by zero, a domain error, an
 overflow) is false and is counted in the plan's ``EvalDiagnostics``.
 The conjuncts no guard can decide, a SUM over a final Kleene step, are
-kept per accepting state as the residual that is checked at emission.
+kept positional like the guards, per pattern and accepting state, as
+the residual (``ExecutionPlan.residuals``); the engine's sweep checks it
+on the transitions into that state.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ class ExecutionPlan:
             lst.sort(key=lambda e: 0 if e.action == "kleene-extend" else 1)
         # pattern id -> its SAME attributes, in predicate order
         self.same_attrs = {}
-        # (pattern_id, accepting state) -> (binding names by position,
-        # residual predicate), for patterns with emission-only conjuncts
+        # (pattern_id, accepting state) -> its emission-only conjuncts,
+        # positional, for the patterns that have any
         self.residuals = {}
         # faults of the engine's guards, blockers and residual checks
         self.diag = ex.EvalDiagnostics()
@@ -296,7 +298,7 @@ class _Chain:
     signatures: list          # state signature per positional depth (incl start)
     transitions: list         # list of dicts describing edges
     same_attrs: tuple         # SAME attributes; their checks are added in merge
-    residual: object          # emission-only conjuncts (ex.And) or None
+    residual: tuple           # emission-only conjuncts, positional
 
 
 def _chain(pattern: Pattern) -> _Chain:
@@ -413,7 +415,7 @@ def _chain(pattern: Pattern) -> _Chain:
 
     return _Chain(pattern=pattern, signatures=signatures,
                   transitions=transitions, same_attrs=tuple(same_attrs),
-                  residual=ex.And(tuple(emission)) if emission else None)
+                  residual=tuple(_positional(c, pos_of) for c in emission))
 
 
 def _positional(e, pos_of: dict):
@@ -510,10 +512,8 @@ def merge(patterns, mode: str = "view"):
         pid = c.pattern.id
         acc_state = state_of[key(pid, c.signatures[-1])]
         acc_state.accepting_for.add(pid)
-        if c.residual is not None:
-            plan.residuals[(pid, acc_state.state_id)] = (
-                tuple(s.binding_name for s in c.pattern.positional_steps),
-                c.residual)
+        if c.residual:
+            plan.residuals[(pid, acc_state.state_id)] = c.residual
 
     _check_invariants(plan, shared)
     return plan

@@ -30,7 +30,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -67,8 +67,21 @@ class RunConfig:
     out_dir: str = None
 
     def __post_init__(self):
+        # texts only: parsing them here would be timed as setup
+        if (isinstance(self.patterns, str) or not self.patterns
+                or not all(isinstance(t, str) for t in self.patterns)):
+            raise ValueError("patterns must be a non-empty list of pattern "
+                             "strings")
+        if self.mode not in ("view", "separate"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.selection not in {p.value for p in SelectionPolicy}:
+            raise ValueError(f"unknown selection {self.selection!r}")
+        if self.consumption not in {p.value for p in ConsumptionPolicy}:
+            raise ValueError(f"unknown consumption {self.consumption!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         if not 0.0 <= self.drop_ratio <= 1.0:
             raise ValueError("drop_ratio must be in [0, 1]")
         if self.cost_mode not in ("synthetic", "wallclock"):
@@ -97,7 +110,14 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as f:
-            return cls(**json.load(f))
+            raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a run configuration is a JSON object")
+        unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown RunConfig keys "
+                             f"{', '.join(unknown)}")
+        return cls(**raw)
 
 
 @dataclass

@@ -34,7 +34,9 @@ an edge-by-edge, record-by-record scan, so the work units and what the
 engine emits do not depend on how the guards are grouped.  An accepted
 entry is ``(match key, pattern id, record)``, the key being the element
 seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
-state).
+state).  A child is accepted for each pattern whose bit it holds and
+whose residual (``ExecutionPlan.residuals``), if any, it passes: that is
+evaluated inline after the bit test, over the child's slots ``s0, ...``.
 
 ``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
 the plan's patterns (see its docstring).  ``load`` executes either
@@ -266,6 +268,12 @@ def _groups(edge) -> list:
     return list(groups.values())
 
 
+def _kleene(state) -> set:
+    """The slot positions of ``state``'s Kleene steps."""
+    kinds = [k for _, k in state.signature if k is not StepKind.NEGATED]
+    return {p for p, k in enumerate(kinds) if k is StepKind.KLEENE_PLUS}
+
+
 def _key(attrs_of) -> str:
     """Code of the bucket key of ``d`` over the attributes ``attrs_of``."""
     return "(" + "".join(f"attrs[{a!r}], " for a in attrs_of) + ")"
@@ -297,9 +305,8 @@ def _edge(m: _Module, eng, e, j: int):
     out = m.sweeps
     plan = eng.plan
     src = plan.states[e.from_id]
-    kinds = [k for _, k in src.signature if k is not StepKind.NEGATED]
     at = _Slots(m, -1 if e.action == "kleene-extend" else src.depth,
-               {p for p, k in enumerate(kinds) if k is StepKind.KLEENE_PLUS})
+               _kleene(src))
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     state, buckets = m.bind(src, "S"), m.bind(src.buckets, "B")
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
@@ -407,15 +414,26 @@ def _buffer(m: _Module, eng, e, j: int):
     out.append(f"        for c in c{j}:")
     held = range(to.depth - 1)      # the last slot holds d
     key = "c.seq_tuple()"
-    if held and not any(k is StepKind.KLEENE_PLUS for _, k in to.signature):
+    kleene = _kleene(to)
+    if held and not kleene:
         key = "(" + "".join(f"s{p}.seq_index, " for p in held) + "seq)"
         out.append(f"            {''.join(f's{p}, ' for p in held)}_ = c.slots")
     out.append(f"            key = {key}")
     for pid in sorted(to.accepting_for):
         test = ("" if to.psd == eng.bit[pid] else
                 f"if c.pattern_bits & {m.bind(eng.bit[pid], 'M')}: ")
-        out.append(f"            {test}accept.append((key, "
-                   f"{m.bind(pid, 'I')}, c))")
+        accept = f"accept.append((key, {m.bind(pid, 'I')}, c))"
+        residual = plan.residuals.get((pid, to.state_id))
+        depth = 3
+        if residual:    # after the bit test: only the pattern's records
+            if test:
+                out.append("    " * depth + test.rstrip())
+                depth = 4
+            out.append("    " * depth + "".join(
+                f"s{p}, " for p in range(to.depth)) + "= c.slots")
+            _Slots(m, -1, kleene).checks(out, depth, residual, "attrs")
+            test = "if ok: "
+        out.append("    " * depth + test + accept)
 
 
 def _gap(m: _Module, at: _Slots, neg_checks, unpack: str) -> str:

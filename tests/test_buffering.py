@@ -15,7 +15,7 @@ from matchshed import runner
 from matchshed.engine import Engine
 from matchshed.model import (ConsumptionPolicy, SelectionPolicy, StepKind,
                              Window, WindowKind)
-from matchshed.parser import parse_pattern
+from matchshed.parser import format_pattern, parse_pattern
 from matchshed.plan import merge
 from matchshed.runner import RunConfig
 
@@ -163,7 +163,7 @@ def test_run_matches_equal_golden_matches(monkeypatch):
         monkeypatch.setattr(runner, "build_plan",
                             lambda config, pat=pat: merge([pat]))
         sel, cons = POLICIES[t % len(POLICIES)]
-        cfg = RunConfig(patterns=[], selection=sel.value,
+        cfg = RunConfig(patterns=[format_pattern(pat)], selection=sel.value,
                         consumption=cons.value, compute_golden=False)
         got = runner.run(cfg, stream).matches
         assert got == runner.golden_matches(cfg, stream), (t, sel, cons)
@@ -210,7 +210,7 @@ def test_one_step_match_keys(monkeypatch, texts, sel, cons):
     ``golden_matches`` and, under skip-till-any/reuse, the oracle's."""
     pats = [parse_pattern(t, pattern_id=i) for i, t in enumerate(texts)]
     monkeypatch.setattr(runner, "build_plan", lambda config: merge(pats))
-    cfg = RunConfig(patterns=[], selection=sel.value,
+    cfg = RunConfig(patterns=texts, selection=sel.value,
                     consumption=cons.value, compute_golden=False)
     rng = np.random.default_rng(len(texts))
     for trial in range(10):

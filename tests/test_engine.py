@@ -306,8 +306,8 @@ def test_math_fault_in_guard_fails_without_crashing(guard, bad, kind):
 
 @pytest.mark.parametrize("guard, bad, kind", MATH_FAULTS)
 def test_math_fault_at_emission_is_counted(guard, bad, kind):
-    """The same faults under SUM over a final Kleene step, which only the
-    interpreter checks, at emission."""
+    """The same faults under SUM over a final Kleene step, which no guard
+    can decide: the sweep checks it on the accepting transition."""
     guard = guard.replace("a.x", "SUM(b[].x)").replace("b.x", "a.x")
     pat = P(f"SEQ(A a, B+ b[]) WHERE {guard} WITHIN 10")
     eng = Engine(compile_pattern(pat))
@@ -322,8 +322,8 @@ def test_math_fault_at_emission_is_counted(guard, bad, kind):
 
 
 def test_overflow_at_emission_is_counted():
-    """SUM over a final Kleene step is checked only at emission, by the
-    interpreter, which counts the overflow in the engine's diagnostics."""
+    """SUM over a final Kleene step is checked only on the accepting
+    transition, which counts the overflow in the engine's diagnostics."""
     pat = P("SEQ(A a, B+ b[]) WHERE SUM(b[].x) ^ 3 > a.x WITHIN 10")
     eng = Engine(compile_pattern(pat))
     emitted = []

@@ -155,10 +155,15 @@ def test_config_validation():
     ("select_every", 2.5), ("select_every", "400"),
     ("theta", "lenght"), ("alpha", 1.5), ("alpha", -0.1),
     ("alpha", float("nan")), ("epoch_len", -5), ("epoch_len", 2.5),
-    ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan"))])
+    ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan")),
+    ("selection", "bogus"), ("consumption", "x"), ("mode", "y"),
+    ("seed", -1), ("seed", 1.5), ("patterns", "SEQ(A a, B b) WITHIN 5"),
+    ("patterns", []), ("patterns", [None])])
 def test_config_rejects_knobs_that_break_a_run(field, value):
     """Values that crashed a run (``expire_every=0`` divides by zero in
-    the golden pass, a string ``select_every`` fails mid-loop), ran
+    the golden pass, a string ``select_every`` fails mid-loop, a bad
+    policy, mode or seed fails only after a golden worker has forked, a
+    bare pattern string is parsed one character at a time), ran
     silently as something else (a misspelt theta ran as ``constant``, a
     NaN ``select_every`` turned guided reductions off) or broke it (an
     EWMA that over-corrects, a decay at every element, negative
@@ -171,7 +176,8 @@ def test_config_rejects_knobs_that_break_a_run(field, value):
     ("expire_every", 1), ("select_every", 1), ("select_every", 400),
     ("theta", "length"), ("alpha", 0.0), ("alpha", 1.0),
     ("epoch_len", 0), ("epoch_len", None), ("epoch_len", 250),
-    ("cost_unit", 1e-6)])
+    ("cost_unit", 1e-6), ("selection", "strict"), ("consumption", "consume"),
+    ("mode", "separate"), ("seed", 0), ("patterns", (PATS[0],))])
 def test_config_accepts_knobs_at_their_limits(field, value):
     assert getattr(cfg(**{field: value}), field) == value
 
@@ -322,6 +328,32 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "metrics.csv"))
     captured = capsys.readouterr().out
     assert "P1:" in captured and "triggers=0" in captured
+
+
+@pytest.mark.parametrize("text, names", [
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "foo": 1, "bar": 2}',
+     "unknown RunConfig keys bar, foo"),
+    ('["SEQ(A a, B b) WITHIN 5"]', "a run configuration is a JSON object"),
+    ('{"patterns": "SEQ(A a, B b) WITHIN 5"}', "patterns")])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, names):
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as f:
+        f.write(text)
+    with pytest.raises(ValueError, match=names):
+        RunConfig.from_json(path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", path, "--input", "unread.csv"])
+    assert exit_.value.code == 2
+    assert names in capsys.readouterr().err
+
+
+def test_custom_dataset_without_spec_is_a_usage_error(tmp_path, capsys):
+    out = os.path.join(tmp_path, "s.csv")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["datagen", "--dataset", "custom", "--out", out])
+    assert exit_.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_report(tmp_path):

@@ -20,7 +20,9 @@ without SAME, so that they match), so strict guards share the A-B+ and
 A-B edges with the guards of P2 and P6.  ``late`` runs DS2 under time
 windows with every 97th element's timestamp lowered by 30 ms, below its
 predecessors', so the engine trims its side state under decreasing
-timestamps.
+timestamps.  ``residual`` runs P1 and P2 beside a pattern that ends
+in their shared A-B+ state with a SUM over the Kleene step, which only
+the accepting transition can check (the plan's residual).
 Latency bounds are half of a ``none`` run's mean latency (2x overload),
 as in the benchmark.
 
@@ -66,6 +68,9 @@ def _late(n, seed):
 
 
 GENERATORS = {"ds1": wl.gen_ds1, "ds2": wl.gen_ds2, "late": _late}
+# ends in a Kleene step, so no guard can decide its SUM
+RESIDUAL = ("SEQ(A a, B+ b[]) WHERE SAME [ID] AND SUM(b[].x) < a.x "
+            "WITHIN 200 ms")
 
 
 # configuration -> (dataset, patterns, RunConfig fields, strategies)
@@ -86,6 +91,8 @@ CONFIGS = {
                                        _ds2_patterns(["200 ms"] * 4))],
                {}, STRATEGIES),
     "late": ("late", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
+    "residual": ("ds2", [RESIDUAL] + _ds2_patterns(["200 ms"] * 2),
+                 {}, STRATEGIES),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 

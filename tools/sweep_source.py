@@ -9,7 +9,10 @@ reads it.  The output is ``Engine.source`` for the plan and the
 selection and consumption policies it names: one ``sweep_<i>`` function
 per trigger event type (and per negated type that triggers none, which
 only records the element for the gap checks), then the negation gap
-checks.  Names such as ``S12`` or ``M3`` are objects bound in the
+checks.  A pattern's residual check (a SUM over a final Kleene step,
+which no guard can decide) prints where the sweep accepts a match of
+that pattern, on the transition into its accepting state.  Names such
+as ``S12`` or ``M3`` are objects bound in the
 module's namespace (states, bucket dicts, masks, constants), not part
 of the text.  Then comes the ``fold`` that ``engine.measure`` runs for
 the plan, after a comment line that gives its ``GROUP`` table: state id
