@@ -12,9 +12,10 @@ Policy semantics:
   match.
 * strict-contiguity requires seq_index adjacency on every extension.
 
-Under ``consume``, elements bound into an emitted complete match are
-tombstoned per pattern; matches containing a tombstoned element are
-rejected at emission, which is equivalent to dropping their records.
+Under ``consume``, the seqs of the elements bound into an emitted
+complete match are kept per pattern (``consumed``); matches containing
+a consumed element are rejected at emission, which is equivalent to
+dropping their records.
 
 Keyed buffers: each state keeps its records in buckets keyed by the SAME
 attributes all its patterns share (``PlanState.key_attrs``), so an element
@@ -24,8 +25,10 @@ scan of the whole state.  A child whose state is keyed like its parent's
 goes into the bucket the element probed.
 
 Sweeps: each engine generates Python source for one sweep function per
-trigger event type (``sweep``) and compiles it once, in ``__init__``; the
-code depends on the engine's selection policies and binds its objects.
+trigger event type (``sweep``) in ``__init__``; the code depends on the
+engine's selection policies and binds its objects by namespace names,
+so engines of equal plans and policies generate equal text, compiled
+once per process (``sweep.load``).
 A sweep evaluates the guards and buffers its children.  When it
 accepted no match and took no skip-till-next parent, as for most
 elements, ``step`` returns at once; otherwise it applies skip-till-next,
@@ -45,12 +48,12 @@ Side state: the negation history holds the elements of each negated
 type, read only by the gap checks.  The sweep of that type appends to
 it, first thing; a negated type that triggers no edge gets a sweep that
 does only that, so ``step`` never looks the history up.  The history
-and the tombstones stay bounded by the alive records, whatever the
+and the consumed seqs stay bounded by the alive records, whatever the
 timestamps do.  Every 512 elements one scan
 of the alive records finds the oldest first and the oldest last
 element.  A later match grows from an alive record or starts after
 ``now``, so it holds no element before its record's first one: the
-tombstones below the oldest first element go.  A gap check reads only
+consumed seqs below the oldest first element go.  A gap check reads only
 elements after its record's last one: the history up to the oldest
 last element goes.
 
@@ -59,12 +62,12 @@ window of its patterns (``plan.DeadlineQueue``), so ``expire`` costs
 O(expired), not a sweep of every buffer; most children join their
 parent's deadline slot (``sweep``).  Windows are also checked at
 extension time, so when ``expire`` runs changes no match; it changes
-when ``PlanState.live`` drops, and so the work units, which is why the
-runner keeps its ``expire_every`` cadence.  ``ExecutionPlan.expire``
-tombstones what it evicts itself, with one live-count update per
-state, not one ``discard`` call per record.  Tombstoned records are
-compacted out of a state's buffers lazily, once they outnumber its alive
-records by more than a small slack.
+when a state's live count drops, and so the work units, which is why the
+runner keeps its ``expire_every`` cadence.  A record leaves its state's
+buffer and bucket the moment it dies (``ExecutionPlan.discard``), in
+O(1): they are dicts used as ordered sets, so no state holds a dead
+record and nothing is compacted.  Only the deadline slots, and a walk a
+reduction carries, may still hold one; both skip it.
 
 Latency: ``measure`` runs a fold generated once per monitor from the
 plan's psd (``sweep.generate_fold``), unrolled over the patterns: the
@@ -128,8 +131,7 @@ def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
     if fold is None:
         source, ns = sweep.generate_fold(plan)
         # no cycle: the function leaves the globals it runs in
-        fold = monitor.fold = sweep.load(source, ns, monitor,
-                                         "fold").pop("fold")
+        fold = monitor.fold = sweep.load(source, ns, "fold").pop("fold")
     fold(monitor, elapsed_ms, work_by_state)
 
 
@@ -189,7 +191,7 @@ class Engine:
         self._trim_at = 0
         self.source, namespace = sweep.generate(self)
         self._sweeps = sweep.unlink(
-            sweep.load(self.source, namespace, self, "sweep"))
+            sweep.load(self.source, namespace, "sweep"))
 
     # ------------------------------------------------------------- windows
 
@@ -203,8 +205,8 @@ class Engine:
         return evicted
 
     def _trim_history(self, now_seq: int):
-        """Every 512 elements, drop the history elements and tombstones
-        no later match can read (see the module docstring)."""
+        """Every 512 elements, drop the history elements and consumed
+        seqs no later match can read (see the module docstring)."""
         if now_seq < self._trim_at:
             return
         self._trim_at = now_seq + 512
@@ -263,7 +265,7 @@ class Engine:
         return StepResult(new_records, complete, work, keys)
 
     def live_pm_count(self) -> int:
-        return sum(s.live for s in self.plan.states)
+        return sum(len(s.buffer) for s in self.plan.states)
 
 
 def golden_run(stream, plan: ExecutionPlan,

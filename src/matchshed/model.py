@@ -112,11 +112,13 @@ class MatchRecord:
     ``entry`` is the record's ``cost.SketchEntry``, its only link to its
     cost counters: set by ``cost.sketch_update`` once the record is
     credited, and valid only while the sketch never deletes or replaces
-    an entry, so an eviction of entries must clear it.
+    an entry, so an eviction of entries must clear it.  ``bucket_key`` is
+    the key of the state bucket that holds the record, set where it is
+    buffered; ``alive`` turns false as the record leaves its state.
     """
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",
-                 "last_seq", "parent", "alive", "entry")
+                 "last_seq", "parent", "alive", "entry", "bucket_key")
 
     def __init__(self, pattern_bits: int, slots: tuple, state_id: int,
                  first_seq: int, first_ts: float, last_seq: int,

@@ -64,27 +64,25 @@ class EdgeGuard:
 class PlanState:
     """One shared sub-pattern state and its partial-match store.
 
-    Records live in ``buffer`` in insertion order and, the same records in
-    the same order, in ``buckets`` keyed by the values of ``key_attrs`` on
-    the record's first element.  ``key_attrs`` are the SAME attributes
-    every pattern through the state has; with none the state has the one
-    bucket ``()``.  Tombstoned records stay in both until tombstones
-    outnumber the alive records by more than ``SLACK``, when an expiry
-    call compacts the state; ``live`` counts the alive ones.
+    ``buffer`` holds the state's alive records as an ordered set, a dict
+    ``{record: None}`` in insertion order, and ``buckets`` the same
+    records in the same order, one such dict per value of ``key_attrs``
+    on the record's first element (``MatchRecord.bucket_key``).
+    ``key_attrs`` are the SAME attributes every pattern through the
+    state has; with none the state has the one bucket ``()``.  A record
+    leaves both the moment it dies, and an emptied bucket is deleted, so
+    ``len(buffer)`` is the state's live count.
     """
 
-    SLACK = 16  # tombstones a state may hold beyond its alive count
-
     __slots__ = ("state_id", "signature", "buffer", "buckets", "key_attrs",
-                 "live", "accepting_for", "psd", "depth")
+                 "accepting_for", "psd", "depth")
 
     def __init__(self, state_id: int, signature: tuple):
         self.state_id = state_id
         self.signature = signature
-        self.buffer = []
-        self.buckets = {}   # key tuple -> records with that key
+        self.buffer = {}
+        self.buckets = {}   # key tuple -> {record: None} of that key
         self.key_attrs = ()
-        self.live = 0
         self.accepting_for = set()
         self.psd = 0
         # number of bound positional slots for records in this state
@@ -95,18 +93,6 @@ class PlanState:
         incoming element, the key of the records it can extend."""
         attrs = el.attrs
         return tuple([attrs.get(a) for a in self.key_attrs])
-
-    def compact(self):
-        """Drop tombstoned records from the buffer and buckets, keeping
-        order."""
-        self.buffer[:] = [r for r in self.buffer if r.alive]
-        buckets = self.buckets
-        for k in list(buckets):
-            kept = [r for r in buckets[k] if r.alive]
-            if kept:
-                buckets[k] = kept
-            else:
-                del buckets[k]
 
     def __repr__(self):
         sig = "".join(t for t, _ in self.signature) or "start"
@@ -211,9 +197,7 @@ class ExecutionPlan:
     def live_records(self):
         """Alive records, state by state, each state's in insertion order."""
         for s in self.states:
-            for r in s.buffer:
-                if r.alive:
-                    yield r
+            yield from s.buffer
 
     def insert(self, rec: MatchRecord):
         """Buffer a new record in its state, in the bucket of its first
@@ -221,37 +205,33 @@ class ExecutionPlan:
         patterns have.  The sweeps buffer their own children and call
         this only for a child keyed unlike its parent."""
         state = self.states[rec.state_id]
-        state.buffer.append(rec)
         first = rec.slots[0]
-        key = state.key_of(first[0] if type(first) is tuple else first)
-        bucket = state.buckets.get(key)
-        if bucket is None:
-            state.buckets[key] = [rec]
-        else:
-            bucket.append(rec)
-        state.live += 1
+        key = rec.bucket_key = state.key_of(
+            first[0] if type(first) is tuple else first)
+        state.buffer[rec] = state.buckets.setdefault(key, {})[rec] = None
         bits = rec.pattern_bits
         for q in self.deadlines:
             if bits & q.mask:
                 q.push(rec)
 
     def discard(self, rec: MatchRecord):
-        """Tombstone a record.  Every tombstone goes through
-        ``ExecutionPlan``: here, or in ``expire``, which tombstones what it
-        evicts itself; so each state's live count stays exact."""
+        """Take an alive record out of its state's buffer and bucket, and
+        mark it dead; deadline slots and carried walks may still hold it.
+        Every death goes through here."""
         if rec.alive:
             rec.alive = False
-            self.states[rec.state_id].live -= 1
+            state = self.states[rec.state_id]
+            del state.buffer[rec]
+            bucket = state.buckets[rec.bucket_key]
+            del bucket[rec]
+            if not bucket:
+                del state.buckets[rec.bucket_key]
 
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Clear each alive record's bits of the windows it has left, and
-        tombstone the records left with none; returns how many.  Visits
-        only the expired records and tombstones them without a
-        ``discard`` call each: it counts them per state and takes the
-        counts off the live counts once.  Then it compacts each state
-        whose tombstones outnumber its alive records by more than the
-        slack."""
-        dead = [0] * len(self.states)
+        discard the records left with none; returns how many.  Visits only
+        the expired records."""
+        dead = 0
         for q in self.deadlines:
             keep = ~q.mask
             for rec in q.pop_expired(now_seq if q.by_count else now_ts):
@@ -259,13 +239,9 @@ class ExecutionPlan:
                     bits = rec.pattern_bits & keep
                     rec.pattern_bits = bits
                     if not bits:
-                        rec.alive = False
-                        dead[rec.state_id] += 1
-        for state, k in zip(self.states, dead):
-            state.live -= k
-            if len(state.buffer) - state.live > state.live + state.SLACK:
-                state.compact()
-        return sum(dead)
+                        self.discard(rec)
+                        dead += 1
+        return dead
 
     def dump(self) -> str:
         """Structured text dump of states, edges and PSD bits."""

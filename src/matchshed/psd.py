@@ -24,8 +24,9 @@ class ClusterIndex:
     the state buffers.  A record's cluster is fixed by its ``state_id``,
     so the index holds no record: cluster ``b`` is ``states[b]``, the
     non-start states with psd ``b`` in ascending ``state_id``, and its
-    members are their alive records, state by state, each state's in
-    insertion order."""
+    members are their records, state by state, each state's in
+    insertion order: a state buffer holds only alive records
+    (``plan.PlanState``)."""
 
     def __init__(self, plan: ExecutionPlan):
         self.plan = plan
@@ -34,8 +35,8 @@ class ClusterIndex:
         for s in plan.states:
             if s.state_id != plan.start_id:
                 self.states.setdefault(s.psd, []).append(s)
-        # theta -> (walk, drain), generated at the first guided reduction
-        # (``selector.generate``)
+        # theta -> (walk, budget, drain), generated at the first guided
+        # reduction (``selector.generate``)
         self.kernels = {}
 
     def insert(self, pm: MatchRecord):
@@ -45,16 +46,14 @@ class ClusterIndex:
 
     @property
     def clusters(self) -> dict:
-        """psd bitmap -> buffered records of its states, tombstones
-        included; read-only.  perfbench reads it for its index sizes."""
-        return {b: [r for s in states for r in s.buffer]
-                for b, states in self.states.items()}
+        """psd bitmap -> members of every cluster, empty ones included;
+        read-only.  perfbench reads it for its index sizes."""
+        return {b: self.lookup(b) for b in self.states}
 
     def lookup(self, b: int) -> list:
-        """Live members of the cluster keyed by bitmap b, as
-        ``live_clusters`` yields them."""
-        return [r for s in self.states.get(b, ()) for r in s.buffer
-                if r.alive]
+        """Members of the cluster keyed by bitmap b, as ``live_clusters``
+        yields them."""
+        return [r for s in self.states.get(b, ()) for r in s.buffer]
 
     def live_clusters(self):
         """(bitmap, live member list) for every nonempty cluster;

@@ -30,7 +30,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -117,6 +117,11 @@ class RunConfig:
         if unknown:
             raise ValueError(f"{path}: unknown RunConfig keys "
                              f"{', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in raw
+                   and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"{path}: missing RunConfig keys "
+                             f"{', '.join(missing)}")
         return cls(**raw)
 
 
@@ -160,7 +165,7 @@ def build_plan(config: RunConfig):
 
 
 def shed_random_state(engine: Engine, rng, ratio: float) -> int:
-    """Tombstone a random fraction of live PMs; returns the count."""
+    """Discard a random fraction of live PMs; returns the count."""
     dropped = 0
     for rec in list(engine.plan.live_records()):
         if rng.random() < ratio:
@@ -340,7 +345,10 @@ def _main_loop(config: RunConfig, stream: list):
                     reduce_now = seq - last_select >= select_every
                     if strategy == "guided" and reduce_now:
                         last_select = seq
-                        engine.expire(seq, d.timestamp)
+                        # unless the periodic expiry ran at this element:
+                        # with the same now, a second call changes nothing
+                        if next_expire != seq + expire_every:
+                            engine.expire(seq, d.timestamp)
                         budget_map = selector.budgets(index, monitor,
                                                       bounds, theta)
                         audit = selector.select(index, b_ol, budget_map,

@@ -12,24 +12,28 @@ every overloaded pattern it serves stays within its overhead budget
     B_i = (L_i / l_i) * T_i
 
 where T_i is the current total overhead of pattern i over live PMs.
-Infeasible PMs are discarded immediately (tombstoned); skipping them
-cannot hurt later candidates because spend only grows.
+Infeasible PMs are discarded immediately; skipping them cannot hurt
+later candidates because spend only grows.
 
-Cost of a reduction: one walk over the live PMs of the clusters that
-serve an overloaded pattern, one sort per such cluster and one drain.
-Walk and drain are Python source generated per cluster index and theta
+Cost of a reduction: one walk over the PMs of the clusters that serve
+an overloaded pattern, one sort per such cluster and one drain, each
+PM discarded leaving its state's buffer and bucket in O(1).  The
+kernel is Python source generated per cluster index and theta
 (``generate``), at the index's first guided reduction, and unrolled
-over its clusters and patterns: totals and spend are locals, a flag per
-pattern says whether it is budgeted, a cluster of one pattern tests no
-pattern bits, and under ``theta_constant`` theta is neither called nor
-multiplied by.  ``budgets`` walks: per PM it reads the sketch entry the
-record holds (``MatchRecord.entry``, none for a record never credited),
-calls theta once, adds the overhead to T_i and builds the rank tuple;
-it reads no sketch.  The budgets it returns carry the walk, so
-``select`` only sorts each cluster's ranks once and drains them,
-tombstoning in place; every other cluster is counted kept from its
-states' live counts.  A cluster is read from its states'
-buffers (``psd.ClusterIndex``)."""
+over its clusters and patterns: totals, limits and spend are locals, a
+flag per pattern says whether it is budgeted, a cluster of one pattern
+tests no pattern bits, and under ``theta_constant`` theta is neither
+called nor multiplied by.  ``budgets`` runs its ``budget``, which
+computes the flags and b_OL, walks, and fills B_i: per PM the walk
+reads the sketch entry the record holds (``MatchRecord.entry``, none
+for a record never credited), calls theta once, adds the overhead to
+T_i and builds the rank tuple; it reads no sketch.  The budgets it
+returns carry the walk, so ``select`` only runs the kernel's
+``drain``, which reads its limits from the budget map, sorts each
+cluster's ranks once and drains them, discarding in place; every other
+cluster is counted kept from its buffer sizes.  A cluster is read from
+its states' buffers (``psd.ClusterIndex``), which hold exactly the
+alive PMs."""
 
 from __future__ import annotations
 
@@ -52,10 +56,10 @@ def trigger(monitor, bounds) -> int:
 
 def generate(index: ClusterIndex, theta) -> tuple:
     """The source of the reduction kernel of ``index`` under ``theta``
-    and the namespace to run it in.  It defines two functions, unrolled
+    and the namespace to run it in.  It defines three functions, unrolled
     over the clusters (``c<j>`` in ``index.states`` order) and patterns:
 
-    * ``walk(b_ol, flags)`` visits the live PMs of each cluster meeting
+    * ``walk(b_ol, flags)`` visits the PMs of each cluster meeting
       ``b_ol``, state by state, each state's buffer in order, and
       returns ``(ranks, totals)``: one list of rows per cluster, ``(-sum
       of cn, first_ts, first_seq, last_seq, position, pm, pn, theta)``,
@@ -63,18 +67,23 @@ def generate(index: ClusterIndex, theta) -> tuple:
       entry that serve i, where ``flags[i]`` says i is budgeted.  A PM's
       entry is ``pm.entry``; a PM never credited has none, ranks at -0.0
       and its pn is ``ZEROS``.
-    * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
-      ``b_ol`` kept from their states' live counts, then sorts and drains
-      the ranked clusters in descending psd value, tombstoning a PM as
-      ``ExecutionPlan.discard`` does once a budgeted pattern it serves
-      would pass its limit; it returns ``(kept, discarded, spend)``.
+    * ``budget(lat, bounds, out)`` flags each pattern i with ``l_i >= L_i
+      and l_i > 0``, walks once for the b_OL of the flags, fills ``out``
+      with ``B_i = (L_i / l_i) * T_i`` in ascending i and returns ``(b_ol,
+      ranks)``.
+    * ``drain(ranks, b_ol, budget_map)`` counts the clusters missing
+      ``b_ol`` kept from their buffer sizes, then sorts and drains the
+      ranked clusters in descending psd value, discarding a PM
+      (``ExecutionPlan.discard``) once a pattern of ``budget_map`` it
+      serves would pass ``B_i + 1e-12``; it returns ``(kept, discarded,
+      spend)``.
 
     Under ``theta_constant`` the rows leave out theta, which would
     multiply by 1.0; a cluster of one pattern tests no pattern bits."""
     n = index.n
     plan = index.plan
     const = theta is cost.theta_constant
-    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "STATES": plan.states}
+    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "DISCARD": plan.discard}
     clusters = list(index.states.items())
     pats = [tuple(i for i in range(n) if b & pattern_bit(i, n))
             for b, _ in clusters]
@@ -111,9 +120,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
                         f"S{s.state_id}.buffer" for s in states) + ":",
                     "            for pm in buf:"]
             pad = " " * 16
-        body = ["if not pm.alive:",
-                "    continue",
-                "e = pm.entry"]
+        body = ["e = pm.entry"]
         if not const:
             body.append("t = THETA(pm)")
         body += ["if e is None:",
@@ -129,22 +136,33 @@ def generate(index: ClusterIndex, theta) -> tuple:
         out += [pad + line for line in body]
     out += [f"    return ({names('r{}', k)}), ({names('tot{}')})", ""]
 
+    # walk is a default, not a global: no function is left in the globals
+    out += ["def budget(lat, bounds, out, walk=walk):"]
+    out += [f"    u{i} = lat[{i}] >= bounds[{i}] and lat[{i}] > 0"
+            for i in range(n)]
+    out += ["    b_ol = " + " | ".join(f"({pattern_bit(i, n)} if u{i} else 0)"
+                                       for i in range(n)),
+            f"    ranks, ({names('T{}')}) = walk(b_ol, ({names('u{}')}))"]
+    for i in range(n):
+        out += [f"    if u{i}:",
+                f"        out[{i}] = (bounds[{i}] / lat[{i}]) * T{i}"]
+    out += ["    return b_ol, ranks", ""]
+
     unpack = "_, _, _, _, _, pm, pn" + ("" if const else ", t")
-    out += ["def drain(ranks, b_ol, flags, limits):",
-            f"    {names('u{}')} = flags",
-            f"    {names('lim{}')} = limits",
-            f"    {names('r{}', k)} = ranks",
+    out += ["def drain(ranks, b_ol, budget_map):"]
+    for i in range(n):
+        out += [f"    u{i} = {i} in budget_map",
+                f"    lim{i} = budget_map[{i}] + 1e-12 if u{i} else 0.0"]
+    out += [f"    {names('r{}', k)} = ranks",
             "    " + " = ".join(map("sp{}".format, range(n))) + " = 0.0",
             "    kept = discarded = 0"]
     for j, (b, states) in enumerate(clusters):
         out += [f"    if not b_ol & {b}:",
-                "        kept += " + " + ".join(f"S{s.state_id}.live"
+                "        kept += " + " + ".join(f"len(S{s.state_id}.buffer)"
                                                 for s in states)]
     for j in sorted(range(k), key=lambda j: -clusters[j][0]):
         b, states = clusters[j]
         single = len(pats[j]) == 1
-        live = (f"S{states[0].state_id}.live" if len(states) == 1
-                else "STATES[pm.state_id].live")
         over = "\n                    or ".join(
             f"{served(i, single)} and sp{i} + " + cost_of.format(i)
             + f" > lim{i}" for i in pats[j])
@@ -158,8 +176,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
         if len(pats[j]) > 1:
             over = f"({over})"
         out += [f"            if {over}:",
-                "                pm.alive = False",
-                f"                {live} -= 1",
+                "                DISCARD(pm)",
                 "                discarded += 1",
                 "                continue"]
         for i in pats[j]:
@@ -171,14 +188,15 @@ def generate(index: ClusterIndex, theta) -> tuple:
 
 
 def _kernel(index: ClusterIndex, theta) -> tuple:
-    """``(walk, drain)`` of ``index`` under ``theta``, generated at the
-    first reduction that asks for them."""
+    """``(walk, budget, drain)`` of ``index`` under ``theta``, generated
+    at the first reduction that asks for them."""
     kernel = index.kernels.get(theta)
     if kernel is None:
         source, ns = generate(index, theta)
-        sweep.load(source, ns, index, f"reduction {len(index.kernels)}")
+        sweep.load(source, ns, "reduction")
         # no cycle: the functions leave the globals they run in
-        kernel = index.kernels[theta] = (ns.pop("walk"), ns.pop("drain"))
+        kernel = index.kernels[theta] = (ns.pop("walk"), ns.pop("budget"),
+                                         ns.pop("drain"))
     return kernel
 
 
@@ -201,20 +219,15 @@ def budgets(index: ClusterIndex, monitor, bounds,
     """B_i for each overloaded pattern i (others are unconstrained).
 
     T_i sums, PM by PM in cluster order, the overhead ``pn_i * theta(pm)``
-    of every live PM serving pattern i, read from the entry it holds; a
-    PM never credited adds nothing.  A PM's ``pattern_bits`` lie within
-    its state's psd, so a cluster whose psd has no overloaded pattern is
-    skipped.
-    The same walk ranks the PMs it reads, for ``select``.
+    of every PM serving pattern i, read from the entry it holds; a PM
+    never credited adds nothing.  A PM's ``pattern_bits`` lie within its
+    state's psd, so a cluster whose psd has no overloaded pattern is
+    skipped.  The same walk ranks the PMs it reads, for ``select``; the
+    kernel's ``budget`` does it all.
     """
-    n = monitor.n
-    lat = monitor.latency_ms
-    flags = [lat[i] >= bounds[i] and lat[i] > 0 for i in range(n)]
-    over_bits = sum(1 << (n - i - 1) for i in range(n) if flags[i])
-    ranks, totals = _kernel(index, theta)[0](over_bits, flags)
-    out = Budgets((i, (bounds[i] / lat[i]) * totals[i])
-                  for i in range(n) if flags[i])
-    out.walk = (index, theta, over_bits, ranks)
+    out = Budgets()
+    b_ol, ranks = _kernel(index, theta)[1](monitor.latency_ms, bounds, out)
+    out.walk = (index, theta, b_ol, ranks)
     return out
 
 
@@ -238,7 +251,7 @@ class SelectionAudit:
 
 def select(index: ClusterIndex, b_ol: int, budget_map: dict,
            theta=cost.theta_constant, now_ts: float = 0.0) -> SelectionAudit:
-    """Greedy budgeted selection; discarded PMs are tombstoned in place.
+    """Greedy budgeted selection; discarded PMs leave their states.
 
     Overloaded clusters are drained in descending psd value.  Within one,
     PMs are ranked by the key ``(-contribution, first_ts, first_seq,
@@ -261,20 +274,14 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict,
     otherwise: call ``select`` with no insert into the index and no
     credit since ``budgets`` (see ``Budgets``).
     """
-    n = index.n
-    audit = SelectionAudit(ts=now_ts, b_ol=b_ol, budget=dict(budget_map))
-    walk, drain = _kernel(index, theta)
-    flags = [i in budget_map for i in range(n)]
+    walk, _, drain = _kernel(index, theta)
     carried = getattr(budget_map, "walk", None)
     if carried is not None:
         budget_map.walk = None  # one drain per walk
     if carried is not None and carried[:3] == (index, theta, b_ol):
         ranks = carried[3]
     else:
-        ranks = walk(b_ol, flags)[0]
-    limits = [0.0] * n
-    for i, budget in budget_map.items():
-        limits[i] = budget + 1e-12
-    audit.kept, audit.discarded, spend = drain(ranks, b_ol, flags, limits)
-    audit.spend = {i: spend[i] for i in budget_map}
-    return audit
+        ranks = walk(b_ol, [i in budget_map for i in range(index.n)])[0]
+    kept, discarded, spend = drain(ranks, b_ol, budget_map)
+    return SelectionAudit(now_ts, b_ol, kept, discarded,
+                          {i: spend[i] for i in budget_map}, dict(budget_map))

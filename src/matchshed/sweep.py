@@ -9,22 +9,23 @@ The sweep then walks the type's edges in plan
 order (``ExecutionPlan.edges_by_trigger``).  A start edge evaluates its
 guards on the element alone: SAME holds there, but its attributes are
 read, so that a missing one raises ``KeyError`` as in ``expr``.  Any other
-edge reads the element's key (a missing attribute raises only where an
-alive source record is in a window, as in ``expr``) and probes that
-bucket; for each alive record there it tests pattern bits, windows and
-strict adjacency against constants, one bit mask per distinct (window,
-adjacency) of the guards sharing a ``checks`` tuple, and then evaluates
-that tuple once, inline.  Conjuncts read the incoming element's
-attributes from ``attrs`` and earlier ones from the record's slots,
-unpacked to ``s0, s1, ...``; a SAME check compares the incoming element
-with the first one, because every element the record already holds
-passed the same check when it was bound.  A child's slot tuple is built
-only once a guard has passed.  Negation gap checks are the functions
+edge reads the element's key (a missing attribute raises only where a
+source record is in a window, as in ``expr``) and probes that bucket,
+which holds only alive records; for each one it tests pattern bits,
+windows and strict adjacency against constants, one bit mask per
+distinct (window, adjacency) of the guards sharing a ``checks`` tuple,
+and then evaluates that tuple once, inline.  Conjuncts read the
+incoming element's attributes from ``attrs`` and earlier ones from the
+record's slots, unpacked to ``s0, s1, ...``; a SAME check compares the
+incoming element with the first one, because every element the record
+already holds passed the same check when it was bound.  A child's slot
+tuple is built only once a guard has passed.  Negation gap checks are the functions
 ``gap_<i>``, which read the history lists of the negated type.
 
 Each edge collects its children in a list ``c<j>``.  After every edge has
-run, the sweep adds them to the target state's ``buffer``, ``live`` and
-the bucket of the key the edge probed (from the start, the element's);
+run, the sweep adds them to the target state's ``buffer`` and to the
+bucket of the key the edge probed (from the start, the element's),
+which it stores in each child's ``bucket_key``;
 ``ExecutionPlan.insert`` takes a child keyed unlike its parent.  A child
 whose state's patterns have one window joins its parent's deadline slot,
 which stays queued until expiry clears that window's bits from the
@@ -41,7 +42,8 @@ evaluated inline after the bit test, over the child's slots ``s0, ...``.
 ``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
 the plan's patterns (see its docstring).  ``load`` executes either
 module, and the selector's reduction kernel (``selector.generate``),
-under a file name ``linecache`` knows.
+under a file name ``linecache`` knows; it compiles each distinct text
+once per process and caches the code.
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
@@ -52,8 +54,8 @@ check them, and a fault makes its conjunct false and is counted once.
 from __future__ import annotations
 
 import linecache
-import weakref
 from bisect import bisect_left, bisect_right
+from itertools import count
 from types import FunctionType
 
 from . import expr as ex
@@ -202,15 +204,29 @@ def _remember(m: _Module, ttype: str):
                      f"    {m.bind(hist[1], 'H')}.append(d)"]
 
 
-def load(source: str, ns: dict, owner, kind: str) -> dict:
-    """Execute generated ``source`` in ``ns`` and return ``ns``.  The text
-    is registered with ``linecache`` for as long as ``owner`` lives, so a
+_CODE = {}              # source -> its code, least recently loaded first
+_CODE_SIZE = 64
+_serial = count()
+
+
+def load(source: str, ns: dict, kind: str) -> dict:
+    """Execute generated ``source`` in ``ns`` and return ``ns``.  The
+    compiled code is cached per process, by source text, for the
+    ``_CODE_SIZE`` texts loaded last; equal plans generate equal text,
+    since every object is a namespace name.  A cached text stays
+    registered with ``linecache`` under the code's file name, so a
     traceback through it shows the generated line."""
-    filename = f"<matchshed {kind} {id(owner):#x}>"
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    weakref.finalize(owner, linecache.cache.pop, filename, None)
-    exec(compile(source, filename, "exec"), ns)
+    code = _CODE.pop(source, None)
+    if code is None:
+        filename = f"<matchshed {kind} {next(_serial)}>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        code = compile(source, filename, "exec")
+        if len(_CODE) >= _CODE_SIZE:
+            evicted = _CODE.pop(next(iter(_CODE)))
+            linecache.cache.pop(evicted.co_filename, None)
+    _CODE[source] = code
+    exec(code, ns)
     return ns
 
 
@@ -308,12 +324,11 @@ def _edge(m: _Module, eng, e, j: int):
     at = _Slots(m, -1 if e.action == "kleene-extend" else src.depth,
                _kleene(src))
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
-    state, buckets = m.bind(src, "S"), m.bind(src.buckets, "B")
+    buffer, buckets = m.bind(src.buffer, "L"), m.bind(src.buckets, "B")
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     head = len(out)     # where the key lines go, once the tests are known
     out += [f"    c{j} = []",
             f"    for rec in {buckets}.get(k{j}, ()):",
-            "        if not rec.alive:", "            continue",
             "        bits = rec.pattern_bits", "        passed = 0"]
     windows = []
     next_mask = 0
@@ -370,18 +385,18 @@ def _edge(m: _Module, eng, e, j: int):
         nxt = m.bind(next_mask, "M")
         out += [f"            if passed & {nxt}:",
                 f"                taken.append((rec, passed & {nxt}))"]
-    # a missing key attribute raises only at an alive record in a window
+    # a missing key attribute raises only at a record in a window
     inside = " or ".join(f"rec.pattern_bits & {mask} and {test}"
                          for mask, test in windows)
     out[head:head] = [
         "    try:", f"        k{j} = {_key(src.key_attrs)}",
-        "    except KeyError:", f"        for rec in {state}.buffer:",
-        f"            if rec.alive and ({inside}):", "                raise",
+        "    except KeyError:", f"        for rec in {buffer}:",
+        f"            if {inside}:", "                raise",
         f"        k{j} = None"]
     out += [f"    if c{j}:",
             f"        work[{to}] = work.get({to}, 0) + len(c{j})",
-            f"    if {state}.live > 0:",
-            f"        work[{frm}] = work.get({frm}, 0) + {state}.live"]
+            f"    if {buffer}:",
+            f"        work[{frm}] = work.get({frm}, 0) + len({buffer})"]
 
 
 def _buffer(m: _Module, eng, e, j: int):
@@ -394,11 +409,13 @@ def _buffer(m: _Module, eng, e, j: int):
     queues = [q for q in plan.deadlines if q.mask & to.psd]
     out.append(f"    if c{j}:")
     if start or to.key_attrs == plan.states[e.from_id].key_attrs:
-        state, buckets = m.bind(to, "S"), m.bind(to.buckets, "B")
-        key = _key(to.key_attrs) if start else f"k{j}"
-        out += [f"        {state}.buffer += c{j}",
-                f"        {buckets}.setdefault({key}, []).extend(c{j})",
-                f"        {state}.live += len(c{j})", f"        for c in c{j}:"]
+        buffer, buckets = m.bind(to.buffer, "L"), m.bind(to.buckets, "B")
+        key = f"k{j}"
+        if start:
+            out.append(f"        {key} = {_key(to.key_attrs)}")
+        out += [f"        bucket = {buckets}.setdefault({key}, {{}})",
+                f"        for c in c{j}:", f"            c.bucket_key = {key}",
+                f"            {buffer}[c] = bucket[c] = None"]
         if start or len(queues) > 1:
             out += [f"            if c.pattern_bits & {m.bind(q.mask, 'M')}: "
                     f"{m.bind(q, 'Q')}.push(c)" for q in queues]

@@ -1,7 +1,8 @@
 """Generated sweeps buffer their own children: after every step each
 state's buffer, buckets, live count and deadline slots agree, on the
-inlined path and through ``ExecutionPlan.insert``, and the match keys a
-step returns are the keys ``runner.match_key`` rebuilds."""
+inlined path and through ``ExecutionPlan.insert``; a buffer holds
+exactly its state's alive records, whatever removed the others; and the
+match keys a step returns are the keys ``runner.match_key`` rebuilds."""
 
 import dataclasses
 import re
@@ -11,8 +12,9 @@ import pytest
 
 import oracle
 import randgen
-from matchshed import runner
-from matchshed.engine import Engine
+from matchshed import cost, psd, runner, selector
+from matchshed import workloads as wl
+from matchshed.engine import Engine, LatencyMonitor
 from matchshed.model import (ConsumptionPolicy, SelectionPolicy, StepKind,
                              Window, WindowKind)
 from matchshed.parser import format_pattern, parse_pattern
@@ -39,7 +41,7 @@ def check_buffers(plan, rank):
             assert [id(r) for r in bucket] == [id(r) for r in want], (s, key)
             held += len(bucket)
         assert held == len(s.buffer), s
-        assert s.live == sum(r.alive for r in s.buffer), s
+        assert len(s.buffer) == sum(r.alive for r in s.buffer), s
     for q in plan.deadlines:
         assert sorted(q.starts) == sorted(q.slots)
         slotted = {(start, id(r)) for start, recs in q.slots.items()
@@ -228,3 +230,56 @@ def test_one_step_match_keys(monkeypatch, texts, sel, cons):
             for p in pats:
                 assert {k for _, k in got[p.id]} == \
                     oracle.enumerate_any(stream, p)
+
+
+def check_store(plan, eng, created):
+    """Each state's buffer holds exactly its alive records in creation
+    order, and its buckets partition the buffer by key, in that order,
+    none of them empty."""
+    for s in plan.states:
+        alive = [r for r in created if r.state_id == s.state_id and r.alive]
+        assert list(s.buffer) == alive, s
+        by_key = {}
+        for r in alive:
+            key = s.key_of(first_element(r))
+            assert r.bucket_key == key
+            by_key.setdefault(key, []).append(r)
+        assert {k: list(b) for k, b in s.buckets.items()} == by_key, s
+    assert eng.live_pm_count() == sum(len(s.buffer) for s in plan.states)
+
+
+def test_store_holds_exactly_the_alive_records():
+    """Expiry, guided and random-state reductions and skip-till-next drops
+    in one run: after each, every buffer and bucket holds exactly its
+    state's alive records."""
+    texts = [wl.templates(window=60)[k] for k in ("P1", "P2", "P5", "P6")]
+    plan = merge([parse_pattern(t, pattern_id=i)
+                  for i, t in enumerate(texts)])
+    eng = Engine(plan, SelectionPolicy.SKIP_TILL_NEXT)
+    index, sketch = psd.assess(plan), cost.Sketch(plan)
+    monitor = LatencyMonitor(plan.n)
+    monitor.latency_ms = [2.0] * plan.n     # every pattern at twice its bound
+    rng = np.random.default_rng(9)
+    created, shed = [], [0, 0]      # guided, random-state
+    for d in wl.gen_ds2(1500, 5):
+        seq = d.seq_index
+        if seq % 4 == 0:
+            eng.expire(seq, d.timestamp)
+            check_store(plan, eng, created)
+        if seq % 50 == 25:
+            b = selector.budgets(index, monitor, [1.0] * plan.n)
+            audit = selector.select(index, (1 << plan.n) - 1, b)
+            shed[0] += audit.discarded
+            check_store(plan, eng, created)
+        elif seq % 50 == 0:
+            shed[1] += runner.shed_random_state(eng, rng, 0.3)
+            check_store(plan, eng, created)
+        res = eng.step(d)
+        created += res.new_pms
+        for r in res.new_pms:
+            cost.sketch_update(sketch, r)
+        check_store(plan, eng, created)
+    c = eng.counters
+    assert min(c.pms_expired, c.pms_policy_dropped, *shed) > 20
+    assert c.pms_created == (c.pms_expired + sum(shed)
+                             + c.pms_policy_dropped + eng.live_pm_count())

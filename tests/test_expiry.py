@@ -16,7 +16,7 @@ from matchshed.engine import Engine, golden_run
 from matchshed.model import (ConsumptionPolicy, DataElement, MatchRecord,
                              SelectionPolicy, StepKind, Window, WindowKind)
 from matchshed.parser import parse_pattern
-from matchshed.plan import PlanState, merge
+from matchshed.plan import merge
 from matchshed.runner import RunConfig, run, shed_random_state
 
 import oracle
@@ -29,10 +29,11 @@ def P(text, pid=0):
 
 def sweep_expire(eng, now_seq, now_ts):
     """Reference: the full sweep over every alive record of every state
-    that the deadline queues replace."""
+    that the deadline queues replace; it iterates a snapshot of each
+    buffer, which a discard changes."""
     evicted = 0
     for state in eng.plan.states:
-        for rec in state.buffer:
+        for rec in list(state.buffer):
             if not rec.alive:
                 continue
             bits = rec.pattern_bits
@@ -110,7 +111,7 @@ def drive(pats, stream, rng_seed, selection, shed=0.0, inserts=0.0):
             want = sweep_expire(ref, d.seq_index, d.timestamp)
             assert got == want
             assert snapshot(new.plan) == snapshot(ref.plan)
-            assert [s.live for s in new.plan.states] == \
+            assert [len(s.buffer) for s in new.plan.states] == \
                 alive_counts(ref.plan) == alive_counts(new.plan)
             assert new.live_pm_count() == sum(alive_counts(ref.plan))
             expiries += 1
@@ -207,10 +208,10 @@ def test_random_plans_match_full_sweep(seed):
 # ------------------------------------------------------------ boundedness
 
 def test_buffers_and_queues_stay_bounded(monkeypatch):
-    """After every expiry each state holds at most twice its alive records
-    plus the slack, and no deadline queue holds a record older than its
-    window; between expiries none is older than the largest window plus
-    the sweep cadence.  So a stream ten times longer, which creates ten
+    """After every expiry each state holds exactly its alive records, and
+    no deadline queue holds a record older than its window; between
+    expiries none is older than the largest window plus the sweep
+    cadence.  So a stream ten times longer, which creates ten
     times the records, does not double the records held."""
     texts = [t.replace("WITHIN 200", w) for t, w in zip(
         (wl.templates(window=200)[k] for k in ("P1", "P2", "P5", "P6")),
@@ -223,7 +224,7 @@ def test_buffers_and_queues_stay_bounded(monkeypatch):
     def checked_expire(eng, now_seq, now_ts):
         evicted = expire(eng, now_seq, now_ts)
         for s in eng.plan.states:
-            assert len(s.buffer) <= 2 * s.live + PlanState.SLACK
+            assert len(s.buffer) == sum(r.alive for r in s.buffer)
         for q in eng.plan.deadlines:
             now = now_seq if q.by_count else now_ts
             assert all(now - start <= q.size for start in q.starts)

@@ -13,7 +13,7 @@ from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
 from matchshed.model import DataElement, SelectionPolicy
 from matchshed.parser import parse_pattern
-from matchshed.plan import PlanState, compile_pattern, merge
+from matchshed.plan import compile_pattern, merge
 from matchshed.runner import RunConfig, run
 
 
@@ -151,7 +151,7 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
     def checked_step(eng, d):
         alive = {s.state_id: sum(1 for r in s.buffer if r.alive)
                  for s in eng.plan.states}
-        assert alive == {s.state_id: s.live for s in eng.plan.states}
+        assert alive == {s.state_id: len(s.buffer) for s in eng.plan.states}
         res = step(eng, d)
         assert res.work == scan_work(eng.plan, d, alive, res.new_pms)
         checked.append(res)
@@ -171,9 +171,9 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
 
 
 def test_cluster_index_stays_within_twice_live(monkeypatch):
-    """After every expiry each cluster holds at most twice its live
-    members plus each state's slack, and ``lookup`` yields exactly its
-    live members, in a run where selection never reads the index."""
+    """After every expiry each cluster holds exactly its live members,
+    and ``lookup`` yields them, in a run where selection never reads the
+    index."""
     indexes, checked = [], []
     assess, expire = psd.assess, Engine.expire
 
@@ -186,10 +186,9 @@ def test_cluster_index_stays_within_twice_live(monkeypatch):
         (index,) = indexes
         for b, members in index.clusters.items():
             states = index.states[b]
-            live = sum(s.live for s in states)
-            assert len(members) <= 2 * live + PlanState.SLACK * len(states)
-            assert index.lookup(b) == [r for r in members if r.alive]
-            assert len(index.lookup(b)) == live
+            live = sum(len(s.buffer) for s in states)
+            assert len(members) == live == sum(r.alive for r in members)
+            assert index.lookup(b) == members
         checked.append(now_seq)
         return evicted
 

@@ -334,7 +334,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "foo": 1, "bar": 2}',
      "unknown RunConfig keys bar, foo"),
     ('["SEQ(A a, B b) WITHIN 5"]', "a run configuration is a JSON object"),
-    ('{"patterns": "SEQ(A a, B b) WITHIN 5"}', "patterns")])
+    ('{"patterns": "SEQ(A a, B b) WITHIN 5"}', "patterns"),
+    ('{"strategy": "none"}', "missing RunConfig keys patterns")])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, names):
     path = os.path.join(tmp_path, "cfg.json")
     with open(path, "w") as f:

@@ -12,16 +12,20 @@ only records the element for the gap checks), then the negation gap
 checks.  A pattern's residual check (a SUM over a final Kleene step,
 which no guard can decide) prints where the sweep accepts a match of
 that pattern, on the transition into its accepting state.  Names such
-as ``S12`` or ``M3`` are objects bound in the
-module's namespace (states, bucket dicts, masks, constants), not part
-of the text.  Then comes the ``fold`` that ``engine.measure`` runs for
+as ``L12``, ``B13`` or ``M3`` are objects bound in the module's
+namespace (a state's buffer, its bucket dict, masks, constants), not
+part of the text.  Then comes the ``fold`` that ``engine.measure`` runs for
 the plan, after a comment line that gives its ``GROUP`` table: state id
 -> the group of states whose psd names the same patterns, 0 for none.
 Last comes the reduction kernel that ``selector.budgets`` and
 ``selector.select`` run for the plan's cluster index under the
-configuration's theta: ``walk`` and ``drain``, unrolled over the
-clusters (``c<j>``, commented with their psd) and patterns.  ``S<id>``
-is the state of that id, ``STATES`` the plan's state list.
+configuration's theta, unrolled over the clusters (``c<j>``, commented
+with their psd) and patterns: ``walk``; ``budget``, which flags the
+overloaded patterns, walks and fills the budgets; and ``drain``, which
+reads its limits from the budget map and discards a PM from its
+state's buffer and bucket through ``DISCARD``, the plan's
+``discard``.  ``S<id>`` is the state of that id.  Each text is
+compiled once per process (``sweep.load``).
 """
 
 from __future__ import annotations
