@@ -25,10 +25,10 @@ scan of the whole state.  A child whose state is keyed like its parent's
 goes into the bucket the element probed.
 
 Sweeps: each engine generates Python source for one sweep function per
-trigger event type (``sweep``) in ``__init__``; the code depends on the
-engine's selection policies and binds its objects by namespace names,
-so engines of equal plans and policies generate equal text, compiled
-once per process (``sweep.load``).
+trigger event type (``sweep``) and compiles it once, in ``__init__``; the
+code depends on the engine's selection policies and binds its objects
+by namespace names, so engines of equal plans and policies generate
+equal text.
 A sweep evaluates the guards and buffers its children.  When it
 accepted no match and took no skip-till-next parent, as for most
 elements, ``step`` returns at once; otherwise it applies skip-till-next,
@@ -131,7 +131,8 @@ def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
     if fold is None:
         source, ns = sweep.generate_fold(plan)
         # no cycle: the function leaves the globals it runs in
-        fold = monitor.fold = sweep.load(source, ns, "fold").pop("fold")
+        fold = monitor.fold = sweep.load(source, ns, monitor,
+                                         "fold").pop("fold")
     fold(monitor, elapsed_ms, work_by_state)
 
 
@@ -191,7 +192,7 @@ class Engine:
         self._trim_at = 0
         self.source, namespace = sweep.generate(self)
         self._sweeps = sweep.unlink(
-            sweep.load(self.source, namespace, "sweep"))
+            sweep.load(self.source, namespace, self, "sweep"))
 
     # ------------------------------------------------------------- windows
 

@@ -28,10 +28,9 @@ computes the flags and b_OL, walks, and fills B_i: per PM the walk
 reads the sketch entry the record holds (``MatchRecord.entry``, none
 for a record never credited), calls theta once, adds the overhead to
 T_i and builds the rank tuple; it reads no sketch.  The budgets it
-returns carry the walk, so ``select`` only runs the kernel's
-``drain``, which reads its limits from the budget map, sorts each
-cluster's ranks once and drains them, discarding in place; every other
-cluster is counted kept from its buffer sizes.  A cluster is read from
+returns carry the walk, so ``select`` only sorts each cluster's ranks
+once and drains them, discarding in place; every other cluster is
+counted kept from its buffer sizes.  A cluster is read from
 its states' buffers (``psd.ClusterIndex``), which hold exactly the
 alive PMs."""
 
@@ -71,12 +70,11 @@ def generate(index: ClusterIndex, theta) -> tuple:
       and l_i > 0``, walks once for the b_OL of the flags, fills ``out``
       with ``B_i = (L_i / l_i) * T_i`` in ascending i and returns ``(b_ol,
       ranks)``.
-    * ``drain(ranks, b_ol, budget_map)`` counts the clusters missing
+    * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
       ``b_ol`` kept from their buffer sizes, then sorts and drains the
       ranked clusters in descending psd value, discarding a PM
-      (``ExecutionPlan.discard``) once a pattern of ``budget_map`` it
-      serves would pass ``B_i + 1e-12``; it returns ``(kept, discarded,
-      spend)``.
+      (``ExecutionPlan.discard``) once a budgeted pattern it serves would
+      pass its limit; it returns ``(kept, discarded, spend)``.
 
     Under ``theta_constant`` the rows leave out theta, which would
     multiply by 1.0; a cluster of one pattern tests no pattern bits."""
@@ -149,11 +147,10 @@ def generate(index: ClusterIndex, theta) -> tuple:
     out += ["    return b_ol, ranks", ""]
 
     unpack = "_, _, _, _, _, pm, pn" + ("" if const else ", t")
-    out += ["def drain(ranks, b_ol, budget_map):"]
-    for i in range(n):
-        out += [f"    u{i} = {i} in budget_map",
-                f"    lim{i} = budget_map[{i}] + 1e-12 if u{i} else 0.0"]
-    out += [f"    {names('r{}', k)} = ranks",
+    out += ["def drain(ranks, b_ol, flags, limits):",
+            f"    {names('u{}')} = flags",
+            f"    {names('lim{}')} = limits",
+            f"    {names('r{}', k)} = ranks",
             "    " + " = ".join(map("sp{}".format, range(n))) + " = 0.0",
             "    kept = discarded = 0"]
     for j, (b, states) in enumerate(clusters):
@@ -193,7 +190,7 @@ def _kernel(index: ClusterIndex, theta) -> tuple:
     kernel = index.kernels.get(theta)
     if kernel is None:
         source, ns = generate(index, theta)
-        sweep.load(source, ns, "reduction")
+        sweep.load(source, ns, index, f"reduction {len(index.kernels)}")
         # no cycle: the functions leave the globals they run in
         kernel = index.kernels[theta] = (ns.pop("walk"), ns.pop("budget"),
                                          ns.pop("drain"))
@@ -274,14 +271,19 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict,
     otherwise: call ``select`` with no insert into the index and no
     credit since ``budgets`` (see ``Budgets``).
     """
+    n = index.n
     walk, _, drain = _kernel(index, theta)
+    flags = [i in budget_map for i in range(n)]
     carried = getattr(budget_map, "walk", None)
     if carried is not None:
         budget_map.walk = None  # one drain per walk
     if carried is not None and carried[:3] == (index, theta, b_ol):
         ranks = carried[3]
     else:
-        ranks = walk(b_ol, [i in budget_map for i in range(index.n)])[0]
-    kept, discarded, spend = drain(ranks, b_ol, budget_map)
+        ranks = walk(b_ol, flags)[0]
+    limits = [0.0] * n
+    for i, budget in budget_map.items():
+        limits[i] = budget + 1e-12
+    kept, discarded, spend = drain(ranks, b_ol, flags, limits)
     return SelectionAudit(now_ts, b_ol, kept, discarded,
                           {i: spend[i] for i in budget_map}, dict(budget_map))

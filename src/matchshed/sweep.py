@@ -42,8 +42,7 @@ evaluated inline after the bit test, over the child's slots ``s0, ...``.
 ``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
 the plan's patterns (see its docstring).  ``load`` executes either
 module, and the selector's reduction kernel (``selector.generate``),
-under a file name ``linecache`` knows; it compiles each distinct text
-once per process and caches the code.
+under a file name ``linecache`` knows.
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
@@ -54,8 +53,8 @@ check them, and a fault makes its conjunct false and is counted once.
 from __future__ import annotations
 
 import linecache
+import weakref
 from bisect import bisect_left, bisect_right
-from itertools import count
 from types import FunctionType
 
 from . import expr as ex
@@ -204,29 +203,15 @@ def _remember(m: _Module, ttype: str):
                      f"    {m.bind(hist[1], 'H')}.append(d)"]
 
 
-_CODE = {}              # source -> its code, least recently loaded first
-_CODE_SIZE = 64
-_serial = count()
-
-
-def load(source: str, ns: dict, kind: str) -> dict:
-    """Execute generated ``source`` in ``ns`` and return ``ns``.  The
-    compiled code is cached per process, by source text, for the
-    ``_CODE_SIZE`` texts loaded last; equal plans generate equal text,
-    since every object is a namespace name.  A cached text stays
-    registered with ``linecache`` under the code's file name, so a
+def load(source: str, ns: dict, owner, kind: str) -> dict:
+    """Execute generated ``source`` in ``ns`` and return ``ns``.  The text
+    is registered with ``linecache`` for as long as ``owner`` lives, so a
     traceback through it shows the generated line."""
-    code = _CODE.pop(source, None)
-    if code is None:
-        filename = f"<matchshed {kind} {next(_serial)}>"
-        linecache.cache[filename] = (len(source), None,
-                                     source.splitlines(True), filename)
-        code = compile(source, filename, "exec")
-        if len(_CODE) >= _CODE_SIZE:
-            evicted = _CODE.pop(next(iter(_CODE)))
-            linecache.cache.pop(evicted.co_filename, None)
-    _CODE[source] = code
-    exec(code, ns)
+    filename = f"<matchshed {kind} {id(owner):#x}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    weakref.finalize(owner, linecache.cache.pop, filename, None)
+    exec(compile(source, filename, "exec"), ns)
     return ns
 
 

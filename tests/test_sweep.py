@@ -1,6 +1,7 @@
 """Generated sweep kernels: guards and negation blockers decide and fault
 exactly as the interpreter does, SAME on a start edge as well, and the
-generated source is debuggable, printable and compiled once per text."""
+generated source is debuggable and printable, and equal for equal
+plans."""
 
 import gc
 import json
@@ -9,7 +10,6 @@ import os
 import subprocess
 import sys
 import traceback
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 from matchshed import cost, selector, sweep
 from matchshed import expr as ex
 from matchshed import workloads as wl
-from matchshed.engine import Engine, LatencyMonitor, golden_run, measure
+from matchshed.engine import Engine, golden_run
 from matchshed.model import (ConsumptionPolicy, DataElement, Pattern,
                              PatternStep, SelectionPolicy, StepKind, Window,
                              WindowKind)
@@ -183,67 +183,31 @@ def test_traceback_shows_the_generated_line():
         eng.step(DataElement("B", 1, 1.0, {"y": 2.0}))
     text = "".join(traceback.format_exception(info.value))
     assert "<matchshed sweep" in text and line in text
-    lines = eng.source.splitlines(True)
+    # the text is registered for as long as the engine lives
     (name,) = [f for f in linecache.cache if f.startswith("<matchshed sweep")
-               and linecache.cache[f][2] == lines]
-    del info
+               and linecache.cache[f][2] == eng.source.splitlines(True)]
+    del eng, info
     gc.collect()
-    # reference counting frees the engine: no cycle; its text stays
-    # registered while its code is cached
-    gone = weakref.ref(eng)
-    gc.disable()
-    try:
-        del eng
-        assert gone() is None
-    finally:
-        gc.enable()
-    assert linecache.cache[name][2] == lines
+    assert name not in linecache.cache
 
 
-def test_code_cache_is_bounded():
-    """The code cache keeps the texts loaded last; an evicted text leaves
-    ``linecache`` with its code, and loading it again compiles it anew."""
-    texts = [f"x = {i}  # a text of its own\n"
-             for i in range(sweep._CODE_SIZE + 1)]
-    sweep.load(texts[0], {}, "test")
-    (name,) = [f for f, entry in linecache.cache.items()
-               if entry[2] == [texts[0]]]
-    for text in texts[1:]:
-        sweep.load(text, {}, "test")
-    assert len(sweep._CODE) == sweep._CODE_SIZE
-    assert texts[0] not in sweep._CODE and name not in linecache.cache
-    assert sweep.load(texts[0], {}, "test")["x"] == 0
-    assert texts[1] not in sweep._CODE
-
-
-def test_equal_configs_share_generated_code():
+def test_equal_configs_generate_equal_text():
     """Engines, latency folds and cluster indexes built from equal configs
-    generate equal text, so each function of one is compiled from the
-    same cached code object as the other's: no id or other per-object
-    value reaches the text."""
+    generate equal text: no id or other per-object value reaches it."""
     config = RunConfig(patterns=[wl.templates(window=200)[k] for k in
                                  ("P1", "P2", "P3", "P5", "P6")],
                        selection="skip-next", consumption="consume")
-    thetas = (cost.theta_constant, cost.theta_length)
-    built = []
+    texts = []
     for _ in range(2):
         plan = build_plan(config)
         eng = Engine(plan, SelectionPolicy(config.selection),
                      ConsumptionPolicy(config.consumption))
-        monitor = LatencyMonitor(plan.n)
-        measure(monitor, 1.0, {1: 1}, plan)
         index = assess(plan)
-        functions = list(eng._sweeps.values()) + [monitor.fold]
-        for theta in thetas:
-            functions += selector._kernel(index, theta)
-        texts = [eng.source] + [selector.generate(index, theta)[0]
-                                for theta in thetas]
-        built.append((texts, functions))
-    (texts, functions), (twin_texts, twin_functions) = built
-    assert texts == twin_texts and "def gap_" in texts[0]
-    assert len(functions) == len(twin_functions) > 7
-    assert all(f is not g and f.__code__ is g.__code__
-               for f, g in zip(functions, twin_functions))
+        texts.append([eng.source, sweep.generate_fold(plan)[0]]
+                     + [selector.generate(index, theta)[0]
+                        for theta in (cost.theta_constant,
+                                      cost.theta_length)])
+    assert texts[0] == texts[1] and "def gap_" in texts[0][0]
 
 
 @pytest.mark.parametrize("texts", [

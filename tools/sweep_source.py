@@ -22,10 +22,9 @@ Last comes the reduction kernel that ``selector.budgets`` and
 configuration's theta, unrolled over the clusters (``c<j>``, commented
 with their psd) and patterns: ``walk``; ``budget``, which flags the
 overloaded patterns, walks and fills the budgets; and ``drain``, which
-reads its limits from the budget map and discards a PM from its
-state's buffer and bucket through ``DISCARD``, the plan's
-``discard``.  ``S<id>`` is the state of that id.  Each text is
-compiled once per process (``sweep.load``).
+discards a PM from its state's buffer and bucket through
+``DISCARD``, the plan's ``discard``.  ``S<id>`` is the state of that
+id.
 """
 
 from __future__ import annotations
