@@ -26,10 +26,17 @@ def _cmd_datagen(args):
     if args.drift:
         extra = []
         for txt in args.drift:
-            offset, attr, lo, hi = txt.split(":")
-            extra.append(workloads.Drift(int(offset), attr,
-                                         float(lo), float(hi)))
-        spec = workloads.inject_drift(spec, extra)
+            try:
+                offset, attr, lo, hi = txt.split(":")
+                extra.append(workloads.Drift(int(offset), attr,
+                                             float(lo), float(hi)))
+            except ValueError:
+                args.parser.error(f"--drift {txt!r} is not "
+                                  "offset:attr:low:high")
+        try:
+            spec = workloads.inject_drift(spec, extra)
+        except ValueError as e:     # outside the stream, or a bad range
+            args.parser.error(f"--drift: {e}")
     workloads.write_csv(workloads.generate(spec), args.out)
     print(f"wrote {spec.count} elements to {args.out}")
 
@@ -86,7 +93,7 @@ def main(argv=None):
     g.add_argument("--drift", action="append",
                    help="offset:attr:low:high (repeatable)")
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=_cmd_datagen)
+    g.set_defaults(fn=_cmd_datagen, parser=g)
 
     r = sub.add_parser("run", help="run one config over a stream")
     r.add_argument("--config", required=True, help="RunConfig JSON")

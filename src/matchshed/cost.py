@@ -10,7 +10,7 @@ patterns).  The sketch keeps, per key, one counter pair per pattern:
 A new match credits its whole ancestor chain (itself included), so a key's
 counters measure how productive matches with that key have historically
 been.  Estimates read the counters straight back: contribution is cn,
-overhead is pn scaled by a per-record cost Theta.
+overhead is pn.
 
 Counters halve at every window-length epoch so estimates track recent
 history and recover from distribution drift.  The epoch defaults to the
@@ -37,14 +37,6 @@ from dataclasses import dataclass
 
 from .model import MatchRecord
 from .plan import ExecutionPlan
-
-
-def theta_constant(pm: MatchRecord) -> float:
-    return 1.0
-
-
-def theta_length(pm: MatchRecord) -> float:
-    return float(len(pm.elements()))
 
 
 @dataclass
@@ -134,15 +126,14 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
         rho = rho.parent if gens is None else next(gens, None)
 
 
-def estimate(sketch: Sketch, pm: MatchRecord, theta=theta_constant) -> CostVectors:
-    """The counters of ``pm``'s entry, overhead scaled by ``theta``; zeros
-    for a record never credited."""
+def estimate(sketch: Sketch, pm: MatchRecord) -> CostVectors:
+    """The counters of ``pm``'s entry; zeros for a record never
+    credited."""
     entry = pm.entry
     if entry is None:
         z = [0.0] * sketch.n
         return CostVectors(z, list(z))
-    t = theta(pm)
-    return CostVectors(list(entry.cn), [p * t for p in entry.pn])
+    return CostVectors(list(entry.cn), list(entry.pn))
 
 
 def decay(sketch: Sketch, factor: float = 0.5):

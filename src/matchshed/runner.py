@@ -31,7 +31,7 @@ import os
 import time
 import traceback
 from dataclasses import MISSING, asdict, dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,6 +43,11 @@ from .parser import parse_pattern
 from .plan import merge
 
 STRATEGIES = ("guided", "random-input", "random-state", "none")
+
+
+def _number(v, kind=Real) -> bool:
+    """``v`` is a number of ``kind`` and no bool: JSON's ``true`` is none."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass
@@ -58,7 +63,6 @@ class RunConfig:
     cost_mode: str = "synthetic"         # or "wallclock"
     cost_unit: float = 0.01              # ms per work unit (synthetic)
     alpha: float = 0.2
-    theta: str = "constant"              # or "length"
     epoch_len: int = None                # None = max count window, or 0
                                          # (no decay) with time windows only
     expire_every: int = 16               # expiry cadence, in elements
@@ -74,20 +78,22 @@ class RunConfig:
                              "strings")
         if self.mode not in ("view", "separate"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.selection not in {p.value for p in SelectionPolicy}:
+        # lists, not sets: an unhashable value is unknown, not a TypeError
+        if self.selection not in [p.value for p in SelectionPolicy]:
             raise ValueError(f"unknown selection {self.selection!r}")
-        if self.consumption not in {p.value for p in ConsumptionPolicy}:
+        if self.consumption not in [p.value for p in ConsumptionPolicy]:
             raise ValueError(f"unknown consumption {self.consumption!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if not (_number(self.seed, Integral) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
+        for knob in ("drop_ratio", "cost_unit", "alpha"):
+            if not _number(getattr(self, knob)):
+                raise ValueError(f"{knob} must be a number")
         if not 0.0 <= self.drop_ratio <= 1.0:
             raise ValueError("drop_ratio must be in [0, 1]")
         if self.cost_mode not in ("synthetic", "wallclock"):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
-        if self.theta not in ("constant", "length"):
-            raise ValueError(f"unknown theta {self.theta!r}")
         # comparisons written `not x > 0` also reject NaN
         if not self.cost_unit > 0:
             raise ValueError("cost_unit must be positive")
@@ -95,14 +101,17 @@ class RunConfig:
             raise ValueError("alpha must be in [0, 1]")
         for knob in ("expire_every", "select_every"):
             v = getattr(self, knob)
-            if not (isinstance(v, Integral) and v >= 1):
+            if not (_number(v, Integral) and v >= 1):
                 raise ValueError(f"{knob} must be an integer >= 1")
         if self.epoch_len is not None and not (
-                isinstance(self.epoch_len, Integral) and self.epoch_len >= 0):
+                _number(self.epoch_len, Integral) and self.epoch_len >= 0):
             raise ValueError("epoch_len must be None or an integer >= 0")
+        if not isinstance(self.compute_golden, bool):
+            raise ValueError("compute_golden must be true or false")
         if self.bounds is not None and (
-                len(self.bounds) != len(self.patterns)
-                or not all(b > 0 for b in self.bounds)):
+                not isinstance(self.bounds, (list, tuple))
+                or len(self.bounds) != len(self.patterns)
+                or not all(_number(b) and b > 0 for b in self.bounds)):
             # `not b > 0` also rejects NaN, which would never trigger
             raise ValueError("bounds must give one positive latency bound "
                              "per pattern")
@@ -152,10 +161,6 @@ def match_key(rec) -> tuple:
     """The element seqs of a match; a record binds its elements in
     arrival order, so they ascend."""
     return rec.seq_tuple()
-
-
-def _theta_fn(name: str):
-    return cost.theta_length if name == "length" else cost.theta_constant
 
 
 def build_plan(config: RunConfig):
@@ -292,7 +297,6 @@ def _main_loop(config: RunConfig, stream: list):
 
     index = psd.assess(plan)
     sketch = cost.Sketch(plan)
-    theta = _theta_fn(config.theta)
     engine = Engine(plan, sel, cons)
     monitor = LatencyMonitor(n, alpha=config.alpha)
     bounds = (list(config.bounds) if config.bounds is not None
@@ -349,10 +353,9 @@ def _main_loop(config: RunConfig, stream: list):
                         # with the same now, a second call changes nothing
                         if next_expire != seq + expire_every:
                             engine.expire(seq, d.timestamp)
-                        budget_map = selector.budgets(index, monitor,
-                                                      bounds, theta)
+                        budget_map = selector.budgets(index, monitor, bounds)
                         audit = selector.select(index, b_ol, budget_map,
-                                                theta, now_ts=d.timestamp)
+                                                now_ts=d.timestamp)
                         audits.append(audit)
                         engine.counters.pms_shed += audit.discarded
                     elif strategy == "random-state" and reduce_now:

@@ -18,27 +18,25 @@ later candidates because spend only grows.
 Cost of a reduction: one walk over the PMs of the clusters that serve
 an overloaded pattern, one sort per such cluster and one drain, each
 PM discarded leaving its state's buffer and bucket in O(1).  The
-kernel is Python source generated per cluster index and theta
-(``generate``), at the index's first guided reduction, and unrolled
-over its clusters and patterns: totals, limits and spend are locals, a
-flag per pattern says whether it is budgeted, a cluster of one pattern
-tests no pattern bits, and under ``theta_constant`` theta is neither
-called nor multiplied by.  ``budgets`` runs its ``budget``, which
-computes the flags and b_OL, walks, and fills B_i: per PM the walk
-reads the sketch entry the record holds (``MatchRecord.entry``, none
-for a record never credited), calls theta once, adds the overhead to
-T_i and builds the rank tuple; it reads no sketch.  The budgets it
-returns carry the walk, so ``select`` only sorts each cluster's ranks
-once and drains them, discarding in place; every other cluster is
-counted kept from its buffer sizes.  A cluster is read from
-its states' buffers (``psd.ClusterIndex``), which hold exactly the
-alive PMs."""
+kernel is Python source generated per cluster index (``generate``), at
+the index's first guided reduction, and unrolled over its clusters and
+patterns: totals, limits and spend are locals, a flag per pattern says
+whether it is budgeted, and a cluster of one pattern tests no pattern
+bits.  ``budgets`` runs its ``budget``, which computes the flags and
+b_OL, walks, and fills B_i: per PM the walk reads the sketch entry the
+record holds (``MatchRecord.entry``, none for a record never
+credited), adds its pn counters, the overhead, to T_i and builds the
+rank tuple; it reads no sketch.  The budgets it returns carry the
+walk, so ``select`` only sorts each cluster's ranks once and drains
+them, discarding in place; every other cluster is counted kept from
+its buffer sizes.  A cluster is read from its states' buffers
+(``psd.ClusterIndex``), which hold exactly the alive PMs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import cost, sweep
+from . import sweep
 from .model import pattern_bit, render_bitmap
 from .psd import ClusterIndex
 
@@ -53,19 +51,19 @@ def trigger(monitor, bounds) -> int:
     return b
 
 
-def generate(index: ClusterIndex, theta) -> tuple:
-    """The source of the reduction kernel of ``index`` under ``theta``
-    and the namespace to run it in.  It defines three functions, unrolled
-    over the clusters (``c<j>`` in ``index.states`` order) and patterns:
+def generate(index: ClusterIndex) -> tuple:
+    """The source of the reduction kernel of ``index`` and the namespace
+    to run it in.  It defines three functions, unrolled over the clusters
+    (``c<j>`` in ``index.states`` order) and patterns:
 
     * ``walk(b_ol, flags)`` visits the PMs of each cluster meeting
       ``b_ol``, state by state, each state's buffer in order, and
       returns ``(ranks, totals)``: one list of rows per cluster, ``(-sum
-      of cn, first_ts, first_seq, last_seq, position, pm, pn, theta)``,
-      and per pattern i the sum of ``pn_i * theta`` over the PMs with an
-      entry that serve i, where ``flags[i]`` says i is budgeted.  A PM's
-      entry is ``pm.entry``; a PM never credited has none, ranks at -0.0
-      and its pn is ``ZEROS``.
+      of cn, first_ts, first_seq, last_seq, position, pm, pn)``, and per
+      pattern i the sum of ``pn_i`` over the PMs with an entry that
+      serve i, where ``flags[i]`` says i is budgeted.  A PM's entry is
+      ``pm.entry``; a PM never credited has none, ranks at -0.0 and its
+      pn is ``ZEROS``.
     * ``budget(lat, bounds, out)`` flags each pattern i with ``l_i >= L_i
       and l_i > 0``, walks once for the b_OL of the flags, fills ``out``
       with ``B_i = (L_i / l_i) * T_i`` in ascending i and returns ``(b_ol,
@@ -76,12 +74,10 @@ def generate(index: ClusterIndex, theta) -> tuple:
       (``ExecutionPlan.discard``) once a budgeted pattern it serves would
       pass its limit; it returns ``(kept, discarded, spend)``.
 
-    Under ``theta_constant`` the rows leave out theta, which would
-    multiply by 1.0; a cluster of one pattern tests no pattern bits."""
+    A cluster of one pattern tests no pattern bits."""
     n = index.n
     plan = index.plan
-    const = theta is cost.theta_constant
-    ns = {"ZEROS": (0.0,) * n, "THETA": theta, "DISCARD": plan.discard}
+    ns = {"ZEROS": (0.0,) * n, "DISCARD": plan.discard}
     clusters = list(index.states.items())
     pats = [tuple(i for i in range(n) if b & pattern_bit(i, n))
             for b, _ in clusters]
@@ -99,9 +95,7 @@ def generate(index: ClusterIndex, theta) -> tuple:
         """The test that a PM serves budgeted pattern i."""
         return f"u{i}" if single else f"u{i} and bits & {pattern_bit(i, n)}"
 
-    cost_of = "pn[{0}]" if const else "pn[{0}] * t"
-    row = ", pm.first_ts, pm.first_seq, pm.last_seq, len(rows), pm, {}" \
-        + ("" if const else ", t")
+    row = ", pm.first_ts, pm.first_seq, pm.last_seq, len(rows), pm, {}"
     out = ["def walk(b_ol, flags):",
            f"    {names('u{}')} = flags",
            "    " + " = ".join(map("tot{}".format, range(n))) + " = 0.0"]
@@ -118,18 +112,16 @@ def generate(index: ClusterIndex, theta) -> tuple:
                         f"S{s.state_id}.buffer" for s in states) + ":",
                     "            for pm in buf:"]
             pad = " " * 16
-        body = ["e = pm.entry"]
-        if not const:
-            body.append("t = THETA(pm)")
-        body += ["if e is None:",
-                 "    rows.append((-0.0" + row.format("ZEROS") + "))",
-                 "    continue",
-                 "pn = e.pn"]
+        body = ["e = pm.entry",
+                "if e is None:",
+                "    rows.append((-0.0" + row.format("ZEROS") + "))",
+                "    continue",
+                "pn = e.pn"]
         if not single:
             body.append("bits = pm.pattern_bits")
         for i in pats[j]:
             body += [f"if {served(i, single)}:",
-                     f"    tot{i} += " + cost_of.format(i)]
+                     f"    tot{i} += pn[{i}]"]
         body.append("rows.append((-sum(e.cn)" + row.format("pn") + "))")
         out += [pad + line for line in body]
     out += [f"    return ({names('r{}', k)}), ({names('tot{}')})", ""]
@@ -146,7 +138,6 @@ def generate(index: ClusterIndex, theta) -> tuple:
                 f"        out[{i}] = (bounds[{i}] / lat[{i}]) * T{i}"]
     out += ["    return b_ol, ranks", ""]
 
-    unpack = "_, _, _, _, _, pm, pn" + ("" if const else ", t")
     out += ["def drain(ranks, b_ol, flags, limits):",
             f"    {names('u{}')} = flags",
             f"    {names('lim{}')} = limits",
@@ -161,11 +152,11 @@ def generate(index: ClusterIndex, theta) -> tuple:
         b, states = clusters[j]
         single = len(pats[j]) == 1
         over = "\n                    or ".join(
-            f"{served(i, single)} and sp{i} + " + cost_of.format(i)
-            + f" > lim{i}" for i in pats[j])
+            f"{served(i, single)} and sp{i} + pn[{i}] > lim{i}"
+            for i in pats[j])
         out += [f"    if r{j}:  # c{j} {render_bitmap(b, n)}",
                 f"        r{j}.sort()",
-                f"        for {unpack} in r{j}:",
+                f"        for _, _, _, _, _, pm, pn in r{j}:",
                 "            if not pm.alive:",
                 "                continue"]
         if not single:
@@ -178,28 +169,28 @@ def generate(index: ClusterIndex, theta) -> tuple:
                 "                continue"]
         for i in pats[j]:
             out += [f"            if {served(i, single)}:",
-                    f"                sp{i} += " + cost_of.format(i)]
+                    f"                sp{i} += pn[{i}]"]
         out.append("            kept += 1")
     out.append(f"    return kept, discarded, ({names('sp{}')})")
     return "\n".join(out) + "\n", ns
 
 
-def _kernel(index: ClusterIndex, theta) -> tuple:
-    """``(walk, budget, drain)`` of ``index`` under ``theta``, generated
-    at the first reduction that asks for them."""
-    kernel = index.kernels.get(theta)
+def _kernel(index: ClusterIndex) -> tuple:
+    """``(walk, budget, drain)`` of ``index``, generated at the first
+    reduction that asks for them."""
+    kernel = index.kernel
     if kernel is None:
-        source, ns = generate(index, theta)
-        sweep.load(source, ns, index, f"reduction {len(index.kernels)}")
+        source, ns = generate(index)
+        sweep.load(source, ns, index, "reduction")
         # no cycle: the functions leave the globals they run in
-        kernel = index.kernels[theta] = (ns.pop("walk"), ns.pop("budget"),
-                                         ns.pop("drain"))
+        kernel = index.kernel = (ns.pop("walk"), ns.pop("budget"),
+                                 ns.pop("drain"))
     return kernel
 
 
 class Budgets(dict):
     """B_i by overloaded pattern, carrying the walk that summed the T_i
-    (``walk``: the index, theta and b_OL it read, and its ranks) for one
+    (``walk``: the index and b_OL it read, and its ranks) for one
     ``select`` to drain.
 
     The walk holds only if nothing is inserted into the index and no
@@ -211,20 +202,19 @@ class Budgets(dict):
     __slots__ = ("walk",)
 
 
-def budgets(index: ClusterIndex, monitor, bounds,
-            theta=cost.theta_constant) -> Budgets:
+def budgets(index: ClusterIndex, monitor, bounds) -> Budgets:
     """B_i for each overloaded pattern i (others are unconstrained).
 
-    T_i sums, PM by PM in cluster order, the overhead ``pn_i * theta(pm)``
-    of every PM serving pattern i, read from the entry it holds; a PM
-    never credited adds nothing.  A PM's ``pattern_bits`` lie within its
+    T_i sums, PM by PM in cluster order, the overhead ``pn_i`` of every
+    PM serving pattern i, read from the entry it holds; a PM never
+    credited adds nothing.  A PM's ``pattern_bits`` lie within its
     state's psd, so a cluster whose psd has no overloaded pattern is
     skipped.  The same walk ranks the PMs it reads, for ``select``; the
     kernel's ``budget`` does it all.
     """
     out = Budgets()
-    b_ol, ranks = _kernel(index, theta)[1](monitor.latency_ms, bounds, out)
-    out.walk = (index, theta, b_ol, ranks)
+    b_ol, ranks = _kernel(index)[1](monitor.latency_ms, bounds, out)
+    out.walk = (index, b_ol, ranks)
     return out
 
 
@@ -247,7 +237,7 @@ class SelectionAudit:
 
 
 def select(index: ClusterIndex, b_ol: int, budget_map: dict,
-           theta=cost.theta_constant, now_ts: float = 0.0) -> SelectionAudit:
+           now_ts: float = 0.0) -> SelectionAudit:
     """Greedy budgeted selection; discarded PMs leave their states.
 
     Overloaded clusters are drained in descending psd value.  Within one,
@@ -261,24 +251,24 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict,
     deeper record is created first but ranked second.  The key is
     unique, so one sort fixes the order.  A PM is kept while every
     overloaded pattern it serves stays within budget after adding its
-    overhead ``pn_i * theta(pm)``.  Returns an audit record with
+    overhead ``pn_i``.  Returns an audit record with
     kept/discarded counts and per-pattern spend against budget.
 
     ``budget_map`` from ``budgets`` carries the walk that ranked the PMs,
     and this call drains it, skipping PMs discarded since; a plain dict,
-    a walk already drained, or one made for another ``b_ol``, index or
-    theta gets a fresh walk.  A carried walk is trusted as it is
+    a walk already drained, or one made for another ``b_ol`` or index
+    gets a fresh walk.  A carried walk is trusted as it is
     otherwise: call ``select`` with no insert into the index and no
     credit since ``budgets`` (see ``Budgets``).
     """
     n = index.n
-    walk, _, drain = _kernel(index, theta)
+    walk, _, drain = _kernel(index)
     flags = [i in budget_map for i in range(n)]
     carried = getattr(budget_map, "walk", None)
     if carried is not None:
         budget_map.walk = None  # one drain per walk
-    if carried is not None and carried[:3] == (index, theta, b_ol):
-        ranks = carried[3]
+    if carried is not None and carried[:2] == (index, b_ol):
+        ranks = carried[2]
     else:
         ranks = walk(b_ol, flags)[0]
     limits = [0.0] * n

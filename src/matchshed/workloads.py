@@ -47,6 +47,9 @@ class GeneratorSpec:
         for d in self.drifts:
             if not 0 <= d.offset <= self.count:
                 raise ValueError("drift offset outside the stream")
+            if d.attr not in self.attrs or not d.low <= d.high:
+                raise ValueError(f"drift of {d.attr!r} to [{d.low}, "
+                                 f"{d.high}): no such attribute or range")
 
 
 def _substreams(spec: GeneratorSpec):

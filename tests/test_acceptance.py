@@ -16,7 +16,7 @@ import pytest
 import conftest
 import oracle
 import randgen
-from matchshed import cost, workloads as wl
+from matchshed import workloads as wl
 from matchshed.cost import Sketch, attr_key, estimate, sketch_update
 from matchshed.engine import Engine, golden_run
 from matchshed.model import ConsumptionPolicy, SelectionPolicy, pattern_bit
@@ -195,7 +195,7 @@ def test_acceptance_3_cost_model_agreement():
     for j in range(4):
         sketch_update(sk, rec(4, el("A", 1, ID=7.0), 0b001),
                       cm_pids=[2] if j < 1 else (), generators=[rho])
-    v = estimate(sk, rho, cost.theta_constant)
+    v = estimate(sk, rho)
     vectors_ok = (v.contribution == [0.0, 2.0, 1.0]
                   and v.overhead == [3.0, 5.0, 4.0])
 

@@ -68,18 +68,9 @@ def test_worked_vectors_from_generation_history():
     for j in range(4):
         sketch_update(sk, rec(4, [el("A", 1, ID=7.0)], bits=0b001),
                       cm_pids=[2] if j < 1 else (), generators=[rho])
-    v = estimate(sk, rho, cost.theta_constant)
+    v = estimate(sk, rho)
     assert v.contribution == [0.0, 2.0, 1.0]
     assert v.overhead == [3.0, 5.0, 4.0]
-
-
-def test_theta_scales_overhead():
-    plan = shared_plan()
-    sk = Sketch(plan)
-    rho = rec(1, [el("A", 0), el("B", 1)], bits=0b100)
-    sketch_update(sk, rec(1, [el("A", 0)], bits=0b100), generators=[rho])
-    v = estimate(sk, rho, cost.theta_length)  # record length 2
-    assert v.overhead == [2.0, 0.0, 0.0]
 
 
 def test_unseen_key_is_zero():

@@ -152,29 +152,35 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("expire_every", 0), ("expire_every", -16), ("expire_every", 2.5),
     ("select_every", 0), ("select_every", float("nan")),
-    ("select_every", 2.5), ("select_every", "400"),
-    ("theta", "lenght"), ("alpha", 1.5), ("alpha", -0.1),
+    ("select_every", 2.5), ("select_every", "400"), ("alpha", None),
+    ("alpha", 1.5), ("alpha", -0.1),
     ("alpha", float("nan")), ("epoch_len", -5), ("epoch_len", 2.5),
     ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan")),
     ("selection", "bogus"), ("consumption", "x"), ("mode", "y"),
     ("seed", -1), ("seed", 1.5), ("patterns", "SEQ(A a, B b) WITHIN 5"),
-    ("patterns", []), ("patterns", [None])])
+    ("patterns", []), ("patterns", [None]),
+    ("select_every", True), ("alpha", True), ("cost_unit", "1"),
+    ("drop_ratio", "x"), ("drop_ratio", None), ("selection", ["strict"]),
+    ("consumption", {}), ("compute_golden", "false"),
+    ("compute_golden", 0)])
 def test_config_rejects_knobs_that_break_a_run(field, value):
     """Values that crashed a run (``expire_every=0`` divides by zero in
     the golden pass, a string ``select_every`` fails mid-loop, a bad
     policy, mode or seed fails only after a golden worker has forked, a
-    bare pattern string is parsed one character at a time), ran
-    silently as something else (a misspelt theta ran as ``constant``, a
-    NaN ``select_every`` turned guided reductions off) or broke it (an
-    EWMA that over-corrects, a decay at every element, negative
-    latencies that never trigger)."""
+    bare pattern string is parsed one character at a time, a null or
+    string number or an unhashable policy raised ``TypeError``, which
+    ``matchshed run`` showed as a traceback), ran silently as something
+    else (a NaN ``select_every`` turned guided reductions off, the string
+    ``"false"`` ran the golden pass) or broke it (an EWMA that
+    over-corrects, a decay at every element, negative latencies that
+    never trigger)."""
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
     ("expire_every", 1), ("select_every", 1), ("select_every", 400),
-    ("theta", "length"), ("alpha", 0.0), ("alpha", 1.0),
+    ("compute_golden", False), ("alpha", 0.0), ("alpha", 1.0),
     ("epoch_len", 0), ("epoch_len", None), ("epoch_len", 250),
     ("cost_unit", 1e-6), ("selection", "strict"), ("consumption", "consume"),
     ("mode", "separate"), ("seed", 0), ("patterns", (PATS[0],))])
@@ -184,9 +190,10 @@ def test_config_accepts_knobs_at_their_limits(field, value):
 
 @pytest.mark.parametrize("bounds", [
     [0.01], [0.01, 0.01, 0.01], [], [0.0, 1.0], [1.0, -2.0],
-    [float("nan"), 1.0], [1.0, float("nan")]])
+    [float("nan"), 1.0], [1.0, float("nan")], "ab", 5, ["a", "b"],
+    [None, 1.0]])
 def test_config_rejects_bounds_not_one_positive_per_pattern(bounds):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bounds"):
         cfg(strategy="guided", bounds=bounds)
 
 
@@ -335,7 +342,11 @@ def test_cli_end_to_end(tmp_path, capsys):
      "unknown RunConfig keys bar, foo"),
     ('["SEQ(A a, B b) WITHIN 5"]', "a run configuration is a JSON object"),
     ('{"patterns": "SEQ(A a, B b) WITHIN 5"}', "patterns"),
-    ('{"strategy": "none"}', "missing RunConfig keys patterns")])
+    ('{"strategy": "none"}', "missing RunConfig keys patterns"),
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "alpha": null}', "alpha"),
+    # the length-scaled overhead is gone; an old config does not run
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "theta": "constant"}',
+     "unknown RunConfig keys theta")])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, names):
     path = os.path.join(tmp_path, "cfg.json")
     with open(path, "w") as f:
@@ -354,6 +365,19 @@ def test_custom_dataset_without_spec_is_a_usage_error(tmp_path, capsys):
         cli.main(["datagen", "--dataset", "custom", "--out", out])
     assert exit_.value.code == 2
     assert "--spec" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args", [
+    ["--drift", "bad"], ["--drift", "5:x:low:1"],
+    ["--count", "10", "--drift", "50:x:0:1"], ["--drift", "5:nope:0:1"],
+    ["--drift", "5:x:2:1"]])
+def test_malformed_drift_is_a_usage_error(tmp_path, capsys, args):
+    out = os.path.join(tmp_path, "s.csv")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["datagen", "--dataset", "ds2", *args, "--out", out])
+    assert exit_.value.code == 2
+    assert "--drift" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

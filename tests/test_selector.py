@@ -179,13 +179,13 @@ def test_ties_break_in_creation_order_across_states():
 
 # ------------------------------------------------ heap-based reference
 
-def ref_budgets(index, sketch, monitor, bounds, theta=cost.theta_constant):
+def ref_budgets(index, sketch, monitor, bounds):
     """Budgets from one fresh estimate per PM and a bit loop per pattern."""
     n = monitor.n
     totals = [0.0] * n
     for _, members in index.live_clusters():
         for pm in members:
-            v = estimate(sketch, pm, theta)
+            v = estimate(sketch, pm)
             for i in range(n):
                 if pm.pattern_bits & (1 << (n - i - 1)):
                     totals[i] += v.overhead[i]
@@ -194,7 +194,7 @@ def ref_budgets(index, sketch, monitor, bounds, theta=cost.theta_constant):
             if monitor.latency_ms[i] >= bounds[i] and monitor.latency_ms[i] > 0}
 
 
-def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
+def ref_select(index, b_ol, budget_map, sketch):
     """Selection draining each overloaded cluster from a max-heap keyed
     by contribution sum, ties to the older first element, then the older
     last element, then cluster position."""
@@ -209,14 +209,14 @@ def ref_select(index, b_ol, budget_map, sketch, theta=cost.theta_constant):
     for _, members in overloaded:
         heap = []
         for j, pm in enumerate(members):
-            s = sum(estimate(sketch, pm, theta).contribution)
+            s = sum(estimate(sketch, pm).contribution)
             heapq.heappush(heap, (-s, pm.first_ts, pm.first_seq,
                                   pm.last_seq, j, pm))
         while heap:
             pm = heapq.heappop(heap)[-1]
             if not pm.alive:
                 continue
-            v = estimate(sketch, pm, theta)
+            v = estimate(sketch, pm)
             ok = True
             for i in spend:
                 if pm.pattern_bits & (1 << (n - i - 1)):
@@ -238,8 +238,8 @@ def random_scene(seed):
     """Three patterns over clusters [111] A, [110] AB, [010] ABC, [001] AD.
     PMs draw their first element from a small pool and pairs of them
     share a last one, so PMs of one state share keys and tie on
-    contribution and on first and last element; Kleene tails
-    of random length vary theta_length within a key.  Some keys have no
+    contribution and on first and last element; Kleene tails of random
+    length vary the record length within a key.  Some keys have no
     sketch entry and some members are dead before selection."""
     rng = np.random.default_rng(seed)
     plan = merge([P("SEQ(A a, B b) WHERE SAME [ID] WITHIN 100", 0),
@@ -283,30 +283,29 @@ def hexes(d):
 def test_select_and_budgets_equal_heap_reference():
     bounds = [10.0, 10.0, 10.0]
     reductions = 0
-    for theta in (cost.theta_constant, cost.theta_length):
-        for seed in range(150):
-            _, idx_new, sk_new, pms_new, mon = random_scene(seed)
-            _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
-            b_ol = trigger(mon, bounds)
-            b_new = budgets(idx_new, mon, bounds, theta)
-            b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds, theta)
-            assert hexes(b_new) == hexes(b_ref), (seed, theta)
-            assert b_new.walk[2] == b_ol  # positive bounds: same overload
-            # the first reduction drains the walk budgets made; a second
-            # with tighter budgets walks afresh and meets the first one's
-            # tombstones in the state buffers
-            for scale in (1.0, 0.5):
-                budget_map = (b_new if scale == 1.0 else
-                              {i: b * scale for i, b in b_new.items()})
-                audit = select(idx_new, b_ol, budget_map, theta)
-                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
-                                                    sk_ref, theta)
-                assert [p.alive for p in pms_new] == \
-                    [p.alive for p in pms_ref], (seed, theta, scale)
-                assert (audit.kept, audit.discarded) == (kept, discarded)
-                assert hexes(audit.spend) == hexes(spend)
-                assert hexes(audit.budget) == hexes(budget_map)
-                reductions += discarded > 0
+    for seed in range(150):
+        _, idx_new, sk_new, pms_new, mon = random_scene(seed)
+        _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
+        b_ol = trigger(mon, bounds)
+        b_new = budgets(idx_new, mon, bounds)
+        b_ref = ref_budgets(idx_ref, sk_ref, mon, bounds)
+        assert hexes(b_new) == hexes(b_ref), seed
+        assert b_new.walk[1] == b_ol  # positive bounds: same overload
+        # the first reduction drains the walk budgets made; a second
+        # with tighter budgets walks afresh and meets the first one's
+        # tombstones in the state buffers
+        for scale in (1.0, 0.5):
+            budget_map = (b_new if scale == 1.0 else
+                          {i: b * scale for i, b in b_new.items()})
+            audit = select(idx_new, b_ol, budget_map)
+            kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                sk_ref)
+            assert [p.alive for p in pms_new] == \
+                [p.alive for p in pms_ref], (seed, scale)
+            assert (audit.kept, audit.discarded) == (kept, discarded)
+            assert hexes(audit.spend) == hexes(spend)
+            assert hexes(audit.budget) == hexes(budget_map)
+            reductions += discarded > 0
     assert reductions > 100  # the scenes do shed
 
 
@@ -315,25 +314,24 @@ def test_reused_or_stale_walk_selects_as_a_fresh_walk():
     a second ``select`` on the same result, and one for another b_OL each
     give what a walk made at that moment (a plain dict) gives."""
     bounds = [10.0, 10.0, 10.0]
-    for theta in (cost.theta_constant, cost.theta_length):
-        for seed in range(80):
-            scenes = [random_scene(seed) for _ in range(2)]
-            b_ol = trigger(scenes[0][4], bounds)
-            other = 0b111 if b_ol != 0b111 else 0b100
-            results = []
-            for fresh, (plan, index, sketch, pms, mon) in zip((False, True),
-                                                               scenes):
-                b = budgets(index, mon, bounds, theta)
-                b_other = budgets(index, mon, bounds, theta)
-                for pm in pms[::4]:
-                    plan.discard(pm)
-                out = []
-                for ol, bm in ((b_ol, b), (b_ol, b), (other, b_other)):
-                    a = select(index, ol, dict(bm) if fresh else bm, theta)
-                    out.append(([p.alive for p in pms], a.kept, a.discarded,
-                                hexes(a.spend), hexes(a.budget)))
-                results.append(out)
-            assert results[0] == results[1], (seed, theta)
+    for seed in range(80):
+        scenes = [random_scene(seed) for _ in range(2)]
+        b_ol = trigger(scenes[0][4], bounds)
+        other = 0b111 if b_ol != 0b111 else 0b100
+        results = []
+        for fresh, (plan, index, sketch, pms, mon) in zip((False, True),
+                                                           scenes):
+            b = budgets(index, mon, bounds)
+            b_other = budgets(index, mon, bounds)
+            for pm in pms[::4]:
+                plan.discard(pm)
+            out = []
+            for ol, bm in ((b_ol, b), (b_ol, b), (other, b_other)):
+                a = select(index, ol, dict(bm) if fresh else bm)
+                out.append(([p.alive for p in pms], a.kept, a.discarded,
+                            hexes(a.spend), hexes(a.budget)))
+            results.append(out)
+        assert results[0] == results[1], seed
 
 
 # ---------------------------------------- generated reduction kernel
@@ -345,27 +343,26 @@ def test_kernel_equals_reference_on_zero_negative_and_plain_budgets():
     select as the heap reference does."""
     bounds = [10.0] * 3
     shed_without_entry = 0
-    for theta in (cost.theta_constant, cost.theta_length):
-        for seed in range(60):
-            b_ol = trigger(random_scene(seed)[4], bounds) or 0b010
-            named = [i for i in range(3) if b_ol & (0b100 >> i)]
-            rng = np.random.default_rng(seed)
-            maps = ({i: 0.0 for i in named}, {i: -1.0 for i in named},
-                    {i: float(rng.integers(-1, 8)) for i in range(3)},
-                    {named[-1]: 0.0})
-            for budget_map in maps:
-                _, idx_new, sk_new, pms_new, _ = random_scene(seed)
-                _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
-                bare = [p for p in pms_new
-                        if p.alive and attr_key(sk_new, p) not in sk_new.table]
-                audit = select(idx_new, b_ol, budget_map, theta)
-                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
-                                                    sk_ref, theta)
-                assert [p.alive for p in pms_new] == \
-                    [p.alive for p in pms_ref], (seed, theta, budget_map)
-                assert (audit.kept, audit.discarded) == (kept, discarded)
-                assert hexes(audit.spend) == hexes(spend)
-                shed_without_entry += sum(not p.alive for p in bare)
+    for seed in range(60):
+        b_ol = trigger(random_scene(seed)[4], bounds) or 0b010
+        named = [i for i in range(3) if b_ol & (0b100 >> i)]
+        rng = np.random.default_rng(seed)
+        maps = ({i: 0.0 for i in named}, {i: -1.0 for i in named},
+                {i: float(rng.integers(-1, 8)) for i in range(3)},
+                {named[-1]: 0.0})
+        for budget_map in maps:
+            _, idx_new, sk_new, pms_new, _ = random_scene(seed)
+            _, idx_ref, sk_ref, pms_ref, _ = random_scene(seed)
+            bare = [p for p in pms_new
+                    if p.alive and attr_key(sk_new, p) not in sk_new.table]
+            audit = select(idx_new, b_ol, budget_map)
+            kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                sk_ref)
+            assert [p.alive for p in pms_new] == \
+                [p.alive for p in pms_ref], (seed, budget_map)
+            assert (audit.kept, audit.discarded) == (kept, discarded)
+            assert hexes(audit.spend) == hexes(spend)
+            shed_without_entry += sum(not p.alive for p in bare)
     assert shed_without_entry > 0
 
 
@@ -397,31 +394,30 @@ def engine_scene(seed):
 
 def test_kernel_equals_reference_on_random_plans():
     shed = 0
-    for theta in (cost.theta_constant, cost.theta_length):
-        for seed in range(90):
-            plan, index, sketch, mon = engine_scene(seed)
-            plan_ref, idx_ref, sk_ref, _ = engine_scene(seed)
-            bounds = [10.0] * plan.n
-            b_ol = trigger(mon, bounds)
-            if not b_ol:
-                continue
-            b = budgets(index, mon, bounds, theta)
-            assert hexes(b) == hexes(ref_budgets(idx_ref, sk_ref, mon, bounds,
-                                                 theta)), (seed, theta)
-            for scale in (1.0, 0.5):
-                budget_map = (b if scale == 1.0 else
-                              {i: v * scale for i, v in b.items()})
-                audit = select(index, b_ol, budget_map, theta)
-                kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
-                                                    sk_ref, theta)
-                # the same PMs survive, in the same order
-                for state, twin in zip(plan.states, plan_ref.states):
-                    assert [(r.pattern_bits, r.seq_tuple())
-                            for r in state.buffer] == \
-                        [(r.pattern_bits, r.seq_tuple()) for r in twin.buffer]
-                assert (audit.kept, audit.discarded) == (kept, discarded)
-                assert hexes(audit.spend) == hexes(spend)
-                shed += discarded
+    for seed in range(90):
+        plan, index, sketch, mon = engine_scene(seed)
+        plan_ref, idx_ref, sk_ref, _ = engine_scene(seed)
+        bounds = [10.0] * plan.n
+        b_ol = trigger(mon, bounds)
+        if not b_ol:
+            continue
+        b = budgets(index, mon, bounds)
+        assert hexes(b) == hexes(ref_budgets(idx_ref, sk_ref, mon,
+                                             bounds)), seed
+        for scale in (1.0, 0.5):
+            budget_map = (b if scale == 1.0 else
+                          {i: v * scale for i, v in b.items()})
+            audit = select(index, b_ol, budget_map)
+            kept, discarded, spend = ref_select(idx_ref, b_ol, budget_map,
+                                                sk_ref)
+            # the same PMs survive, in the same order
+            for state, twin in zip(plan.states, plan_ref.states):
+                assert [(r.pattern_bits, r.seq_tuple())
+                        for r in state.buffer] == \
+                    [(r.pattern_bits, r.seq_tuple()) for r in twin.buffer]
+            assert (audit.kept, audit.discarded) == (kept, discarded)
+            assert hexes(audit.spend) == hexes(spend)
+            shed += discarded
     assert shed > 100
 
 
@@ -454,25 +450,21 @@ def test_credited_records_hold_their_entry():
 
 
 def test_generated_reduction_source():
-    """Under theta_constant theta is not called; only the cluster serving
-    two patterns reads pattern bits, once in the walk and once in the
-    drain; the walk reads no sketch, only the entries the PMs hold."""
+    """Only the cluster serving two patterns reads pattern bits, once in
+    the walk and once in the drain; the walk reads no sketch, only the
+    entries the PMs hold, and no per-record cost function."""
     _, index, _ = two_pattern_setup()
-    const = generate(index, cost.theta_constant)[0]
-    length = generate(index, cost.theta_length)[0]
-    assert "THETA" not in const and "* t" not in const
-    assert length.count("t = THETA(pm)") == len(index.states)
-    for source in (const, length):
-        assert source.count("bits = pm.pattern_bits") == 2
-        assert source.startswith("def walk(b_ol, flags):\n")
-        assert not any(name in source for name in ("table", "tag",
-                                                   "attr_key"))
+    source = generate(index)[0]
+    assert "THETA" not in source
+    assert source.count("bits = pm.pattern_bits") == 2
+    assert source.startswith("def walk(b_ol, flags):\n")
+    assert not any(name in source for name in ("table", "tag", "attr_key"))
 
 
 def test_deleted_index_leaves_no_cycle():
-    """A cluster index with generated kernels, for both thetas, goes by
-    reference counting once deleted, its kernels and their source in
-    ``linecache`` with it."""
+    """A cluster index with a generated kernel goes by reference counting
+    once deleted, its kernel functions and their source in ``linecache``
+    with it."""
     plan = merge([P(wl.templates(window=200)[k], i)
                   for i, k in enumerate(("P1", "P2", "P5", "P6"))])
     index = assess(plan)
@@ -483,15 +475,13 @@ def test_deleted_index_leaves_no_cycle():
         for r in eng.step(d).new_pms:
             sketch_update(sketch, r)
     mon = monitor_with([1.0] * 4)
-    for theta in (cost.theta_constant, cost.theta_length):
-        select(index, 0b1111, budgets(index, mon, [0.5] * 4, theta), theta)
-    kernels = [weakref.ref(f) for functions in index.kernels.values()
-               for f in functions]
-    assert len(kernels) == 6
+    select(index, 0b1111, budgets(index, mon, [0.5] * 4))
+    kernels = [weakref.ref(f) for f in index.kernel]
+    assert len(kernels) == 3
     files = [k for k in linecache.cache
              if k.startswith("<matchshed reduction") and
              k.endswith(f" {id(index):#x}>")]
-    assert len(files) == 2
+    assert len(files) == 1
     gc.collect()
     gc.disable()
     try:

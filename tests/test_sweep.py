@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchshed import cost, selector, sweep
+from matchshed import selector, sweep
 from matchshed import expr as ex
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
@@ -203,10 +203,8 @@ def test_equal_configs_generate_equal_text():
         eng = Engine(plan, SelectionPolicy(config.selection),
                      ConsumptionPolicy(config.consumption))
         index = assess(plan)
-        texts.append([eng.source, sweep.generate_fold(plan)[0]]
-                     + [selector.generate(index, theta)[0]
-                        for theta in (cost.theta_constant,
-                                      cost.theta_length)])
+        texts.append([eng.source, sweep.generate_fold(plan)[0],
+                      selector.generate(index)[0]])
     assert texts[0] == texts[1] and "def gap_" in texts[0][0]
 
 
@@ -287,10 +285,9 @@ def test_same_attribute_missing_raises(texts):
 def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     """``tools/sweep_source.py`` on the DS2 templates prints one sweep per
     event type that triggers an edge, headed by that type, and ends with
-    the reduction kernel for the configuration's theta."""
+    the plan's reduction kernel."""
     t = wl.templates(window=200)
-    config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")],
-              "theta": "length"}
+    config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")]}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     root = Path(__file__).resolve().parents[1]
@@ -303,6 +300,5 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     assert out.count("def sweep_") == len(types) == 6
     for i, ttype in enumerate(types):
         assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
-    kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))),
-                                  cost.theta_length)
-    assert out.endswith("\n# reduction kernel, theta='length'\n" + kernel)
+    kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))))
+    assert out.endswith("\n# reduction kernel\n" + kernel)

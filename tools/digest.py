@@ -12,12 +12,10 @@ of 500 and P4 under a time window of 300 ms (DS1 timestamps equal the
 index), so a guard result shared by both patterns on their common
 prefix serves patterns whose windows differ.  ``mixed`` runs DS2 under
 count and time windows of four sizes in one plan, so that records
-sharing a state leave their windows at different times.  ``length``
-runs DS2 guided with ``theta="length"``, so a PM's overhead scales with
-its length, which varies within one sketch key under Kleene steps.
-``strict`` runs DS2 with P1 and P5 under ``POLICY strict, reuse`` (and
-without SAME, so that they match), so strict guards share the A-B+ and
-A-B edges with the guards of P2 and P6.  ``late`` runs DS2 under time
+sharing a state leave their windows at different times.  ``strict``
+runs DS2 with P1 and P5 under ``POLICY strict, reuse`` (and without
+SAME, so that they match), so strict guards share the A-B+ and A-B
+edges with the guards of P2 and P6.  ``late`` runs DS2 under time
 windows with every 97th element's timestamp lowered by 30 ms, below its
 predecessors', so the engine trims its side state under decreasing
 timestamps.  ``residual`` runs P1 and P2 beside a pattern that ends
@@ -84,8 +82,6 @@ CONFIGS = {
     "ds2": ("ds2", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
     "mixed": ("ds2", _ds2_patterns(["200 ms", "120 ms", "150", "80"]), {},
               STRATEGIES),
-    "length": ("ds2", _ds2_patterns(["200 ms"] * 4), {"theta": "length"},
-               ("guided",)),
     "strict": ("ds2", [_strict(t) if k in ("P1", "P5") else t
                        for k, t in zip(("P1", "P2", "P5", "P6"),
                                        _ds2_patterns(["200 ms"] * 4))],

@@ -18,13 +18,12 @@ part of the text.  Then comes the ``fold`` that ``engine.measure`` runs for
 the plan, after a comment line that gives its ``GROUP`` table: state id
 -> the group of states whose psd names the same patterns, 0 for none.
 Last comes the reduction kernel that ``selector.budgets`` and
-``selector.select`` run for the plan's cluster index under the
-configuration's theta, unrolled over the clusters (``c<j>``, commented
-with their psd) and patterns: ``walk``; ``budget``, which flags the
-overloaded patterns, walks and fills the budgets; and ``drain``, which
-discards a PM from its state's buffer and bucket through
-``DISCARD``, the plan's ``discard``.  ``S<id>`` is the state of that
-id.
+``selector.select`` run for the plan's cluster index, unrolled over
+the clusters (``c<j>``, commented with their psd) and patterns:
+``walk``; ``budget``, which flags the overloaded patterns, walks and
+fills the budgets; and ``drain``, which discards a PM from its state's
+buffer and bucket through ``DISCARD``, the plan's ``discard``.
+``S<id>`` is the state of that id.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import argparse
 from matchshed import psd, selector, sweep
 from matchshed.engine import Engine
 from matchshed.model import ConsumptionPolicy, SelectionPolicy
-from matchshed.runner import RunConfig, _theta_fn, build_plan
+from matchshed.runner import RunConfig, build_plan
 
 
 def main(argv=None):
@@ -48,8 +47,8 @@ def main(argv=None):
     source, ns = sweep.generate_fold(eng.plan)
     print(f"\n# GROUP = {ns['GROUP']}")
     print(source, end="")
-    source, _ = selector.generate(psd.assess(eng.plan), _theta_fn(cfg.theta))
-    print(f"\n# reduction kernel, theta={cfg.theta!r}")
+    source, _ = selector.generate(psd.assess(eng.plan))
+    print("\n# reduction kernel")
     print(source, end="")
 
 
