@@ -10,26 +10,32 @@ import os
 import sys
 
 from . import workloads
-from .runner import Metrics, RunConfig, run
+from .runner import RunConfig, keywords, run
+from .workloads import Drift, GeneratorSpec
+
+
+def _read_spec(path: str) -> GeneratorSpec:
+    """The generator spec of the JSON file ``path``."""
+    with open(path) as f:
+        raw = keywords(GeneratorSpec, json.load(f), path, "a generator spec")
+    raw["drifts"] = [Drift(**keywords(Drift, d, path, "a drift"))
+                     for d in raw.get("drifts", [])]
+    return GeneratorSpec(**raw)
 
 
 def _cmd_datagen(args):
-    if args.dataset == "ds1":
-        spec = workloads.ds1_spec(args.count, args.seed)
-    elif args.dataset == "ds2":
-        spec = workloads.ds2_spec(args.count, args.seed)
-    else:
-        with open(args.spec) as f:
-            raw = json.load(f)
-        raw["drifts"] = [workloads.Drift(**d) for d in raw.get("drifts", [])]
-        spec = workloads.GeneratorSpec(**raw)
+    specs = {"ds1": workloads.ds1_spec, "ds2": workloads.ds2_spec}
+    try:
+        spec = (_read_spec(args.spec) if args.dataset == "custom" else
+                specs[args.dataset](args.count, args.seed))
+    except (OSError, ValueError) as e:  # no file, not JSON, a bad key or value
+        args.parser.error(str(e))
     if args.drift:
         extra = []
         for txt in args.drift:
             try:
                 offset, attr, lo, hi = txt.split(":")
-                extra.append(workloads.Drift(int(offset), attr,
-                                             float(lo), float(hi)))
+                extra.append(Drift(int(offset), attr, float(lo), float(hi)))
             except ValueError:
                 args.parser.error(f"--drift {txt!r} is not "
                                   "offset:attr:low:high")
@@ -44,11 +50,11 @@ def _cmd_datagen(args):
 def _cmd_run(args):
     try:
         cfg = RunConfig.from_json(args.config)
-    except ValueError as e:     # not JSON, or a bad key or value
+        stream = workloads.load_csv(args.input)
+    except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data
         args.parser.error(str(e))
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    stream = workloads.load_csv(args.input)
     m = run(cfg, stream)
     for i in range(m.n):
         rec = "-" if m.recall is None else f"{m.recall[i]:.4f}"

@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .model import MatchRecord
+from .model import MatchRecord, patterns_in
 from .plan import ExecutionPlan
 
 
@@ -55,23 +55,15 @@ class SketchEntry:
 
 
 class Sketch:
-    """Exact-key counter table (no lossy hashing)."""
+    """Exact-key counter table (no lossy hashing) over ``n`` patterns; a
+    record's pattern bits name its patterns as ``model.patterns_in``
+    decodes them."""
 
     def __init__(self, plan: ExecutionPlan):
         self.n = plan.n
         self.table = {}  # key tuple -> SketchEntry
-        self._indices = {}  # pattern_bits -> pattern indices, ascending
         self.partition_attrs = tuple(sorted(
             {a for attrs in plan.same_attrs.values() for a in attrs}))
-
-    def pattern_indices(self, bits: int) -> tuple:
-        """The patterns whose bits are set in ``bits``, in ascending order."""
-        idx = self._indices.get(bits)
-        if idx is None:
-            n = self.n
-            idx = self._indices[bits] = tuple(
-                i for i in range(n) if bits & (1 << (n - i - 1)))
-        return idx
 
 
 def attr_key(sketch: Sketch, pm: MatchRecord):
@@ -99,7 +91,7 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     """
     n = sketch.n
     table = sketch.table
-    idx = sketch.pattern_indices(new_match.pattern_bits)
+    idx = patterns_in(new_match.pattern_bits, n)
     gens = None if generators is None else iter(generators)
     rho = new_match if gens is None else next(gens, None)
     while rho is not None:

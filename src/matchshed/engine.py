@@ -74,9 +74,10 @@ plan's psd (``sweep.generate_fold``), unrolled over the patterns: the
 same float operations in the same order as a loop over share lists,
 reading the monitor's lists at every call.
 
-No reference cycles (``sweep.unlink``, and the fold leaves its own
-globals; a record points only at its parent): the per-element loops run
-with the cyclic collector paused.
+No reference cycles: ``sweep.load`` takes every generated function out
+of the globals it runs in, a generated function reaches another only as
+a default argument, and a record points only at its parent.  So the
+per-element loops run with the cyclic collector paused.
 
 Work units, the cost measure that synthetic latency is made of: for each
 edge an element triggers, the alive records in the edge's source state
@@ -130,9 +131,7 @@ def measure(monitor: LatencyMonitor, elapsed_ms: float, work_by_state: dict,
     fold = monitor.fold
     if fold is None:
         source, ns = sweep.generate_fold(plan)
-        # no cycle: the function leaves the globals it runs in
-        fold = monitor.fold = sweep.load(source, ns, monitor,
-                                         "fold").pop("fold")
+        fold = monitor.fold = sweep.load(source, ns, monitor, "fold")["fold"]
     fold(monitor, elapsed_ms, work_by_state)
 
 
@@ -191,8 +190,8 @@ class Engine:
         self.diag = plan.diag
         self._trim_at = 0
         self.source, namespace = sweep.generate(self)
-        self._sweeps = sweep.unlink(
-            sweep.load(self.source, namespace, self, "sweep"))
+        self._sweeps = sweep.load(self.source, namespace, self,
+                                  "sweep")["SWEEPS"]
 
     # ------------------------------------------------------------- windows
 

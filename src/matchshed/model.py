@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 
@@ -154,6 +155,12 @@ class MatchRecord:
 def pattern_bit(i: int, n: int) -> int:
     """Bit for pattern i among n patterns; most-significant bit is P_0."""
     return 1 << (n - i - 1)
+
+
+@cache
+def patterns_in(bits: int, n: int) -> tuple:
+    """The patterns whose bits are set in ``bits`` among n, ascending."""
+    return tuple(i for i in range(n) if bits & pattern_bit(i, n))
 
 
 def render_bitmap(b: int, n: int) -> str:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import expr as ex
-from .model import MatchRecord, Pattern, StepKind, WindowKind, pattern_bit
+from .model import (MatchRecord, Pattern, StepKind, WindowKind, pattern_bit,
+                    render_bitmap)
 
 
 class PlanError(ValueError):
@@ -251,7 +252,7 @@ class ExecutionPlan:
             sig = " ".join(f"{t}{'+' if k is StepKind.KLEENE_PLUS else '!' if k is StepKind.NEGATED else ''}"
                            for t, k in s.signature) or "(start)"
             acc = ",".join(str(i) for i in sorted(s.accepting_for)) or "-"
-            lines.append(f"state {s.state_id} [{format(s.psd, f'0{n}b')}] "
+            lines.append(f"state {s.state_id} {render_bitmap(s.psd, n)} "
                          f"sig={sig} accepting={acc}")
         for e in self.edges:
             pids = ",".join(str(i) for i in sorted(e.guards))

@@ -23,10 +23,8 @@ class ClusterIndex:
     """Partial matches grouped by their state's psd bitmap, as a view over
     the state buffers.  A record's cluster is fixed by its ``state_id``,
     so the index holds no record: cluster ``b`` is ``states[b]``, the
-    non-start states with psd ``b`` in ascending ``state_id``, and its
-    members are their records, state by state, each state's in
-    insertion order: a state buffer holds only alive records
-    (``plan.PlanState``)."""
+    non-start states with psd ``b`` in ascending ``state_id``.
+    ``clusters`` is the one reader of its members."""
 
     def __init__(self, plan: ExecutionPlan):
         self.plan = plan
@@ -46,19 +44,9 @@ class ClusterIndex:
 
     @property
     def clusters(self) -> dict:
-        """psd bitmap -> members of every cluster, empty ones included;
-        read-only.  perfbench reads it for its index sizes."""
-        return {b: self.lookup(b) for b in self.states}
-
-    def lookup(self, b: int) -> list:
-        """Members of the cluster keyed by bitmap b, as ``live_clusters``
-        yields them."""
-        return [r for s in self.states.get(b, ()) for r in s.buffer]
-
-    def live_clusters(self):
-        """(bitmap, live member list) for every nonempty cluster;
-        acceptance check 2 reads the partition from it."""
-        for b in self.states:
-            live = self.lookup(b)
-            if live:
-                yield b, live
+        """psd bitmap -> members of every cluster, empty ones included: its
+        states' records, state by state, each state's in insertion order
+        (a state buffer holds only alive records, ``plan.PlanState``).
+        Read-only; perfbench reads it for its index sizes."""
+        return {b: [r for s in states for r in s.buffer]
+                for b, states in self.states.items()}

@@ -115,23 +115,32 @@ class RunConfig:
             # `not b > 0` also rejects NaN, which would never trigger
             raise ValueError("bounds must give one positive latency bound "
                              "per pattern")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValueError("out_dir must be a string or null")
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: a run configuration is a JSON object")
-        unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"{path}: unknown RunConfig keys "
-                             f"{', '.join(unknown)}")
-        missing = [f.name for f in fields(cls) if f.name not in raw
-                   and f.default is f.default_factory is MISSING]
-        if missing:
-            raise ValueError(f"{path}: missing RunConfig keys "
-                             f"{', '.join(missing)}")
-        return cls(**raw)
+            return cls(**keywords(cls, json.load(f), path,
+                                  "a run configuration"))
+
+
+def keywords(cls, raw, path: str, what: str) -> dict:
+    """``raw``, JSON read from ``path``, as keyword arguments of the
+    dataclass ``cls`` (``what`` in words); a non-object, an unknown key or
+    a missing required one raises ``ValueError``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {what} is a JSON object")
+    unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: unknown {cls.__name__} keys "
+                         f"{', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{path}: missing {cls.__name__} keys "
+                         f"{', '.join(missing)}")
+    return raw
 
 
 @dataclass

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sweep
-from .model import pattern_bit, render_bitmap
+from .model import pattern_bit, patterns_in, render_bitmap
 from .psd import ClusterIndex
 
 
@@ -47,7 +47,7 @@ def trigger(monitor, bounds) -> int:
     b = 0
     for i in range(n):
         if monitor.latency_ms[i] >= bounds[i]:
-            b |= 1 << (n - i - 1)
+            b |= pattern_bit(i, n)
     return b
 
 
@@ -79,8 +79,7 @@ def generate(index: ClusterIndex) -> tuple:
     plan = index.plan
     ns = {"ZEROS": (0.0,) * n, "DISCARD": plan.discard}
     clusters = list(index.states.items())
-    pats = [tuple(i for i in range(n) if b & pattern_bit(i, n))
-            for b, _ in clusters]
+    pats = [patterns_in(b, n) for b, _ in clusters]
     for _, states in clusters:
         ns.update((f"S{s.state_id}", s) for s in states)
     k = len(clusters)
@@ -126,7 +125,6 @@ def generate(index: ClusterIndex) -> tuple:
         out += [pad + line for line in body]
     out += [f"    return ({names('r{}', k)}), ({names('tot{}')})", ""]
 
-    # walk is a default, not a global: no function is left in the globals
     out += ["def budget(lat, bounds, out, walk=walk):"]
     out += [f"    u{i} = lat[{i}] >= bounds[{i}] and lat[{i}] > 0"
             for i in range(n)]
@@ -180,11 +178,8 @@ def _kernel(index: ClusterIndex) -> tuple:
     reduction that asks for them."""
     kernel = index.kernel
     if kernel is None:
-        source, ns = generate(index)
-        sweep.load(source, ns, index, "reduction")
-        # no cycle: the functions leave the globals they run in
-        kernel = index.kernel = (ns.pop("walk"), ns.pop("budget"),
-                                 ns.pop("drain"))
+        k = sweep.load(*generate(index), index, "reduction")
+        kernel = index.kernel = (k["walk"], k["budget"], k["drain"])
     return kernel
 
 

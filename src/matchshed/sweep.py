@@ -19,8 +19,10 @@ incoming element's attributes from ``attrs`` and earlier ones from the
 record's slots, unpacked to ``s0, s1, ...``; a SAME check compares the
 incoming element with the first one, because every element the record
 already holds passed the same check when it was bound.  A child's slot
-tuple is built only once a guard has passed.  Negation gap checks are the functions
-``gap_<i>``, which read the history lists of the negated type.
+tuple is built only once a guard has passed.  Negation gap checks are
+the functions ``gap_<i>``, which read the history lists of the negated
+type; they come first in the text, and a sweep takes the ones it calls
+as default arguments, ``sweep_<i>(d, seq, ts, gap_<k>=gap_<k>)``.
 
 Each edge collects its children in a list ``c<j>``.  After every edge has
 run, the sweep adds them to the target state's ``buffer`` and to the
@@ -42,7 +44,8 @@ evaluated inline after the bit test, over the child's slots ``s0, ...``.
 ``generate_fold`` writes ``fold(monitor, elapsed, work)``, unrolled over
 the plan's patterns (see its docstring).  ``load`` executes either
 module, and the selector's reduction kernel (``selector.generate``),
-under a file name ``linecache`` knows.
+under a file name ``linecache`` knows, and takes the names the text
+defines out of its namespace, so no generated function is in a cycle.
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
@@ -55,11 +58,10 @@ from __future__ import annotations
 import linecache
 import weakref
 from bisect import bisect_left, bisect_right
-from types import FunctionType
 
 from . import expr as ex
 from .model import (MatchRecord, SelectionPolicy, StepKind, WindowKind,
-                    pattern_bit)
+                    patterns_in)
 
 _INFIX = {"+": "+", "-": "-", "*": "*",
           "<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
@@ -79,6 +81,7 @@ class _Module:
         self.sweeps = []
         self.gaps = []
         self.gap_names = {}   # (checks, slot layout) -> gap function name
+        self.called = {}      # gap names the current sweep calls, in order
         self.names = {}       # id(value) -> namespace name
         self.ns = {"MatchRecord": MatchRecord, "FAULTS": ex.FAULTS,
                    "fault": diag.fault, "bisect_left": bisect_left,
@@ -154,7 +157,8 @@ def generate(eng) -> tuple:
     table = []
     out = m.sweeps
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
-        out.append(f"def sweep_{i}(d, seq, ts):  # {ttype!r}")
+        head = len(out)
+        m.called.clear()
         _remember(m, ttype)
         out += ["    attrs = d.attrs", "    work = {}", "    taken = []",
                 "    accept = []"]
@@ -168,6 +172,8 @@ def generate(eng) -> tuple:
             _buffer(m, eng, e, j)
         new = " + ".join(f"c{j}" for j in range(len(edges)))
         out.append(f"    return work, {new}, accept, taken")
+        gaps = "".join(f", {g}={g}" for g in m.called)
+        out.insert(head, f"def sweep_{i}(d, seq, ts{gaps}):  # {ttype!r}")
         table.append(f"{ttype!r}: sweep_{i}")
     for ttype in m.history:
         if ttype in plan.edges_by_trigger:
@@ -177,21 +183,8 @@ def generate(eng) -> tuple:
         _remember(m, ttype)
         out.append("    return {}, [], [], []")
         table.append(f"{ttype!r}: sweep_{i}")
-    lines = m.sweeps + m.gaps + ["SWEEPS = {" + ", ".join(table) + "}"]
+    lines = m.gaps + m.sweeps + ["SWEEPS = {" + ", ".join(table) + "}"]
     return "\n".join(lines) + "\n", m.ns
-
-
-def unlink(ns: dict) -> dict:
-    """``SWEEPS`` of the executed ``ns``, which it empties, rebuilt over
-    globals without the functions, so none is in a reference cycle."""
-    base = {k: v for k, v in ns.items()
-            if not k.startswith(("sweep_", "gap_", "SWEEPS"))}
-    glob = dict(base, **{k: FunctionType(v.__code__, base)
-                         for k, v in ns.items() if k.startswith("gap_")})
-    sweeps = {t: FunctionType(f.__code__, glob)
-              for t, f in ns["SWEEPS"].items()}
-    ns.clear()
-    return sweeps
 
 
 def _remember(m: _Module, ttype: str):
@@ -204,15 +197,18 @@ def _remember(m: _Module, ttype: str):
 
 
 def load(source: str, ns: dict, owner, kind: str) -> dict:
-    """Execute generated ``source`` in ``ns`` and return ``ns``.  The text
-    is registered with ``linecache`` for as long as ``owner`` lives, so a
-    traceback through it shows the generated line."""
+    """Execute generated ``source`` in ``ns`` and return the names it
+    defines, taken out of ``ns``: no function is left in the globals it
+    runs in, so none is in a reference cycle; a generated function that
+    calls another takes it as a default argument.  The text is in
+    ``linecache`` while ``owner`` lives, for tracebacks through it."""
     filename = f"<matchshed {kind} {id(owner):#x}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     weakref.finalize(owner, linecache.cache.pop, filename, None)
+    given = set(ns)
     exec(compile(source, filename, "exec"), ns)
-    return ns
+    return {k: ns.pop(k) for k in ns.keys() - given - {"__builtins__"}}
 
 
 def generate_fold(plan) -> tuple:
@@ -226,7 +222,7 @@ def generate_fold(plan) -> tuple:
     groups = {}         # sharer indices -> group number, from 1
     of_state = []       # state id -> its group, 0 for psd 0
     for s in plan.states:
-        sharers = tuple(i for i in range(n) if s.psd & pattern_bit(i, n))
+        sharers = patterns_in(s.psd, n)
         of_state.append(groups.setdefault(sharers, len(groups) + 1)
                         if sharers else 0)
     out = ["def fold(monitor, elapsed, work):",
@@ -360,8 +356,9 @@ def _edge(m: _Module, eng, e, j: int):
         for pid, g in guards:
             if g.neg_checks:
                 bit = m.bind(eng.bit[pid], "M")
-                out += [pad + f"if m & {bit} and "
-                        f"{_gap(m, at, g.neg_checks, unpack)}(rec, attrs, seq):",
+                gap = _gap(m, at, g.neg_checks, unpack)
+                m.called[gap] = None
+                out += [pad + f"if m & {bit} and {gap}(rec, attrs, seq):",
                         pad + f"    passed |= {bit}"]
     out += ["        if passed:",
             f"            c{j}.append(MatchRecord(passed, {_CHILD[e.action]}, "

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from numbers import Integral
 from operator import le
 
 import numpy as np
@@ -44,9 +45,12 @@ class GeneratorSpec:
     drifts: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not (isinstance(self.count, Integral) and self.count >= 0):
+            raise ValueError("count must be an integer >= 0")
         for d in self.drifts:
             if not 0 <= d.offset <= self.count:
-                raise ValueError("drift offset outside the stream")
+                raise ValueError(f"drift offset {d.offset} outside the "
+                                 f"stream of count {self.count}")
             if d.attr not in self.attrs or not d.low <= d.high:
                 raise ValueError(f"drift of {d.attr!r} to [{d.low}, "
                                  f"{d.high}): no such attribute or range")

@@ -116,7 +116,7 @@ def test_acceptance_2_psd_correctness():
                     plan.discard(live[int(rng.integers(0, len(live)))])
         live = sorted(id(r) for r in plan.live_records())
         seen = []
-        for b, members in index.live_clusters():
+        for b, members in index.clusters.items():
             for r in members:
                 partition_ok &= plan.states[r.state_id].psd == b
                 seen.append(id(r))

@@ -3,12 +3,14 @@
 collector paused, and the caller's collector state comes back after
 them, also when a loop raises."""
 
+import ast
 import functools
 import gc
+from types import FunctionType
 
 import pytest
 
-from matchshed import runner
+from matchshed import psd, runner, selector, sweep
 from matchshed import workloads as wl
 from matchshed.engine import Engine, golden_run
 from matchshed.model import DataElement
@@ -78,6 +80,33 @@ def test_deleted_engine_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def defined_names(source):
+    """The names a generated text defines at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        else:
+            names.update(t.id for t in node.targets)
+    return names
+
+
+def test_load_leaves_no_generated_function_in_the_namespace():
+    """``sweep.load`` returns exactly the names a generated text defines,
+    taken out of the namespace the text ran in, so no generated function
+    is left among the globals: for the sweeps of a DS2 engine (one calls
+    a gap check), its fold and its reduction kernel."""
+    eng = Engine(build_plan(RunConfig(patterns=DS2)))
+    texts = [sweep.generate(eng), sweep.generate_fold(eng.plan),
+             selector.generate(psd.assess(eng.plan))]
+    assert "def gap_0(" in texts[0][0]
+    for j, (source, ns) in enumerate(texts):
+        names = sweep.load(source, ns, eng, f"test {j}")
+        assert set(names) == defined_names(source)
+        assert not [v for v in ns.values() if isinstance(v, FunctionType)
+                    and v.__code__.co_filename.startswith("<matchshed")]
 
 
 @pytest.mark.parametrize("was_on", [True, False])

@@ -89,14 +89,14 @@ def test_lookup_returns_shared_buffer():
     index = assess(plan)
     eng = Engine(plan)
     eng.step(el("A", 0))
-    got = index.lookup(0b111)
+    got = index.clusters[0b111]
     assert len(got) == 1 and got[0].state_id == state_by_sig(plan, "A").state_id
 
 
 def test_lookup_absent_bitmap_is_empty():
     plan = fig_plan()
     index = assess(plan)
-    assert index.lookup(0b101) == []
+    assert 0b101 not in index.clusters
 
 
 def test_clusters_partition_live_records():
@@ -114,7 +114,7 @@ def test_clusters_partition_live_records():
                 plan.discard(live[int(rng.integers(0, len(live)))])
     live = {id(r) for r in plan.live_records()}
     seen = []
-    for b, members in index.live_clusters():
+    for b, members in index.clusters.items():
         for r in members:
             assert plan.states[r.state_id].psd == b
             seen.append(id(r))

@@ -162,7 +162,7 @@ def test_config_validation():
     ("select_every", True), ("alpha", True), ("cost_unit", "1"),
     ("drop_ratio", "x"), ("drop_ratio", None), ("selection", ["strict"]),
     ("consumption", {}), ("compute_golden", "false"),
-    ("compute_golden", 0)])
+    ("compute_golden", 0), ("out_dir", 5)])
 def test_config_rejects_knobs_that_break_a_run(field, value):
     """Values that crashed a run (``expire_every=0`` divides by zero in
     the golden pass, a string ``select_every`` fails mid-loop, a bad
@@ -173,7 +173,8 @@ def test_config_rejects_knobs_that_break_a_run(field, value):
     else (a NaN ``select_every`` turned guided reductions off, the string
     ``"false"`` ran the golden pass) or broke it (an EWMA that
     over-corrects, a decay at every element, negative latencies that
-    never trigger)."""
+    never trigger); an ``out_dir`` that is no string ran the whole stream
+    before ``write_artifacts`` raised ``TypeError``."""
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
 
@@ -346,7 +347,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "alpha": null}', "alpha"),
     # the length-scaled overhead is gone; an old config does not run
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "theta": "constant"}',
-     "unknown RunConfig keys theta")])
+     "unknown RunConfig keys theta"),
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "out_dir": 5}', "out_dir")])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, names):
     path = os.path.join(tmp_path, "cfg.json")
     with open(path, "w") as f:
@@ -379,6 +381,68 @@ def test_malformed_drift_is_a_usage_error(tmp_path, capsys, args):
     assert exit_.value.code == 2
     assert "--drift" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+SPEC = {"alphabet": ["A", "B"], "attrs": {"x": [0.0, 1.0]}, "count": 10,
+        "seed": 1}
+
+
+@pytest.mark.parametrize("spec, args, names", [
+    (dict(SPEC, bogus=1, extra=2), [],
+     "unknown GeneratorSpec keys bogus, extra"),
+    (dict(SPEC, drifts=[{"offset": 5, "attr": "x", "low": 0, "high": 1,
+                         "kind": "up"}]), [], "unknown Drift keys kind"),
+    (dict(SPEC, drifts=[{"offset": 50, "attr": "x", "low": 0, "high": 1}]),
+     [], "drift offset 50 outside the stream of count 10"),
+    ({"alphabet": ["A"], "attrs": {}}, [], "missing GeneratorSpec keys count"),
+    ("[1]", [], "a generator spec is a JSON object"),
+    (dict(SPEC, count=-1), [], "count must be an integer >= 0"),
+    (None, ["--dataset", "custom", "--spec", "/nonexistent.json"],
+     "/nonexistent.json"),
+    (None, ["--dataset", "ds2", "--count", "-5"],
+     "count must be an integer >= 0")])
+def test_bad_spec_or_count_is_a_usage_error(tmp_path, capsys, spec, args,
+                                            names):
+    """A bad ``--spec`` file or a negative ``--count`` is reported through
+    the parser, as ``--drift`` is, not as a traceback."""
+    out = os.path.join(tmp_path, "s.csv")
+    if spec is not None:
+        path = os.path.join(tmp_path, "spec.json")
+        with open(path, "w") as f:
+            f.write(spec if isinstance(spec, str) else json.dumps(spec))
+        args = ["--dataset", "custom", "--spec", path]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["datagen", *args, "--out", out])
+    assert exit_.value.code == 2
+    assert names in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("config, data, names", [
+    (None, "type,ts,x\nA,1,2\n", "/nonexistent.json"),
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"]}', None, "/nonexistent.csv"),
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"]}',
+     "type,ts,x\nA,1,2\nB,x,2\n", "s.csv:3: non-numeric value")])
+def test_missing_file_or_bad_csv_is_a_usage_error(tmp_path, capsys, config,
+                                                  data, names):
+    """``matchshed run`` reports a missing config or input file and a
+    malformed CSV through its parser, the CSV with its ``path:line:``."""
+    cfg_path, data_path = "/nonexistent.json", "/nonexistent.csv"
+    if config is not None:
+        cfg_path = os.path.join(tmp_path, "cfg.json")
+        with open(cfg_path, "w") as f:
+            f.write(config)
+    if data is not None:
+        data_path = os.path.join(tmp_path, "s.csv")
+        with open(data_path, "w") as f:
+            f.write(data)
+    out_dir = os.path.join(tmp_path, "out")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", cfg_path, "--input", data_path,
+                  "--out-dir", out_dir])
+    assert exit_.value.code == 2
+    assert names in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
 
 
 def test_cli_report(tmp_path):

@@ -183,7 +183,7 @@ def ref_budgets(index, sketch, monitor, bounds):
     """Budgets from one fresh estimate per PM and a bit loop per pattern."""
     n = monitor.n
     totals = [0.0] * n
-    for _, members in index.live_clusters():
+    for members in index.clusters.values():
         for pm in members:
             v = estimate(sketch, pm)
             for i in range(n):
@@ -201,8 +201,9 @@ def ref_select(index, b_ol, budget_map, sketch):
     n = index.n
     kept = discarded = 0
     spend = {i: 0.0 for i in budget_map}
-    overloaded = [(b, m) for b, m in index.live_clusters() if b & b_ol]
-    for b, members in index.live_clusters():
+    live = [(b, m) for b, m in index.clusters.items() if m]
+    overloaded = [(b, m) for b, m in live if b & b_ol]
+    for b, members in live:
         if not b & b_ol:
             kept += len(members)
     overloaded.sort(key=lambda bm: -bm[0])

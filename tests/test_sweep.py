@@ -298,7 +298,12 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
         env=env, capture_output=True, text=True, check=True).stdout
     types = list(build_plan(RunConfig(**config)).edges_by_trigger)
     assert out.count("def sweep_") == len(types) == 6
+    # the sweeps of 'D' and 'E' take the one gap check, printed first
+    assert "def sweep_3(d, seq, ts, gap_0=gap_0):  # 'D'\n" in out
+    assert "def sweep_4(d, seq, ts, gap_0=gap_0):  # 'E'\n" in out
+    assert out.index("def gap_0(") < out.index("def sweep_0(")
     for i, ttype in enumerate(types):
-        assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
+        if ttype not in ("D", "E"):
+            assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
     kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))))
     assert out.endswith("\n# reduction kernel\n" + kernel)

@@ -6,10 +6,11 @@ kernel.
 
 ``run.json`` is a ``RunConfig`` JSON file, as ``matchshed run --config``
 reads it.  The output is ``Engine.source`` for the plan and the
-selection and consumption policies it names: one ``sweep_<i>`` function
-per trigger event type (and per negated type that triggers none, which
-only records the element for the gap checks), then the negation gap
-checks.  A pattern's residual check (a SUM over a final Kleene step,
+selection and consumption policies it names: first the negation gap
+checks ``gap_<k>``, then one ``sweep_<i>`` function per trigger event
+type (and per negated type that triggers none, which only records the
+element for the gap checks), which takes the gap checks it calls as
+default arguments.  A pattern's residual check (a SUM over a final Kleene step,
 which no guard can decide) prints where the sweep accepts a match of
 that pattern, on the transition into its accepting state.  Names such
 as ``L12``, ``B13`` or ``M3`` are objects bound in the module's
