@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from . import workloads
+from . import parser, plan, workloads
 from .runner import RunConfig, keywords, run
 from .workloads import Drift, GeneratorSpec
 
@@ -18,8 +18,11 @@ def _read_spec(path: str) -> GeneratorSpec:
     """The generator spec of the JSON file ``path``."""
     with open(path) as f:
         raw = keywords(GeneratorSpec, json.load(f), path, "a generator spec")
+    drifts = raw.get("drifts", [])
+    if not isinstance(drifts, list):
+        raise ValueError(f"{path}: drifts is a JSON list")
     raw["drifts"] = [Drift(**keywords(Drift, d, path, "a drift"))
-                     for d in raw.get("drifts", [])]
+                     for d in drifts]
     return GeneratorSpec(**raw)
 
 
@@ -55,7 +58,10 @@ def _cmd_run(args):
         args.parser.error(str(e))
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    m = run(cfg, stream)
+    try:
+        m = run(cfg, stream)
+    except (parser.PatternSyntaxError, plan.PlanError) as e:  # a pattern
+        args.parser.error(str(e))
     for i in range(m.n):
         rec = "-" if m.recall is None else f"{m.recall[i]:.4f}"
         print(f"P{i + 1}: matches={len(m.matches[i])} recall={rec} "

@@ -63,9 +63,9 @@ O(expired), not a sweep of every buffer; most children join their
 parent's deadline slot (``sweep``).  Windows are also checked at
 extension time, so when ``expire`` runs changes no match; it changes
 when a state's live count drops, and so the work units, which is why the
-runner keeps its ``expire_every`` cadence.  A record leaves its state's
-buffer and bucket the moment it dies (``ExecutionPlan.discard``), in
-O(1): they are dicts used as ordered sets, so no state holds a dead
+runner keeps one cadence (``runner.EXPIRE_EVERY``).  A record leaves its
+state's buffer and bucket the moment it dies (``ExecutionPlan.discard``),
+in O(1): they are dicts used as ordered sets, so no state holds a dead
 record and nothing is compacted.  Only the deadline slots, and a walk a
 reduction carries, may still hold one; both skip it.
 
@@ -102,21 +102,16 @@ from .model import (ConsumptionPolicy, DataElement, SelectionPolicy,
 from .plan import ExecutionPlan
 
 
-@dataclass
 class LatencyMonitor:
     """Per-pattern EWMA latency, its sum over the measured elements
     (``lat_sum``) and cumulative per-state work counters."""
-    n: int
-    alpha: float = 0.2
-    latency_ms: list = None
-    state_work: dict = None
 
-    def __post_init__(self):
-        if self.latency_ms is None:
-            self.latency_ms = [0.0] * self.n
-        if self.state_work is None:
-            self.state_work = {}
-        self.lat_sum = [0.0] * self.n
+    def __init__(self, n: int, alpha: float = 0.2):
+        self.n = n
+        self.alpha = alpha
+        self.latency_ms = [0.0] * n
+        self.lat_sum = [0.0] * n
+        self.state_work = {}
         self.fold = None    # generated at the first measure (sweep)
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
+from numbers import Real
 from typing import Optional
 
 
@@ -62,11 +63,8 @@ class PatternStep:
 @dataclass(frozen=True)
 class Window:
     kind: WindowKind
-    size: float  # elements for COUNT, time units for TIME
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("window size must be positive")
+    size: float  # elements for COUNT, time units (ms) for TIME; the
+                 # parser admits a positive, finite size only
 
 
 @dataclass
@@ -74,24 +72,20 @@ class Pattern:
     """A parsed sequential pattern.
 
     ``steps`` is the ordered step list, ``predicate`` the expression tree
-    (``None`` means always true), ``window`` the match span bound and
-    ``latency_bound_ms`` the per-pattern processing latency bound.
+    (``None`` means always true) and ``window`` the match span bound.  Its
+    latency bound is a run setting (``RunConfig.bounds``).
     """
 
     id: int
     steps: tuple
     predicate: object  # expr.Expr or None
     window: Window
-    latency_bound_ms: float = 1000.0
     selection: Optional[SelectionPolicy] = None
     consumption: Optional[ConsumptionPolicy] = None
-    name: str = ""
 
     def __post_init__(self):
         if not any(s.kind is not StepKind.NEGATED for s in self.steps):
             raise ValueError("pattern needs at least one non-negated step")
-        if self.latency_bound_ms <= 0:
-            raise ValueError("latency bound must be positive")
 
     @property
     def positional_steps(self) -> tuple:
@@ -150,6 +144,11 @@ class MatchRecord:
     def __repr__(self):
         return (f"MatchRecord(state={self.state_id}, "
                 f"bits={self.pattern_bits:b}, seqs={self.seq_tuple()})")
+
+
+def is_number(v, kind=Real) -> bool:
+    """``v`` is a number of ``kind`` and no bool: JSON's ``true`` is none."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def pattern_bit(i: int, n: int) -> int:

@@ -3,8 +3,7 @@
 Grammar sketch::
 
     pattern := 'SEQ' '(' step (',' step)* ')' ['WHERE' pred]
-               'WITHIN' number [unit] ['BOUND' number 'ms']
-               ['POLICY' sel ',' cons]
+               'WITHIN' number [unit] ['POLICY' sel ',' cons]
     step    := ['!'] TYPE ['+'] [NAME ['[]']]
     pred    := conjunct ('AND' conjunct)*
     conjunct:= 'SAME' '[' ATTR ']' | arith cmpop arith
@@ -19,8 +18,8 @@ count-based window; 'ms' or 's' select a time-based window.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import Optional
 
 from .expr import (And, AttrRef, Bin, Cmp, Expr, Func, Num, Same, SumAgg,
                    nodes)
@@ -33,7 +32,7 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><=|>=|!=|\[\]|[-+*/^<>=(),.!\[\]]))"
+    r"|(?P<op><=|>=|!=|\[\s*\]|[-+*/^<>=(),.!\[\]]))"
 )
 
 
@@ -59,8 +58,9 @@ class _Tokens:
                 self.toks.append(("num", m.group("num"), m.start("num")))
             elif m.lastgroup == "name":
                 self.toks.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.toks.append(("op", m.group("op"), m.start("op")))
+            else:   # '[ ]' is the token '[]'
+                self.toks.append(("op", "".join(m.group("op").split()),
+                                  m.start("op")))
             pos = m.end()
         self.i = 0
 
@@ -95,10 +95,7 @@ def _parse_step(tk: _Tokens, auto_idx: int) -> PatternStep:
     binding = None
     if tk.peek()[0] == "name":
         binding = tk.next()[1]
-        if tk.accept("["):
-            tk.expect("]")
-        elif tk.accept("[]"):
-            pass
+        tk.accept("[]")
     if binding is None:
         binding = f"s{auto_idx}"
     if negated and kleene:
@@ -127,11 +124,7 @@ def _parse_factor(tk: _Tokens) -> Expr:
             bkind, bname, bpos = tk.next()
             if bkind != "name":
                 raise PatternSyntaxError("expected binding in SUM", bpos)
-            if tk.accept("["):
-                tk.expect("]")
-            elif not tk.accept("[]"):
-                raise PatternSyntaxError("expected '[]' after SUM binding",
-                                         tk.peek()[2])
+            tk.expect("[]")
             tk.expect(".")
             akind, attr, apos = tk.next()
             if akind != "name":
@@ -235,7 +228,7 @@ _CONS = {"reuse": ConsumptionPolicy.REUSE,
          "consume": ConsumptionPolicy.CONSUME}
 
 
-def parse_pattern(text: str, pattern_id: int = 0, name: str = "") -> Pattern:
+def parse_pattern(text: str, pattern_id: int = 0) -> Pattern:
     """Parse one pattern definition; raises PatternSyntaxError on bad input."""
     tk = _Tokens(text)
     tk.expect("SEQ")
@@ -262,13 +255,9 @@ def parse_pattern(text: str, pattern_id: int = 0, name: str = "") -> Pattern:
         wkind = WindowKind.TIME
         if unit == "s":
             size *= 1000.0
-    bound = 1000.0
-    if tk.accept("BOUND"):
-        kind, num, pos = tk.next()
-        if kind != "num":
-            raise PatternSyntaxError("expected bound value", pos)
-        bound = float(num)
-        tk.expect("ms")
+    if not 0 < size < math.inf:
+        raise PatternSyntaxError("window size must be positive and finite",
+                                 pos)
     selection = consumption = None
     if tk.accept("POLICY"):
         kind, sel, pos = tk.next()
@@ -289,8 +278,8 @@ def parse_pattern(text: str, pattern_id: int = 0, name: str = "") -> Pattern:
         raise PatternSyntaxError(f"trailing input {val!r}", pos)
     _validate(steps, predicate, pos)
     return Pattern(id=pattern_id, steps=tuple(steps), predicate=predicate,
-                   window=Window(wkind, size), latency_bound_ms=bound,
-                   selection=selection, consumption=consumption, name=name)
+                   window=Window(wkind, size), selection=selection,
+                   consumption=consumption)
 
 
 # ---------------------------------------------------------------- printer
@@ -346,7 +335,6 @@ def format_pattern(p: Pattern) -> str:
         out += f" WITHIN {_fmt_num(p.window.size)}"
     else:
         out += f" WITHIN {_fmt_num(p.window.size)} ms"
-    out += f" BOUND {_fmt_num(p.latency_bound_ms)} ms"
     if p.selection is not None and p.consumption is not None:
         out += f" POLICY {p.selection.value}, {p.consumption.value}"
     return out

@@ -327,8 +327,9 @@ def _chain(pattern: Pattern) -> _Chain:
         sums = {x.binding for x in ex.nodes(c) if type(x) is ex.SumAgg}
         neg_refs = refs & neg_names
         if len(neg_refs) > 1:
-            raise PlanError("a conjunct may reference at most one negated "
-                            "binding")
+            raise PlanError(f"P{pattern.id + 1}: a conjunct may reference "
+                            f"at most one negated binding, not "
+                            f"{', '.join(sorted(neg_refs))}")
         if neg_refs:
             (nb,) = neg_refs
             # the transition that skips over nb

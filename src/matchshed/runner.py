@@ -13,7 +13,7 @@ the same either way.  The clusters guided selection drains are read from
 the state buffers (``psd.ClusterIndex``) and need no upkeep.
 
 Latency can be measured by wall clock (no collector pause included) or
-synthetically (elapsed = cost_unit * work units), which makes overload
+synthetically (``COST_UNIT_MS`` per work unit), which makes overload
 experiments machine independent and runs byte-for-byte reproducible.
 
 Recall is measured against the golden pass, exhaustive matching of the
@@ -31,23 +31,23 @@ import os
 import time
 import traceback
 from dataclasses import MISSING, asdict, dataclass, fields
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from . import cost, psd, selector
 from .engine import (Engine, LatencyMonitor, collector_paused, golden_run,
                      measure)
-from .model import ConsumptionPolicy, SelectionPolicy, WindowKind
-from .parser import parse_pattern
+from .model import ConsumptionPolicy, SelectionPolicy, WindowKind, is_number
+from .parser import PatternSyntaxError, parse_pattern
 from .plan import merge
 
 STRATEGIES = ("guided", "random-input", "random-state", "none")
-
-
-def _number(v, kind=Real) -> bool:
-    """``v`` is a number of ``kind`` and no bool: JSON's ``true`` is none."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+DEFAULT_BOUND_MS = 1000.0       # each pattern's latency bound without bounds
+# synthetic latency of one work unit; another unit decides as the bounds
+# scaled would, since the trigger and the budgets read only l_i / L_i
+COST_UNIT_MS = 0.01
+EXPIRE_EVERY = 16               # expiry cadence, in elements
 
 
 @dataclass
@@ -59,13 +59,11 @@ class RunConfig:
     strategy: str = "none"
     drop_ratio: float = 0.5              # random shedders
     seed: int = 0
-    bounds: list = None                  # latency bounds; None = per-pattern
+    bounds: list = None                  # ms; None = DEFAULT_BOUND_MS each
     cost_mode: str = "synthetic"         # or "wallclock"
-    cost_unit: float = 0.01              # ms per work unit (synthetic)
     alpha: float = 0.2
     epoch_len: int = None                # None = max count window, or 0
                                          # (no decay) with time windows only
-    expire_every: int = 16               # expiry cadence, in elements
     select_every: int = 1                # min elements between reductions
     compute_golden: bool = True
     out_dir: str = None
@@ -85,33 +83,26 @@ class RunConfig:
             raise ValueError(f"unknown consumption {self.consumption!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not (_number(self.seed, Integral) and self.seed >= 0):
+        if not (is_number(self.seed, Integral) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
-        for knob in ("drop_ratio", "cost_unit", "alpha"):
-            if not _number(getattr(self, knob)):
-                raise ValueError(f"{knob} must be a number")
-        if not 0.0 <= self.drop_ratio <= 1.0:
-            raise ValueError("drop_ratio must be in [0, 1]")
+        for knob in ("drop_ratio", "alpha"):
+            v = getattr(self, knob)
+            if not (is_number(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{knob} must be a number in [0, 1]")
         if self.cost_mode not in ("synthetic", "wallclock"):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
-        # comparisons written `not x > 0` also reject NaN
-        if not self.cost_unit > 0:
-            raise ValueError("cost_unit must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        for knob in ("expire_every", "select_every"):
-            v = getattr(self, knob)
-            if not (_number(v, Integral) and v >= 1):
-                raise ValueError(f"{knob} must be an integer >= 1")
+        if not (is_number(self.select_every, Integral)
+                and self.select_every >= 1):
+            raise ValueError("select_every must be an integer >= 1")
         if self.epoch_len is not None and not (
-                _number(self.epoch_len, Integral) and self.epoch_len >= 0):
+                is_number(self.epoch_len, Integral) and self.epoch_len >= 0):
             raise ValueError("epoch_len must be None or an integer >= 0")
         if not isinstance(self.compute_golden, bool):
             raise ValueError("compute_golden must be true or false")
         if self.bounds is not None and (
                 not isinstance(self.bounds, (list, tuple))
                 or len(self.bounds) != len(self.patterns)
-                or not all(_number(b) and b > 0 for b in self.bounds)):
+                or not all(is_number(b) and b > 0 for b in self.bounds)):
             # `not b > 0` also rejects NaN, which would never trigger
             raise ValueError("bounds must give one positive latency bound "
                              "per pattern")
@@ -173,8 +164,15 @@ def match_key(rec) -> tuple:
 
 
 def build_plan(config: RunConfig):
-    patterns = [parse_pattern(t, pattern_id=i, name=f"P{i + 1}")
-                for i, t in enumerate(config.patterns)]
+    """The config's patterns merged; the message of a ``PatternSyntaxError``
+    or ``PlanError`` of a pattern begins with its name, ``P<i>``."""
+    patterns = []
+    for i, text in enumerate(config.patterns):
+        try:
+            patterns.append(parse_pattern(text, i))
+        except PatternSyntaxError as e:
+            e.args = (f"P{i + 1}: {e}",)
+            raise
     return merge(patterns, mode=config.mode)
 
 
@@ -193,8 +191,7 @@ def golden_matches(config: RunConfig, stream) -> dict:
     match_key)]}``, from a plan of its own at the run's expiry cadence."""
     gout = golden_run(stream, build_plan(config),
                       SelectionPolicy(config.selection),
-                      ConsumptionPolicy(config.consumption),
-                      config.expire_every)
+                      ConsumptionPolicy(config.consumption), EXPIRE_EVERY)
     return {pid: [(r.last_seq, match_key(r)) for r in recs]
             for pid, recs in gout.items()}
 
@@ -309,7 +306,7 @@ def _main_loop(config: RunConfig, stream: list):
     engine = Engine(plan, sel, cons)
     monitor = LatencyMonitor(n, alpha=config.alpha)
     bounds = (list(config.bounds) if config.bounds is not None
-              else [p.latency_bound_ms for p in plan.patterns])
+              else [DEFAULT_BOUND_MS] * n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
 
     epoch_len = config.epoch_len
@@ -325,10 +322,8 @@ def _main_loop(config: RunConfig, stream: list):
     next_epoch = epoch_len if epoch_len and costed else None
     shedding = strategy != "none"
     drop_ratio = config.drop_ratio
-    expire_every = config.expire_every
     select_every = config.select_every
     synthetic = config.cost_mode == "synthetic"
-    cost_unit = config.cost_unit
     perf_counter = time.perf_counter
 
     matches = {p.id: [] for p in plan.patterns}
@@ -347,7 +342,7 @@ def _main_loop(config: RunConfig, stream: list):
             # stop counting as alive, and so the work units
             if seq >= next_expire:
                 engine.expire(seq, d.timestamp)
-                next_expire = seq + expire_every
+                next_expire = seq + EXPIRE_EVERY
 
             if shedding:
                 b_ol = selector.trigger(monitor, bounds)
@@ -360,7 +355,7 @@ def _main_loop(config: RunConfig, stream: list):
                         last_select = seq
                         # unless the periodic expiry ran at this element:
                         # with the same now, a second call changes nothing
-                        if next_expire != seq + expire_every:
+                        if next_expire != seq + EXPIRE_EVERY:
                             engine.expire(seq, d.timestamp)
                         budget_map = selector.budgets(index, monitor, bounds)
                         audit = selector.select(index, b_ol, budget_map,
@@ -377,7 +372,7 @@ def _main_loop(config: RunConfig, stream: list):
 
             if synthetic:
                 res = engine.step(d)
-                elapsed = cost_unit * sum(res.work.values())
+                elapsed = COST_UNIT_MS * sum(res.work.values())
             else:
                 t0 = perf_counter()
                 res = engine.step(d)

@@ -13,13 +13,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import le
 
 import numpy as np
 
 from .engine import collector_paused
-from .model import DataElement
+from .model import DataElement, is_number
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -45,15 +45,43 @@ class GeneratorSpec:
     drifts: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not (isinstance(self.count, Integral) and self.count >= 0):
-            raise ValueError("count must be an integer >= 0")
+        if (not isinstance(self.alphabet, (list, tuple)) or not self.alphabet
+                or not all(isinstance(t, str) and t for t in self.alphabet)):
+            raise ValueError("alphabet must be one or more non-empty strings")
+        if not isinstance(self.attrs, dict):
+            raise ValueError("attrs must map attribute names to ranges")
+        for name, dist in self.attrs.items():
+            if not _valid_dist(dist):
+                raise ValueError(f"attrs {name!r}: {dist!r} is no finite "
+                                 f"range [low, high] or [\"int\", lo, hi]")
+        for knob in ("count", "seed"):
+            if not (is_number(getattr(self, knob), Integral)
+                    and getattr(self, knob) >= 0):
+                raise ValueError(f"{knob} must be an integer >= 0")
         for d in self.drifts:
-            if not 0 <= d.offset <= self.count:
-                raise ValueError(f"drift offset {d.offset} outside the "
+            if not (is_number(d.offset, Integral)
+                    and 0 <= d.offset <= self.count):
+                raise ValueError(f"drift offset {d.offset!r} outside the "
                                  f"stream of count {self.count}")
-            if d.attr not in self.attrs or not d.low <= d.high:
-                raise ValueError(f"drift of {d.attr!r} to [{d.low}, "
-                                 f"{d.high}): no such attribute or range")
+            if (not isinstance(d.attr, str) or d.attr not in self.attrs
+                    or not _valid_dist((d.low, d.high))):
+                raise ValueError(f"drift of {d.attr!r} to [{d.low!r}, "
+                                 f"{d.high!r}): no such attribute or range")
+            if d.type_tag is not None and d.type_tag not in self.alphabet:
+                raise ValueError(f"drift type {d.type_tag!r} not in alphabet")
+
+
+def _valid_dist(dist) -> bool:
+    """``dist`` is ``(low, high)`` numbers or ``("int", lo, hi)`` integers,
+    low <= high, in a range numpy draws from: a finite difference, or
+    int64 integers."""
+    kind = Real
+    if isinstance(dist, (list, tuple)) and len(dist) == 3 and dist[0] == "int":
+        kind, dist = Integral, dist[1:]
+    return (isinstance(dist, (list, tuple)) and len(dist) == 2
+            and all(is_number(v, kind) for v in dist)
+            and 0 <= dist[1] - dist[0] < math.inf
+            and (kind is Real or -2**63 <= dist[0] and dist[1] < 2**63))
 
 
 def _substreams(spec: GeneratorSpec):
@@ -256,15 +284,13 @@ def _check_rows(path: str, rows, first_ln: int, width: int,
 
 # -------------------------------------------------------------- templates
 
-def templates(window: float = 1000.0, r: float = EARTH_RADIUS_KM,
-              type_map: dict = None) -> dict:
+def templates(window: float = 1000.0) -> dict:
     """Named pattern texts: P1..P6 with predicates, P7..P38 plain
-    sequences for scalability runs.
-
-    ``type_map`` renames template event types (e.g. {"A": "bike_trip"});
-    ``r`` is the sphere radius used by the distance predicates.
+    sequences for scalability runs.  The distance predicates of P3 and P4
+    take the earth's radius in km.
     """
     w = f"{window:g}"
+    r = EARTH_RADIUS_KM
     t = {
         "P1": "SEQ(A a, B+ b[], C c, D d) "
               f"WHERE SAME [ID] AND SUM(b[].x) < c.x WITHIN {w}",
@@ -297,18 +323,5 @@ def templates(window: float = 1000.0, r: float = EARTH_RADIUS_KM,
         "P37": "A,G,I+,A", "P38": "A,G,J,B+"
     }
     for name, steps in literal.items():
-        parts = []
-        for s in steps.split(","):
-            if s.endswith("+"):
-                parts.append(f"{s[:-1]}+")
-            else:
-                parts.append(s)
-        t[name] = f"SEQ({', '.join(parts)}) WITHIN {w}"
-    if type_map:
-        import re
-        def sub(text):
-            return re.sub(r"\b([A-J])\b",
-                          lambda m: type_map.get(m.group(1), m.group(1)),
-                          text)
-        t = {k: sub(v) for k, v in t.items()}
+        t[name] = f"SEQ({steps.replace(',', ', ')}) WITHIN {w}"
     return t

@@ -17,7 +17,7 @@ from matchshed.model import (ConsumptionPolicy, DataElement, MatchRecord,
                              SelectionPolicy, StepKind, Window, WindowKind)
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
-from matchshed.runner import RunConfig, run, shed_random_state
+from matchshed.runner import EXPIRE_EVERY, RunConfig, run, shed_random_state
 
 import oracle
 import randgen
@@ -216,7 +216,7 @@ def test_buffers_and_queues_stay_bounded(monkeypatch):
     texts = [t.replace("WITHIN 200", w) for t, w in zip(
         (wl.templates(window=200)[k] for k in ("P1", "P2", "P5", "P6")),
         ("WITHIN 40 ms", "WITHIN 25 ms", "WITHIN 30", "WITHIN 15"))]
-    cadence = RunConfig(patterns=texts).expire_every
+    cadence = EXPIRE_EVERY
     largest = 40
     expire, step = Engine.expire, Engine.step
     peaks = {}

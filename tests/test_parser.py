@@ -36,13 +36,17 @@ def test_negated_step():
 
 
 def test_time_window_and_bound_and_policy():
-    p = parse_pattern("SEQ(A a, B b) WITHIN 5 s BOUND 250 ms "
-                      "POLICY skip-next, consume")
+    p = parse_pattern("SEQ(A a, B b) WITHIN 5 s POLICY skip-next, consume")
     assert p.window.kind is WindowKind.TIME
     assert p.window.size == 5000.0
-    assert p.latency_bound_ms == 250.0
     assert p.selection is SelectionPolicy.SKIP_TILL_NEXT
     assert p.consumption is ConsumptionPolicy.CONSUME
+    # a latency bound is a run setting (RunConfig.bounds), not grammar
+    text = "SEQ(A a, B b) WITHIN 5 s BOUND 250 ms"
+    with pytest.raises(PatternSyntaxError, match="trailing input 'BOUND'") \
+            as e:
+        parse_pattern(text)
+    assert e.value.pos == text.index("BOUND")
 
 
 def test_auto_bindings():
@@ -78,6 +82,10 @@ def test_power_right_associative():
     ("SEQ(A a, B+ b[]) WHERE SUM(a[].x) < b.x WITHIN 5", "non-Kleene"),
     ("SEQ(A a, B+ b[]) WHERE b.x < z.x WITHIN 5", "unknown binding"),
     ("SEQ(A a, B b) WHERE a.x < b.x", "WITHIN"),
+    ("SEQ(A a, B+ b[]) WHERE SUM(b.x) < 1 WITHIN 5", "expected '[]'"),
+    ("SEQ(A a, B b) WITHIN 0", "window size must be positive"),
+    ("SEQ(A a, B b) WITHIN 1e999", "window size must be positive"),
+    ("SEQ(A a, B b) WITHIN 1e306 s", "window size must be positive"),
     ("SEQ(A a ? b) WITHIN 5", "unexpected"),
 ])
 def test_rejects(bad, msg):
@@ -98,12 +106,14 @@ def test_syntax_error_reports_position():
     "WITHIN 1000",
     "SEQ(A a, B b, !C c, D d) WHERE SAME [ID] AND a.x < b.x WITHIN 1000",
     "SEQ(A a, B b) WHERE (a.x + b.x) * 2 - 1 / a.y >= b.y WITHIN 7 ms",
-    "SEQ(A a, B b) WITHIN 5 s BOUND 20 ms POLICY strict, reuse",
+    "SEQ(A a, B b) WITHIN 5 s POLICY strict, reuse",
     "SEQ(A a) WHERE 0 - a.x ^ 2 < 4 WITHIN 3",
+    # '[ ]' is read as '[]' and printed as it
+    "SEQ(A a, B+ b[ ], C c) WHERE SUM(b [ ] .x) < c.x WITHIN 5",
 ])
 def test_round_trip(text):
-    p = parse_pattern(text, pattern_id=3, name="x")
-    q = parse_pattern(format_pattern(p), pattern_id=3, name="x")
+    p = parse_pattern(text, pattern_id=3)
+    q = parse_pattern(format_pattern(p), pattern_id=3)
     assert p == q
     # printing is a fixpoint
     assert format_pattern(q) == format_pattern(p)

@@ -150,41 +150,41 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("expire_every", 0), ("expire_every", -16), ("expire_every", 2.5),
     ("select_every", 0), ("select_every", float("nan")),
     ("select_every", 2.5), ("select_every", "400"), ("alpha", None),
     ("alpha", 1.5), ("alpha", -0.1),
     ("alpha", float("nan")), ("epoch_len", -5), ("epoch_len", 2.5),
-    ("cost_unit", -1.0), ("cost_unit", 0.0), ("cost_unit", float("nan")),
+    ("drop_ratio", -0.1), ("drop_ratio", 1.5), ("drop_ratio", float("nan")),
+    ("seed", True), ("epoch_len", True), ("select_every", -1),
     ("selection", "bogus"), ("consumption", "x"), ("mode", "y"),
     ("seed", -1), ("seed", 1.5), ("patterns", "SEQ(A a, B b) WITHIN 5"),
     ("patterns", []), ("patterns", [None]),
-    ("select_every", True), ("alpha", True), ("cost_unit", "1"),
+    ("select_every", True), ("alpha", True), ("seed", "0"),
     ("drop_ratio", "x"), ("drop_ratio", None), ("selection", ["strict"]),
     ("consumption", {}), ("compute_golden", "false"),
     ("compute_golden", 0), ("out_dir", 5)])
 def test_config_rejects_knobs_that_break_a_run(field, value):
-    """Values that crashed a run (``expire_every=0`` divides by zero in
-    the golden pass, a string ``select_every`` fails mid-loop, a bad
-    policy, mode or seed fails only after a golden worker has forked, a
-    bare pattern string is parsed one character at a time, a null or
-    string number or an unhashable policy raised ``TypeError``, which
-    ``matchshed run`` showed as a traceback), ran silently as something
-    else (a NaN ``select_every`` turned guided reductions off, the string
-    ``"false"`` ran the golden pass) or broke it (an EWMA that
-    over-corrects, a decay at every element, negative latencies that
-    never trigger); an ``out_dir`` that is no string ran the whole stream
-    before ``write_artifacts`` raised ``TypeError``."""
+    """Values that crashed a run (a string ``select_every`` fails
+    mid-loop, a bad policy, mode or seed fails only after a golden worker
+    has forked, a bare pattern string is parsed one character at a time,
+    a null or string number or an unhashable policy raised
+    ``TypeError``, which ``matchshed run`` showed as a traceback), ran
+    silently as something else (a NaN ``select_every`` turned guided
+    reductions off, the string ``"false"`` ran the golden pass) or broke
+    it (an EWMA that over-corrects, a decay at every element); an
+    ``out_dir`` that is no string ran the whole stream before
+    ``write_artifacts`` raised ``TypeError``."""
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
-    ("expire_every", 1), ("select_every", 1), ("select_every", 400),
+    ("select_every", 1), ("select_every", 400),
     ("compute_golden", False), ("alpha", 0.0), ("alpha", 1.0),
     ("epoch_len", 0), ("epoch_len", None), ("epoch_len", 250),
-    ("cost_unit", 1e-6), ("selection", "strict"), ("consumption", "consume"),
-    ("mode", "separate"), ("seed", 0), ("patterns", (PATS[0],))])
+    ("selection", "strict"), ("consumption", "consume"),
+    ("mode", "separate"), ("seed", 0), ("drop_ratio", 0.0),
+    ("drop_ratio", 1.0), ("patterns", (PATS[0],))])
 def test_config_accepts_knobs_at_their_limits(field, value):
     assert getattr(cfg(**{field: value}), field) == value
 
@@ -348,6 +348,11 @@ def test_cli_end_to_end(tmp_path, capsys):
     # the length-scaled overhead is gone; an old config does not run
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "theta": "constant"}',
      "unknown RunConfig keys theta"),
+    # the cost unit and the expiry cadence are constants of the runner
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "cost_unit": 0.01}',
+     "unknown RunConfig keys cost_unit"),
+    ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "expire_every": 16}',
+     "unknown RunConfig keys expire_every"),
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "out_dir": 5}', "out_dir")])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, names):
     path = os.path.join(tmp_path, "cfg.json")
@@ -400,7 +405,28 @@ SPEC = {"alphabet": ["A", "B"], "attrs": {"x": [0.0, 1.0]}, "count": 10,
     (None, ["--dataset", "custom", "--spec", "/nonexistent.json"],
      "/nonexistent.json"),
     (None, ["--dataset", "ds2", "--count", "-5"],
-     "count must be an integer >= 0")])
+     "count must be an integer >= 0"),
+    # values of the wrong shape, each checked by GeneratorSpec itself
+    (dict(SPEC, drifts=5), [], "drifts is a JSON list"),
+    (dict(SPEC, attrs={"x": ["lo", 1]}), [], "attrs 'x': ['lo', 1] is"),
+    (dict(SPEC, attrs={"x": [1]}), [], "attrs 'x': [1] is"),
+    (dict(SPEC, attrs={"x": [2, 1]}), [], "attrs 'x': [2, 1] is"),
+    (dict(SPEC, attrs={"x": [-1e308, 1e308]}), [], "attrs 'x': [-1e+308"),
+    (dict(SPEC, attrs={"n": ["int", 0, 2**63]}), [], "attrs 'n': ['int', 0,"),
+    (dict(SPEC, attrs={"n": ["int", 1.5, 3]}), [], "attrs 'n': ['int', 1.5"),
+    (dict(SPEC, attrs=5), [], "attrs must map attribute names to ranges"),
+    (dict(SPEC, alphabet=[]), [], "alphabet must be one or more"),
+    (dict(SPEC, alphabet=["A", ""]), [], "alphabet must be one or more"),
+    (dict(SPEC, alphabet="AB"), [], "alphabet must be one or more"),
+    (dict(SPEC, seed=-3), [], "seed must be an integer >= 0"),
+    (dict(SPEC, seed=1.5), [], "seed must be an integer >= 0"),
+    (None, ["--dataset", "ds1", "--seed", "-1"],
+     "seed must be an integer >= 0"),
+    (dict(SPEC, drifts=[{"offset": "5", "attr": "x", "low": 0, "high": 1}]),
+     [], "drift offset '5' outside"),
+    (dict(SPEC, drifts=[{"offset": 5, "attr": "x", "low": 0, "high": 1,
+                         "type_tag": "Z"}]), [],
+     "drift type 'Z' not in alphabet")])
 def test_bad_spec_or_count_is_a_usage_error(tmp_path, capsys, spec, args,
                                             names):
     """A bad ``--spec`` file or a negative ``--count`` is reported through
@@ -443,6 +469,60 @@ def test_missing_file_or_bad_csv_is_a_usage_error(tmp_path, capsys, config,
     assert exit_.value.code == 2
     assert names in capsys.readouterr().err
     assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("SEQ(A a, B b WITHIN 5",
+     "P2: expected ')', got 'WITHIN' (at position 13)"),
+    ("SEQ(A a, B b) WHERE a.x < q.x WITHIN 5",
+     "P2: unknown binding 'q' (at position 38)"),
+    ("SEQ(A a, !B b, !C c, D d) WHERE b.x < c.x WITHIN 5",
+     "P2: a conjunct may reference at most one negated binding, not b, c"),
+    ("SEQ(A a, B b) WITHIN 0",
+     "P2: window size must be positive and finite (at position 21)"),
+    # a latency bound is RunConfig.bounds, no longer a clause of the grammar
+    ("SEQ(A a, B b) WITHIN 5 BOUND 20 ms",
+     "P2: trailing input 'BOUND' (at position 23)")])
+@pytest.mark.parametrize("strategy", ["none", "guided"])
+def test_bad_pattern_is_a_usage_error(tmp_path, capsys, text, names,
+                                      strategy):
+    """A pattern that does not parse or compile is reported through the
+    parser with its name and position, as a bad config value is."""
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"patterns": ["SEQ(A a, B b) WITHIN 5", text],
+                   "strategy": strategy}, f)
+    data_path = os.path.join(tmp_path, "s.csv")
+    with open(data_path, "w") as f:
+        f.write("type,ts,x\nA,1,2\nB,2,3\n")
+    out_dir = os.path.join(tmp_path, "out")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", cfg_path, "--input", data_path,
+                  "--out-dir", out_dir])
+    assert exit_.value.code == 2
+    assert names in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_default_bounds_are_1000_ms_each(monkeypatch):
+    """``bounds=None`` runs as one bound of 1000 ms per pattern does."""
+    seen = []
+    trigger = selector.trigger
+
+    def recorded(monitor, bounds):
+        seen.append(list(bounds))
+        return trigger(monitor, bounds)
+
+    monkeypatch.setattr(selector, "trigger", recorded)
+    stream = small_stream()
+    runs = [run(cfg(strategy="guided", bounds=b), stream)
+            for b in (None, [1000.0, 1000.0])]
+    assert seen and all(b == [1000.0, 1000.0] for b in seen)
+    for m in runs:
+        m.audits = [a.csv_row(m.n) for a in m.audits]
+    for field in ("matches", "counters", "audits", "latency_mean",
+                  "triggers", "recall"):
+        assert getattr(runs[0], field) == getattr(runs[1], field), field
 
 
 def test_cli_report(tmp_path):

@@ -25,7 +25,7 @@ from matchshed.model import (ConsumptionPolicy, DataElement, Pattern,
 from matchshed.parser import parse_pattern
 from matchshed.plan import merge
 from matchshed.psd import assess
-from matchshed.runner import RunConfig, build_plan
+from matchshed.runner import RunConfig, build_plan, run
 
 import oracle
 import randgen
@@ -288,7 +288,7 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     the plan's reduction kernel."""
     t = wl.templates(window=200)
     config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")]}
-    path = tmp_path / "run.json"
+    path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -307,3 +307,29 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
             assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
     kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))))
     assert out.endswith("\n# reduction kernel\n" + kernel)
+
+
+@pytest.mark.parametrize("case, names", [
+    ("artifact", "unknown RunConfig keys config, counters"),
+    ("missing", "No such file or directory"),
+    ("pattern", "P1: expected ')', got 'WITHIN' (at position 13)")])
+def test_sweep_source_tool_reports_a_bad_config(tmp_path, case, names):
+    """The ``run.json`` artifact of ``matchshed run`` is no config, and
+    the tool says so, as it does for a missing file or a bad pattern:
+    exit 2, a message naming the fault, no code printed."""
+    path = tmp_path / "cfg.json"
+    if case == "artifact":
+        run(RunConfig(patterns=["SEQ(A a, B b) WITHIN 5"],
+                      out_dir=str(tmp_path / "out")), wl.gen_ds2(50, 0))
+        path = tmp_path / "out" / "run.json"
+    elif case == "pattern":
+        path.write_text(json.dumps({"patterns": ["SEQ(A a, B b WITHIN 5"]}))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "sweep_source.py"),
+         "--config", str(path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert names in proc.stderr
+    assert proc.stdout == ""

@@ -135,7 +135,7 @@ def test_templates_all_parse():
     t = wl.templates(window=500)
     assert len(t) == 38
     for name, text in t.items():
-        p = parse_pattern(text, pattern_id=0, name=name)
+        p = parse_pattern(text, pattern_id=0)
         assert p.window.size == 500
 
 
@@ -145,15 +145,8 @@ def test_template_features():
     assert p1.steps[1].kind is StepKind.KLEENE_PLUS
     p5 = parse_pattern(t["P5"])
     assert p5.steps[2].kind is StepKind.NEGATED
-    # radius parameter lands in the distance predicates
+    # the earth's radius lands in the distance predicates
     assert "6371" in t["P3"] and "6371" in t["P4"]
-    assert "1000" in wl.templates(r=1000.0)["P4"]
-
-
-def test_template_type_mapping():
-    t = wl.templates(type_map={"A": "bike_trip", "B": "dock"})
-    assert "bike_trip" in t["P1"] and "dock" in t["P1"]
-    parse_pattern(t["P1"])
 
 
 def row_loop_load(path):
