@@ -62,6 +62,15 @@ def _cmd_run(args):
         m = run(cfg, stream)
     except (parser.PatternSyntaxError, plan.PlanError) as e:  # a pattern
         args.parser.error(str(e))
+    except KeyError as e:
+        # every row carries every header attribute, so a name missing from
+        # the first row is one a pattern reads and the input lacks
+        attr = e.args[0] if e.args else None
+        if not (isinstance(attr, str) and stream
+                and attr not in stream[0].attrs):
+            raise
+        args.parser.error(f"a pattern reads attribute {attr!r}, but "
+                          f"{args.input} has no such column")
     for i in range(m.n):
         rec = "-" if m.recall is None else f"{m.recall[i]:.4f}"
         print(f"P{i + 1}: matches={len(m.matches[i])} recall={rec} "
@@ -72,17 +81,25 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
+    if not os.path.isdir(args.in_dir):
+        args.parser.error(f"--in {args.in_dir}: no such directory")
     rows = []
     for path in sorted(glob.glob(os.path.join(args.in_dir, "*", "run.json"))):
-        with open(path) as f:
-            manifest = json.load(f)
+        try:
+            with open(path) as f:
+                manifest = json.load(f)
+            run_cols = {"strategy": manifest["config"]["strategy"],
+                        "triggers": manifest["triggers"]}
+        except (OSError, ValueError, LookupError, TypeError) as e:
+            args.parser.error(f"{path}: not a run manifest ({e!r})")
         run_name = os.path.basename(os.path.dirname(path))
         mpath = os.path.join(os.path.dirname(path), "metrics.csv")
-        with open(mpath, newline="") as f:
-            for row in csv.DictReader(f):
-                rows.append({"run": run_name, **row,
-                             "strategy": manifest["config"]["strategy"],
-                             "triggers": manifest["triggers"]})
+        try:
+            with open(mpath, newline="") as f:
+                for row in csv.DictReader(f):
+                    rows.append({"run": run_name, **row, **run_cols})
+        except OSError as e:    # a run directory without metrics.csv
+            args.parser.error(str(e))
     with open(args.out, "w", newline="") as f:
         if rows:
             w = csv.DictWriter(f, fieldnames=list(rows[0]))
@@ -116,7 +133,7 @@ def main(argv=None):
     p = sub.add_parser("report", help="aggregate run artifacts")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_report)
+    p.set_defaults(fn=_cmd_report, parser=p)
 
     args = ap.parse_args(argv)
     if args.cmd == "datagen" and args.dataset == "custom" and not args.spec:

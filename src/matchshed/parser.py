@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import re
 
-from .expr import (And, AttrRef, Bin, Cmp, Expr, Func, Num, Same, SumAgg,
-                   nodes)
+from .expr import And, AttrRef, Bin, Cmp, Expr, Func, Num, Same, SumAgg
 from .model import (ConsumptionPolicy, Pattern, PatternStep, SelectionPolicy,
                     StepKind, Window, WindowKind)
 
@@ -63,6 +62,7 @@ class _Tokens:
                                   m.start("op")))
             pos = m.end()
         self.i = 0
+        self.refs = []  # (AttrRef or SumAgg, position of its binding)
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (
@@ -86,15 +86,19 @@ class _Tokens:
         return False
 
 
-def _parse_step(tk: _Tokens, auto_idx: int) -> PatternStep:
+def _parse_step(tk: _Tokens, auto_idx: int) -> tuple:
+    """The next step, its position and its binding's (the step's when
+    the binding is generated)."""
+    start = tk.peek()[2]
     negated = tk.accept("!")
     kind, type_name, pos = tk.next()
     if kind != "name":
         raise PatternSyntaxError("expected event type", pos)
     kleene = tk.accept("+")
     binding = None
+    name_pos = start
     if tk.peek()[0] == "name":
-        binding = tk.next()[1]
+        _, binding, name_pos = tk.next()
         tk.accept("[]")
     if binding is None:
         binding = f"s{auto_idx}"
@@ -103,7 +107,7 @@ def _parse_step(tk: _Tokens, auto_idx: int) -> PatternStep:
                                  pos)
     step_kind = (StepKind.NEGATED if negated
                  else StepKind.KLEENE_PLUS if kleene else StepKind.SINGLE)
-    return PatternStep(type_name, binding, step_kind)
+    return PatternStep(type_name, binding, step_kind), start, name_pos
 
 
 def _parse_factor(tk: _Tokens) -> Expr:
@@ -130,7 +134,9 @@ def _parse_factor(tk: _Tokens) -> Expr:
             if akind != "name":
                 raise PatternSyntaxError("expected attribute in SUM", apos)
             tk.expect(")")
-            return SumAgg(bname, attr)
+            ref = SumAgg(bname, attr)
+            tk.refs.append((ref, bpos))
+            return ref
         if val in _FUNC_NAMES:
             tk.next()
             tk.expect("(")
@@ -142,7 +148,9 @@ def _parse_factor(tk: _Tokens) -> Expr:
         akind, attr, apos = tk.next()
         if akind != "name":
             raise PatternSyntaxError("expected attribute name", apos)
-        return AttrRef(val, attr)
+        ref = AttrRef(val, attr)
+        tk.refs.append((ref, pos))
+        return ref
     raise PatternSyntaxError(f"unexpected token {val!r}", pos)
 
 
@@ -193,32 +201,34 @@ def _parse_pred(tk: _Tokens) -> Expr:
     return items[0] if len(items) == 1 else And(tuple(items))
 
 
-def _validate(steps, predicate, pos_hint: int):
-    names = [s.binding_name for s in steps]
-    if len(set(names)) != len(names):
-        raise PatternSyntaxError("duplicate binding name", pos_hint)
-    if steps[0].kind is StepKind.NEGATED:
+def _validate(parsed, refs):
+    """Check the steps of ``_parse_step`` and the predicate's references
+    ``refs`` in text order; each error points at the offending token."""
+    seen = set()
+    for s, _, name_pos in parsed:
+        if s.binding_name in seen:
+            raise PatternSyntaxError("duplicate binding name", name_pos)
+        seen.add(s.binding_name)
+    (first, first_pos, _), (last, last_pos, _) = parsed[0], parsed[-1]
+    if first.kind is StepKind.NEGATED:
         raise PatternSyntaxError("pattern cannot start with a negated step",
-                                 pos_hint)
-    if steps[-1].kind is StepKind.NEGATED:
+                                 first_pos)
+    if last.kind is StepKind.NEGATED:
         raise PatternSyntaxError("pattern cannot end with a negated step",
-                                 pos_hint)
-    by_name = {s.binding_name: s for s in steps}
-    refs = [n for n in nodes(predicate)
-            if type(n) is AttrRef or type(n) is SumAgg]
-    for n in refs:
+                                 last_pos)
+    by_name = {s.binding_name: s for s, _, _ in parsed}
+    for n, pos in refs:
         if n.binding not in by_name:
-            raise PatternSyntaxError(f"unknown binding {n.binding!r}",
-                                     pos_hint)
+            raise PatternSyntaxError(f"unknown binding {n.binding!r}", pos)
     # each Kleene binding is read by SUM, and SUM by no other
-    for n in refs:
+    for n, pos in refs:
         kleene = by_name[n.binding].kind is StepKind.KLEENE_PLUS
         if type(n) is SumAgg and not kleene:
             raise PatternSyntaxError(
-                f"SUM over non-Kleene binding {n.binding!r}", pos_hint)
+                f"SUM over non-Kleene binding {n.binding!r}", pos)
         if type(n) is AttrRef and kleene:
             raise PatternSyntaxError(
-                f"Kleene binding {n.binding!r} needs SUM or SAME", pos_hint)
+                f"Kleene binding {n.binding!r} needs SUM or SAME", pos)
 
 
 _SEL = {"skip-any": SelectionPolicy.SKIP_TILL_ANY,
@@ -233,11 +243,9 @@ def parse_pattern(text: str, pattern_id: int = 0) -> Pattern:
     tk = _Tokens(text)
     tk.expect("SEQ")
     tk.expect("(")
-    steps = [_parse_step(tk, 1)]
-    idx = 2
+    parsed = [_parse_step(tk, 1)]
     while tk.accept(","):
-        steps.append(_parse_step(tk, idx))
-        idx += 1
+        parsed.append(_parse_step(tk, len(parsed) + 1))
     tk.expect(")")
     predicate = None
     if tk.accept("WHERE"):
@@ -276,10 +284,10 @@ def parse_pattern(text: str, pattern_id: int = 0) -> Pattern:
     kind, val, pos = tk.peek()
     if kind != "eof":
         raise PatternSyntaxError(f"trailing input {val!r}", pos)
-    _validate(steps, predicate, pos)
-    return Pattern(id=pattern_id, steps=tuple(steps), predicate=predicate,
-                   window=Window(wkind, size), selection=selection,
-                   consumption=consumption)
+    _validate(parsed, tk.refs)
+    return Pattern(id=pattern_id, steps=tuple(s for s, _, _ in parsed),
+                   predicate=predicate, window=Window(wkind, size),
+                   selection=selection, consumption=consumption)
 
 
 # ---------------------------------------------------------------- printer

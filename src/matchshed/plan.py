@@ -57,7 +57,6 @@ class EdgeGuard:
     """Per-pattern guard on a transition: conjunct descriptors plus
     absence checks for skipped negated steps.  Patterns with equal
     descriptors on an edge hold the same ``checks`` object."""
-    pattern_id: int
     checks: tuple      # positional ex.Cmp, then ex.Same
     neg_checks: tuple  # NegCheck
 
@@ -273,118 +272,91 @@ class _Chain:
     """Intermediate per-pattern chain before merging."""
     pattern: Pattern
     signatures: list          # state signature per positional depth (incl start)
-    transitions: list         # list of dicts describing edges
+    transitions: list         # dicts describing edges; from/to are depths
     same_attrs: tuple         # SAME attributes; their checks are added in merge
     residual: tuple           # emission-only conjuncts, positional
 
 
 def _chain(pattern: Pattern) -> _Chain:
-    steps = pattern.steps
+    """The chain of ``pattern``: transition j binds positional step j.
+
+    A conjunct lands on the transition with the largest position among
+    the bindings it reads, plus one for a SUM over a Kleene step, whose
+    list is closed only by the next step; past the last transition it is
+    the residual.  A conjunct over a negated binding is a blocker of the
+    gap that binding stands in, kept when every other binding it reads
+    lies before the gap's transition, or at it and is not a Kleene step;
+    any other is dropped, so the gap blocks on type and SAME alone.
+    """
     pos_steps = pattern.positional_steps
     m = len(pos_steps)
+    pos_of = {s.binding_name: i for i, s in enumerate(pos_steps)}
+    kleene_pos = {i for i, s in enumerate(pos_steps)
+                  if s.kind is StepKind.KLEENE_PLUS}
 
-    # signature prefix at each positional depth (start == ())
+    # signature prefix at each positional depth (start == ()), the negated
+    # steps before each positional step, and the transition skipping each
     signatures = [()]
+    negs_before = []
+    neg_at = {}
     pending = []
-    for s in steps:
+    for s in pattern.steps:
         if s.kind is StepKind.NEGATED:
+            neg_at[s.binding_name] = len(negs_before)
             pending.append(s)
         else:
             signatures.append(signatures[-1]
                               + tuple((p.event_type, p.kind) for p in pending)
                               + ((s.event_type, s.kind),))
-            pending.clear()
+            negs_before.append(pending)
+            pending = []
 
-    pos_of = {s.binding_name: i for i, s in enumerate(pos_steps)}
-    kleene_pos = {i for i, s in enumerate(pos_steps)
-                  if s.kind is StepKind.KLEENE_PLUS}
-
-    # negated steps preceding each positional step
-    negs_before = [[] for _ in range(m)]
-    pend = []
-    pi = 0
-    for s in steps:
-        if s.kind is StepKind.NEGATED:
-            pend.append(s)
-        else:
-            negs_before[pi] = list(pend)
-            pend.clear()
-            pi += 1
-
-    conjs = ex.conjuncts(pattern.predicate)
-    neg_names = {s.binding_name for s in steps if s.kind is StepKind.NEGATED}
-
-    # schedule each conjunct on the earliest transition where it is decidable
-    sched = [[] for _ in range(m)]          # regular checks per transition
-    neg_sched = [{} for _ in range(m)]      # neg binding -> blocker conjuncts
+    sched = [[] for _ in range(m + 1)]      # per transition; m: residual
+    blockers = {}                           # neg binding -> usable blockers
     same_attrs = []
-    emission = []                           # decidable only at emission
-    for c in conjs:
+    for c in ex.conjuncts(pattern.predicate):
         if type(c) is ex.Same:
             same_attrs.append(c.attr)
             continue
         refs = ex.referenced_bindings(c)
-        sums = {x.binding for x in ex.nodes(c) if type(x) is ex.SumAgg}
-        neg_refs = refs & neg_names
+        neg_refs = refs & neg_at.keys()
         if len(neg_refs) > 1:
             raise PlanError(f"P{pattern.id + 1}: a conjunct may reference "
                             f"at most one negated binding, not "
                             f"{', '.join(sorted(neg_refs))}")
         if neg_refs:
             (nb,) = neg_refs
-            # the transition that skips over nb
-            j = next(i for i in range(m)
-                     if any(s.binding_name == nb for s in negs_before[i]))
-            decidable = all(pos_of[r] <= j for r in refs - {nb})
-            undec_kleene = any(pos_of[r] in kleene_pos and pos_of[r] >= j
-                               for r in refs - {nb})
-            neg_sched[j].setdefault(nb, []).append(
-                (c, decidable and not undec_kleene))
+            j = neg_at[nb]
+            if all(pos_of[r] < j
+                   or pos_of[r] == j and pos_of[r] not in kleene_pos
+                   for r in refs - neg_refs):
+                blockers.setdefault(nb, []).append(_positional(c, pos_of))
             continue
-        # earliest transition index where every ref is bound & closed
-        when = 0
-        emission_only = False
-        for r in refs:
-            p = pos_of[r]
-            if p in kleene_pos and r in sums:
-                if p + 1 >= m:
-                    emission_only = True
-                else:
-                    when = max(when, p + 1)
-            else:
-                when = max(when, p)
-        if emission_only:
-            emission.append(c)
-        else:
-            sched[when].append(c)
+        sums = {x.binding for x in ex.nodes(c) if type(x) is ex.SumAgg}
+        sched[max((pos_of[r] + (r in sums and pos_of[r] in kleene_pos)
+                   for r in refs), default=0)].append(c)
 
     transitions = []
-    for j in range(m):
-        step = pos_steps[j]
-        neg_checks = []
-        for s in negs_before[j]:
-            nb = s.binding_name
-            # undecidable conjuncts block conservatively: no descriptor
-            blockers = [_positional(c, pos_of)
-                        for c, decidable in neg_sched[j].get(nb, [])
-                        if decidable]
-            blockers += [ex.Same(a) for a in same_attrs]
-            neg_checks.append(NegCheck(s.event_type, tuple(blockers)))
+    for j, step in enumerate(pos_steps):
+        neg_checks = tuple(
+            NegCheck(s.event_type, tuple(blockers.get(s.binding_name, ()))
+                     + tuple(ex.Same(a) for a in same_attrs))
+            for s in negs_before[j])
         action = ("kleene-enter" if step.kind is StepKind.KLEENE_PLUS
                   else "single")
         transitions.append({
-            "from_sig": signatures[j],
-            "to_sig": signatures[j + 1],
+            "from": j,
+            "to": j + 1,
             "trigger": step.event_type,
             "action": action,
             "conjs": tuple(_positional(c, pos_of) for c in sched[j]),
-            "neg_checks": tuple(neg_checks),
+            "neg_checks": neg_checks,
         })
         if step.kind is StepKind.KLEENE_PLUS:
             # self-extension loop; its only checks, SAME, are added in merge
             transitions.append({
-                "from_sig": signatures[j + 1],
-                "to_sig": signatures[j + 1],
+                "from": j + 1,
+                "to": j + 1,
                 "trigger": step.event_type,
                 "action": "kleene-extend",
                 "conjs": (),
@@ -393,7 +365,7 @@ def _chain(pattern: Pattern) -> _Chain:
 
     return _Chain(pattern=pattern, signatures=signatures,
                   transitions=transitions, same_attrs=tuple(same_attrs),
-                  residual=tuple(_positional(c, pos_of) for c in emission))
+                  residual=tuple(_positional(c, pos_of) for c in sched[m]))
 
 
 def _positional(e, pos_of: dict):
@@ -415,10 +387,12 @@ def merge(patterns, mode: str = "view"):
     plan.
 
     ``view`` unifies states with equal step-prefix signatures;
-    ``separate`` keeps every chain disjoint.  On an edge that already
-    holds another pattern's guard with equal descriptors, a guard reuses
-    that guard's ``checks`` tuple.  Descriptors compare by value and by
-    ``repr``, so that the literals ``0.0`` and ``-0.0`` differ.
+    ``separate`` keeps every chain disjoint.  States are numbered breadth
+    first by depth, and within a depth by the patterns in listed order,
+    so numbering is stable.  On an edge that already holds another
+    pattern's guard with equal descriptors, a guard reuses that guard's
+    ``checks`` tuple.  Descriptors compare by value and by ``repr``, so
+    that the literals ``0.0`` and ``-0.0`` differ.
     """
     patterns = list(patterns)
     if not patterns:
@@ -430,68 +404,45 @@ def merge(patterns, mode: str = "view"):
     shared = mode == "view"
     chains = [_chain(p) for p in patterns]
 
-    # deterministic state discovery: BFS over chain signatures, patterns in
-    # listed order, so numbering is stable
-    def key(pid, sig):
-        return sig if shared else (pid, sig)
-
+    # each pattern's path: the state id at each of its depths
+    states = [PlanState(0, ())]
     state_of = {}
-    states = []
-
-    start = PlanState(0, ())
-    states.append(start)
-    for c in chains:
-        state_of[key(c.pattern.id, ())] = start
-
-    # breadth-first by depth across all chains
-    max_depth = max(len(c.signatures) - 1 for c in chains)
-    for depth in range(1, max_depth + 1):
-        for c in chains:
+    paths = [[0] for _ in chains]
+    for depth in range(1, max(len(c.signatures) for c in chains)):
+        for c, path in zip(chains, paths):
             if depth < len(c.signatures):
                 sig = c.signatures[depth]
-                k = key(c.pattern.id, sig)
+                k = sig if shared else (c.pattern.id, sig)
                 if k not in state_of:
-                    st = PlanState(len(states), sig)
-                    states.append(st)
-                    state_of[k] = st
-
-    paths = {c.pattern.id: [state_of[key(c.pattern.id, sig)].state_id
-                            for sig in c.signatures[1:]] for c in chains}
+                    state_of[k] = len(states)
+                    states.append(PlanState(len(states), sig))
+                path.append(state_of[k])
     _mark_paths(states, chains, paths)
 
     edges = {}
-    edge_list = []
-    placed = {}   # edge key -> distinct checks tuples on the edge
-    for c in chains:
+    for c, path in zip(chains, paths):
         pid = c.pattern.id
         for t in c.transitions:
-            frm = state_of[key(pid, t["from_sig"])]
-            to = state_of[key(pid, t["to_sig"])]
-            ek = (frm.state_id, to.state_id, t["trigger"], t["action"])
+            frm, to = path[t["from"]], path[t["to"]]
+            ek = (frm, to, t["trigger"], t["action"])
             if ek not in edges:
-                e = PlanEdge(frm.state_id, to.state_id, t["trigger"],
-                             t["action"])
-                edges[ek] = e
-                edge_list.append(e)
+                edges[ek] = PlanEdge(*ek)
+            e = edges[ek]
             # one element satisfies SAME; a bucket probe proves it on the key
             checks = t["conjs"] + tuple(
                 ex.Same(a) for a in c.same_attrs
-                if frm is not start and a not in frm.key_attrs)
-            on_edge = placed.setdefault(ek, [])
-            checks = next((o for o in on_edge if o == checks
-                           and repr(o) == repr(checks)), checks)
-            if not any(o is checks for o in on_edge):
-                on_edge.append(checks)
-            edges[ek].guards[pid] = EdgeGuard(pid, checks, t["neg_checks"])
+                if frm and a not in states[frm].key_attrs)
+            checks = next((g.checks for g in e.guards.values()
+                           if g.checks == checks
+                           and repr(g.checks) == repr(checks)), checks)
+            e.guards[pid] = EdgeGuard(checks, t["neg_checks"])
 
-    plan = ExecutionPlan(states, edge_list, patterns, mode)
+    plan = ExecutionPlan(states, list(edges.values()), patterns, mode)
     plan.same_attrs = {c.pattern.id: c.same_attrs for c in chains}
-    for c in chains:
-        pid = c.pattern.id
-        acc_state = state_of[key(pid, c.signatures[-1])]
-        acc_state.accepting_for.add(pid)
+    for c, path in zip(chains, paths):
+        states[path[-1]].accepting_for.add(c.pattern.id)
         if c.residual:
-            plan.residuals[(pid, acc_state.state_id)] = c.residual
+            plan.residuals[(c.pattern.id, path[-1])] = c.residual
 
     _check_invariants(plan, shared)
     return plan
@@ -505,11 +456,11 @@ def _mark_paths(states, chains, paths):
     meet the records of its own key."""
     n = len(chains)
     common = {}
-    for c in chains:
+    for c, path in zip(chains, paths):
         bit = pattern_bit(c.pattern.id, n)
         states[0].psd |= bit
         mine = set(c.same_attrs)
-        for sid in paths[c.pattern.id]:
+        for sid in path[1:]:
             states[sid].psd |= bit
             common[sid] = common[sid] & mine if sid in common else mine
     for sid, attrs in common.items():

@@ -154,3 +154,49 @@ def test_runs_without_golden_pass_leave_multiprocessing_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_missing_attribute_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            k):
+    """``matchshed run`` over a CSV without a column a pattern reads exits
+    with a usage error naming the attribute, with the golden pass in
+    process (one CPU) or in a forked worker (two), and writes nothing."""
+    from matchshed import cli
+    cpus(monkeypatch, k)
+    started = counting_workers(monkeypatch)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        f.write('{"patterns": ["SEQ(A a, A b) WHERE SAME [ID] WITHIN 5 '
+                'POLICY strict, consume"], "strategy": "random-state"}')
+    data_path = os.path.join(tmp_path, "s.csv")
+    with open(data_path, "w") as f:
+        f.write("type,ts,x\nA,1,2\nA,2,3\nA,3,4\n")
+    out_dir = os.path.join(tmp_path, "out")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", cfg_path, "--input", data_path,
+                  "--out-dir", out_dir])
+    assert exit_.value.code == 2
+    assert len(started) == k - 1
+    err = capsys.readouterr().err
+    assert "attribute 'ID'" in err and "no such column" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out_dir)
+
+
+def test_other_key_errors_are_raised(monkeypatch, tmp_path):
+    """A ``KeyError`` over an attribute the input has is no usage error."""
+    from matchshed import cli
+
+    def broken_measure(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(runner, "measure", broken_measure)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        f.write('{"patterns": ["SEQ(A a, A b) WITHIN 5"]}')
+    data_path = os.path.join(tmp_path, "s.csv")
+    with open(data_path, "w") as f:
+        f.write("type,ts,x\nA,1,2\nA,2,3\n")
+    with pytest.raises(KeyError, match="x"):
+        cli.main(["run", "--config", cfg_path, "--input", data_path])

@@ -92,6 +92,20 @@ def test_rejects(bad, msg):
     with pytest.raises(PatternSyntaxError) as e:
         parse_pattern(bad)
     assert msg in str(e.value)
+    if bad in VALIDATION_AT:
+        assert e.value.pos == VALIDATION_AT[bad]
+
+
+# where each validation error points: the second binding's name, the
+# negated step, the offending reference's binding
+VALIDATION_AT = {
+    "SEQ(A a, A a) WITHIN 5": 11,
+    "SEQ(!A a, B b) WITHIN 5": 4,
+    "SEQ(A a, !B b) WITHIN 5": 9,
+    "SEQ(A a) WHERE z.x < 1 WITHIN 5": 15,
+    "SEQ(A a, B b) WHERE SUM(b[].x) < 1 WITHIN 5": 24,
+    "SEQ(A a, B+ b[]) WHERE b.x < 1 WITHIN 5": 23,
+}
 
 
 def test_syntax_error_reports_position():

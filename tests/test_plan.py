@@ -5,8 +5,9 @@ import oracle
 import randgen
 from matchshed.engine import golden_run
 from matchshed.model import StepKind
-from matchshed.parser import parse_pattern
-from matchshed.plan import PlanError, _check_invariants, compile_pattern, merge
+from matchshed.parser import _fmt_expr, parse_pattern
+from matchshed.plan import (PlanError, _check_invariants, _positional,
+                            compile_pattern, merge)
 
 
 def P(text, pid=0):
@@ -125,3 +126,51 @@ def test_language_preservation_merged_vs_solo():
             solo = golden_run(stream, compile_pattern(solo_pat))
             assert ({r.seq_tuple() for r in merged[pid]}
                     == {r.seq_tuple() for r in solo[0]})
+
+
+def _schedule(text):
+    """The single-pattern plan of ``text`` in binding names: each
+    transition's conjuncts, each ``NegCheck``'s blockers, the residual."""
+    pat = P(text)
+    names = {i: s.binding_name for i, s in enumerate(pat.positional_steps)}
+    # a blocker's gap element, binding None: the one negated step here
+    names[None] = next((s.binding_name for s in pat.steps
+                        if s.kind is StepKind.NEGATED), None)
+
+    def named(exprs):
+        return [_fmt_expr(_positional(e, names)) for e in exprs]
+
+    plan = compile_pattern(pat)
+    steps = [e.guards[0] for e in plan.edges if e.action != "kleene-extend"]
+    conjs = {j: named(g.checks) for j, g in enumerate(steps) if g.checks}
+    blockers = {j: [named(nc.blockers) for nc in g.neg_checks]
+                for j, g in enumerate(steps) if g.neg_checks}
+    residual = [named(r) for r in plan.residuals.values()]
+    return conjs, blockers, residual
+
+
+@pytest.mark.parametrize("text,conjs,blockers,residual", [
+    # a conjunct lands on the transition of its latest binding
+    ("SEQ(A a, B b, C c) WHERE a.x < c.x WITHIN 10",
+     {2: ["a.x < c.x"]}, {}, []),
+    # a SUM over a Kleene step waits for the transition after it ...
+    ("SEQ(A a, B+ b[], C c) WHERE SUM(b[].x) < a.x WITHIN 10",
+     {2: ["SUM(b[].x) < a.x"]}, {}, []),
+    # ... or for the emission, the residual, when the Kleene step is last
+    ("SEQ(A a, B+ b[]) WHERE SUM(b[].x) < a.x WITHIN 10",
+     {}, {}, [["SUM(b[].x) < a.x"]]),
+    # blockers over bindings bound before or at the gap's transition
+    ("SEQ(A a, !C c, B b) WHERE c.x < a.x AND c.x < b.x WITHIN 10",
+     {}, {1: [["c.x < a.x", "c.x < b.x"]]}, []),
+    # a Kleene step open at the gap's transition: the blocker is dropped
+    ("SEQ(A a, !C c, B+ b[]) WHERE c.x < SUM(b[].x) WITHIN 10",
+     {}, {1: [[]]}, []),
+    # a binding bound after the gap: the blocker is dropped
+    ("SEQ(A a, !C c, B b, D d) WHERE c.x < d.x WITHIN 10",
+     {}, {1: [[]]}, []),
+    # a Kleene step closed before the gap: the blocker is kept
+    ("SEQ(A+ a[], !C c, B b) WHERE SUM(a[].x) < c.x WITHIN 10",
+     {}, {1: [["SUM(a[].x) < c.x"]]}, []),
+])
+def test_conjunct_schedule(text, conjs, blockers, residual):
+    assert _schedule(text) == (conjs, blockers, residual)

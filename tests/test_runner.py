@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -475,7 +476,7 @@ def test_missing_file_or_bad_csv_is_a_usage_error(tmp_path, capsys, config,
     ("SEQ(A a, B b WITHIN 5",
      "P2: expected ')', got 'WITHIN' (at position 13)"),
     ("SEQ(A a, B b) WHERE a.x < q.x WITHIN 5",
-     "P2: unknown binding 'q' (at position 38)"),
+     "P2: unknown binding 'q' (at position 26)"),
     ("SEQ(A a, !B b, !C c, D d) WHERE b.x < c.x WITHIN 5",
      "P2: a conjunct may reference at most one negated binding, not b, c"),
     ("SEQ(A a, B b) WITHIN 0",
@@ -525,13 +526,69 @@ def test_default_bounds_are_1000_ms_each(monkeypatch):
         assert getattr(runs[0], field) == getattr(runs[1], field), field
 
 
+def _cli_runs(tmp_path):
+    """Two runs written by ``matchshed run --out-dir`` under ``runs/``:
+    ``r0`` without shedding, ``r1`` shedding input under tight bounds."""
+    data = os.path.join(tmp_path, "s.csv")
+    assert cli.main(["datagen", "--dataset", "ds2", "--count", "600",
+                     "--seed", "4", "--out", data]) == 0
+    runs = os.path.join(tmp_path, "runs")
+    for j, extra in enumerate([{"strategy": "none"},
+                               {"strategy": "random-input",
+                                "bounds": [0.001, 0.001],
+                                "compute_golden": False}]):
+        cfg_path = os.path.join(tmp_path, f"cfg{j}.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"patterns": PATS, **extra}, f)
+        assert cli.main(["run", "--config", cfg_path, "--input", data,
+                         "--out-dir", os.path.join(runs, f"r{j}")]) == 0
+    return runs
+
+
 def test_cli_report(tmp_path):
-    data = wl.gen_ds2(600, 4)
+    runs = _cli_runs(tmp_path)
+    triggers = []
     for j in range(2):
-        out = os.path.join(tmp_path, "runs", f"r{j}")
-        run(cfg(strategy="none", out_dir=out), data)
+        with open(os.path.join(runs, f"r{j}", "run.json")) as f:
+            triggers.append(json.load(f)["triggers"])
+    assert triggers[0] == 0 and triggers[1] > 0
     dest = os.path.join(tmp_path, "summary.csv")
-    assert cli.main(["report", "--in", os.path.join(tmp_path, "runs"),
-                     "--out", dest]) == 0
-    lines = open(dest).read().splitlines()
-    assert len(lines) == 5  # header + 2 runs x 2 patterns
+    assert cli.main(["report", "--in", runs, "--out", dest]) == 0
+    with open(dest, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["run"], r["pattern"], r["strategy"], r["triggers"])
+            for r in rows] == [
+        ("r0", "P1", "none", "0"), ("r0", "P2", "none", "0"),
+        ("r1", "P1", "random-input", str(triggers[1])),
+        ("r1", "P2", "random-input", str(triggers[1]))]
+    assert list(rows[0]) == ["run", "pattern", "recall", "cms", "latency_ms",
+                             "strategy", "triggers"]
+
+
+@pytest.mark.parametrize("case, names", [
+    ("no-dir", "missing: no such directory"),
+    ("bad-json", "r0/run.json: not a run manifest"),
+    ("not-a-manifest", "r0/run.json: not a run manifest"),
+    ("no-metrics", "r1/metrics.csv")])
+def test_report_bad_input_is_a_usage_error(tmp_path, capsys, case, names):
+    """``matchshed report`` reports a missing ``--in`` directory, a
+    malformed ``run.json`` and a run without ``metrics.csv`` through its
+    parser, naming the path, and writes no summary."""
+    runs = os.path.join(tmp_path, "missing")
+    if case != "no-dir":
+        runs = _cli_runs(tmp_path)
+    if case == "bad-json":
+        with open(os.path.join(runs, "r0", "run.json"), "w") as f:
+            f.write("{not json")
+    elif case == "not-a-manifest":
+        with open(os.path.join(runs, "r0", "run.json"), "w") as f:
+            f.write("[]")
+    elif case == "no-metrics":
+        os.remove(os.path.join(runs, "r1", "metrics.csv"))
+    dest = os.path.join(tmp_path, "summary.csv")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["report", "--in", runs, "--out", dest])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err
+    assert not os.path.exists(dest)
