@@ -9,7 +9,8 @@ import json
 import os
 import sys
 
-from . import parser, plan, workloads
+from . import expr as ex
+from . import runner, workloads
 from .runner import RunConfig, keywords, run
 from .workloads import Drift, GeneratorSpec
 
@@ -50,27 +51,29 @@ def _cmd_datagen(args):
     print(f"wrote {spec.count} elements to {args.out}")
 
 
+def _header(path: str) -> list:
+    """The attribute names in the header of the CSV ``path``."""
+    with open(path, newline="") as f:
+        return next(csv.reader(f))[2:]
+
+
 def _cmd_run(args):
     try:
         cfg = RunConfig.from_json(args.config)
         stream = workloads.load_csv(args.input)
-    except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data
-        args.parser.error(str(e))
+        columns = set(_header(args.input))
+        plan = runner.build_plan(cfg)
+    except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data,
+        args.parser.error(str(e))       # a bad pattern
+    reads = {x.attr for p in plan.patterns for x in ex.nodes(p.predicate)
+             if type(x) in (ex.AttrRef, ex.SumAgg, ex.Same)}
+    missing = sorted(reads - columns)
+    if missing:
+        args.parser.error(f"a pattern reads attribute {missing[0]!r}, but "
+                          f"{args.input} has no such column")
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    try:
-        m = run(cfg, stream)
-    except (parser.PatternSyntaxError, plan.PlanError) as e:  # a pattern
-        args.parser.error(str(e))
-    except KeyError as e:
-        # every row carries every header attribute, so a name missing from
-        # the first row is one a pattern reads and the input lacks
-        attr = e.args[0] if e.args else None
-        if not (isinstance(attr, str) and stream
-                and attr not in stream[0].attrs):
-            raise
-        args.parser.error(f"a pattern reads attribute {attr!r}, but "
-                          f"{args.input} has no such column")
+    m = run(cfg, stream)
     for i in range(m.n):
         rec = "-" if m.recall is None else f"{m.recall[i]:.4f}"
         print(f"P{i + 1}: matches={len(m.matches[i])} recall={rec} "
@@ -84,7 +87,11 @@ def _cmd_report(args):
     if not os.path.isdir(args.in_dir):
         args.parser.error(f"--in {args.in_dir}: no such directory")
     rows = []
-    for path in sorted(glob.glob(os.path.join(args.in_dir, "*", "run.json"))):
+    paths = sorted(glob.glob(os.path.join(args.in_dir, "*", "run.json")))
+    if not paths:
+        args.parser.error(f"--in {args.in_dir}: no run directory with a "
+                          "run.json")
+    for path in paths:
         try:
             with open(path) as f:
                 manifest = json.load(f)

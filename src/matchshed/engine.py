@@ -64,10 +64,12 @@ parent's deadline slot (``sweep``).  Windows are also checked at
 extension time, so when ``expire`` runs changes no match; it changes
 when a state's live count drops, and so the work units, which is why the
 runner keeps one cadence (``runner.EXPIRE_EVERY``).  A record leaves its
-state's buffer and bucket the moment it dies (``ExecutionPlan.discard``),
-in O(1): they are dicts used as ordered sets, so no state holds a dead
-record and nothing is compacted.  Only the deadline slots, and a walk a
-reduction carries, may still hold one; both skip it.
+state's buffer and bucket the moment it dies, in O(1): ``expire`` removes
+the dead records of each expired deadline slot inline, and every other
+death goes through ``ExecutionPlan.discard``.  Buffer and bucket are
+dicts used as ordered sets, so no state holds a dead record and nothing
+is compacted.  Only the deadline slots, and a walk a reduction carries,
+may still hold one; both skip it.
 
 Latency: ``measure`` runs a fold generated once per monitor from the
 plan's psd (``sweep.generate_fold``), unrolled over the patterns: the
@@ -144,6 +146,7 @@ def collector_paused():
 
 # emission order: by element seqs, then pattern; stable on ties
 _emission_order = itemgetter(0, 1)
+_new = object.__new__
 
 
 @dataclass(slots=True)
@@ -175,6 +178,7 @@ class Engine:
         self.selection = [p.selection or selection for p in plan.patterns]
         self.consumption = [p.consumption or consumption
                             for p in plan.patterns]
+        self._consumes = ConsumptionPolicy.CONSUME in self.consumption
         self.windows = [p.window for p in plan.patterns]
         self.bit = [pattern_bit(i, n) for i in range(n)]
         self.consumed = [set() for _ in range(n)]   # seqs, per pattern
@@ -235,7 +239,13 @@ class Engine:
         counters = self.counters
         counters.pms_created += len(new_records)
         if not (accept or taken_bits):
-            return StepResult(new_records, [], work, [])
+            # most elements end here: the slots filled in place, no frame
+            res = _new(StepResult)
+            res.new_pms = new_records
+            res.complete = []
+            res.work = work
+            res.match_keys = []
+            return res
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken
@@ -247,17 +257,29 @@ class Engine:
         complete, keys = [], []
         if accept:
             accept.sort(key=_emission_order)
+            if self._consumes:
+                accept = self._unconsumed(accept)
             for seqs, pid, rec in accept:
-                if self.consumption[pid] is ConsumptionPolicy.CONSUME:
-                    used = self.consumed[pid]
-                    if not used.isdisjoint(seqs):
-                        continue
-                    used.update(seqs)
-                counters.cms_emitted += 1
                 complete.append((pid, rec))
                 keys.append(seqs)
+            counters.cms_emitted += len(accept)
 
         return StepResult(new_records, complete, work, keys)
+
+    def _unconsumed(self, accept: list) -> list:
+        """The accepted matches, in order, but those of a consuming
+        pattern that hold an element one of its matches consumed; marks
+        the elements of the kept ones consumed."""
+        out = []
+        for a in accept:
+            seqs, pid, _ = a
+            if self.consumption[pid] is ConsumptionPolicy.CONSUME:
+                used = self.consumed[pid]
+                if not used.isdisjoint(seqs):
+                    continue
+                used.update(seqs)
+            out.append(a)
+        return out
 
     def live_pm_count(self) -> int:
         return sum(len(s.buffer) for s in self.plan.states)

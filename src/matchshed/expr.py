@@ -12,10 +12,14 @@ non-finite value, a negative base to a fractional power) and overflowing
 powers make the conjunct false and bump a diagnostic counter.  NaN in a
 bare comparison is not a fault: the comparison is false, uncounted.
 
-The operations that can fault are the functions of ``CHECKED``, which
-the engine's generated sweep code (``sweep``) calls too, so both count
-the same faults in the same order: operands left to right, then the
-check.  The engine evaluates every conjunct, residuals included, in that
+The operations that can fault are the functions of ``CHECKED``.  The
+engine's generated sweep code (``sweep``) inlines them instead: plain
+division, whose ``ZeroDivisionError`` counts as ``div_by_zero``, ``**``
+for a non-negative integral constant exponent, and the ``math``
+function behind its domain test, calling the function of ``CHECKED``
+only for an argument outside it, to raise the fault.  Both count the
+same faults in the same order: operands left to right, then the check.
+The engine evaluates every conjunct, residuals included, in that
 generated code and never calls ``eval_predicate``; this interpreter is
 the reference that ``tests/oracle.py`` and the sweep tests compare
 against.
@@ -88,9 +92,11 @@ class EvalDiagnostics:
     overflow: int = 0
 
     def fault(self, exc) -> bool:
-        """Count one fault, a ``_MathFault`` or an ``OverflowError``;
-        returns False, the value of the conjunct it hit."""
-        kind = exc.kind if type(exc) is _MathFault else "overflow"
+        """Count one fault, an exception of ``FAULTS``; returns False, the
+        value of the conjunct it hit."""
+        t = type(exc)
+        kind = (exc.kind if t is _MathFault else
+                "div_by_zero" if t is ZeroDivisionError else "overflow")
         setattr(self, kind, getattr(self, kind) + 1)
         return False
 
@@ -104,7 +110,10 @@ class _MathFault(Exception):
         self.kind = kind
 
 
-FAULTS = (_MathFault, OverflowError)
+# what a faulting operation raises: the functions of ``CHECKED`` raise a
+# ``_MathFault`` or pass on an ``OverflowError``; the generated code's
+# plain ``/`` raises ``ZeroDivisionError``, its ``**`` ``OverflowError``
+FAULTS = (_MathFault, OverflowError, ZeroDivisionError)
 
 
 def _div(a, b):

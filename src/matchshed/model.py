@@ -110,6 +110,10 @@ class MatchRecord:
     an entry, so an eviction of entries must clear it.  ``bucket_key`` is
     the key of the state bucket that holds the record, set where it is
     buffered; ``alive`` turns false as the record leaves its state.
+
+    The generated sweeps build their children without ``__init__``, by
+    ``object.__new__`` and one store per slot (``sweep._child``); a slot
+    added here is filled there too.
     """
 
     __slots__ = ("pattern_bits", "slots", "state_id", "first_seq", "first_ts",

@@ -106,8 +106,9 @@ class DeadlineQueue:
     where its start is ``first_seq`` for a count window and ``first_ts``
     for a time window.  Records are grouped by start in ``slots``, and
     ``starts`` is a min-heap of the distinct starts, like the slots of a
-    timing wheel: popping the expired records costs O(expired), and a
-    child, which shares its parent's start, only appends to a slot.
+    timing wheel: ``ExecutionPlan.expire`` pops the expired slots in
+    O(expired), and a child, which shares its parent's start, only
+    appends to a slot.
     """
 
     __slots__ = ("mask", "by_count", "size", "starts", "slots")
@@ -127,14 +128,6 @@ class DeadlineQueue:
             heappush(self.starts, start)
         else:
             slot.append(rec)
-
-    def pop_expired(self, now) -> list:
-        """Remove and return the records with ``now - start > size``."""
-        starts, slots, size = self.starts, self.slots, self.size
-        out = []
-        while starts and now - starts[0] > size:
-            out.extend(slots.pop(heappop(starts)))
-        return out
 
 
 class PlanEdge:
@@ -217,7 +210,8 @@ class ExecutionPlan:
     def discard(self, rec: MatchRecord):
         """Take an alive record out of its state's buffer and bucket, and
         mark it dead; deadline slots and carried walks may still hold it.
-        Every death goes through here."""
+        Every death but expiry's goes through here; ``expire`` does the
+        same inline."""
         if rec.alive:
             rec.alive = False
             state = self.states[rec.state_id]
@@ -229,18 +223,30 @@ class ExecutionPlan:
 
     def expire(self, now_seq: int, now_ts: float) -> int:
         """Clear each alive record's bits of the windows it has left, and
-        discard the records left with none; returns how many.  Visits only
-        the expired records."""
+        take the records left with none out of their states, as
+        ``discard`` does; returns how many.  Pops each deadline slot that
+        has left its window, so it visits only the expired records."""
         dead = 0
+        states = self.states
         for q in self.deadlines:
             keep = ~q.mask
-            for rec in q.pop_expired(now_seq if q.by_count else now_ts):
-                if rec.alive:
-                    bits = rec.pattern_bits & keep
-                    rec.pattern_bits = bits
-                    if not bits:
-                        self.discard(rec)
-                        dead += 1
+            now = now_seq if q.by_count else now_ts
+            starts, slots, size = q.starts, q.slots, q.size
+            while starts and now - starts[0] > size:
+                for rec in slots.pop(heappop(starts)):
+                    if rec.alive:
+                        bits = rec.pattern_bits & keep
+                        rec.pattern_bits = bits
+                        if not bits:
+                            rec.alive = False
+                            state = states[rec.state_id]
+                            del state.buffer[rec]
+                            key = rec.bucket_key
+                            bucket = state.buckets[key]
+                            del bucket[rec]
+                            if not bucket:
+                                del state.buckets[key]
+                            dead += 1
         return dead
 
     def dump(self) -> str:

@@ -18,8 +18,10 @@ and then evaluates that tuple once, inline.  Conjuncts read the
 incoming element's attributes from ``attrs`` and earlier ones from the
 record's slots, unpacked to ``s0, s1, ...``; a SAME check compares the
 incoming element with the first one, because every element the record
-already holds passed the same check when it was bound.  A child's slot
-tuple is built only once a guard has passed.  Negation gap checks are
+already holds passed the same check when it was bound.  A child is
+built only once a guard has passed, in place: ``object.__new__`` and a
+store per slot, without ``MatchRecord.__init__``'s frame.  Negation gap
+checks are
 the functions ``gap_<i>``, which read the history lists of the negated
 type; they come first in the text, and a sweep takes the ones it calls
 as default arguments, ``sweep_<i>(d, seq, ts, gap_<k>=gap_<k>)``.
@@ -34,7 +36,10 @@ which stays queued until expiry clears that window's bits from the
 parent; a start edge's child is pushed.  A sweep returns ``(work, new
 records, accepted, skip-till-next takes)``, each filled in the order of
 an edge-by-edge, record-by-record scan, so the work units and what the
-engine emits do not depend on how the guards are grouped.  An accepted
+engine emits do not depend on how the guards are grouped.  A work entry
+that one line of the sweep writes is stored; only a state id that two
+lines add to (two edges leave it, or an edge loops on it) reads
+``work.get`` first.  An accepted
 entry is ``(match key, pattern id, record)``, the key being the element
 seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
 state).  A child is accepted for each pattern whose bit it holds and
@@ -49,13 +54,21 @@ defines out of its namespace, so no generated function is in a cycle.
 
 Strings spliced into the source are quoted with ``repr``; numbers and
 objects are names bound in the namespace.  Faults count as in ``expr``:
-operands are evaluated left to right, the functions of ``expr.CHECKED``
-check them, and a fault makes its conjunct false and is counted once.
+operands are evaluated left to right, then checked, and a fault makes
+its conjunct false and is counted once.  The checks are inline and call
+no Python function unless a fault occurs: ``/`` is plain division,
+whose ``ZeroDivisionError`` is the fault; ``^`` with a non-negative
+integral constant exponent is ``**``, which faults only by overflow;
+``sqrt``, ``sin``, ``cos``, ``arcsin`` and ``arccos`` call the ``math``
+function behind a domain test of their argument, bound once to ``v``,
+and outside it the function of ``expr.CHECKED``, which raises the fault.
+Only a general ``^`` calls ``expr.CHECKED['^']``.
 """
 
 from __future__ import annotations
 
 import linecache
+import math
 import weakref
 from bisect import bisect_left, bisect_right
 
@@ -63,11 +76,15 @@ from . import expr as ex
 from .model import (MatchRecord, SelectionPolicy, StepKind, WindowKind,
                     patterns_in)
 
-_INFIX = {"+": "+", "-": "-", "*": "*",
+_INFIX = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**",
           "<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
-# namespace names of the operators and functions that can fault
-_CHECKED = {"/": "div", "^": "power", "sqrt": "sqrt", "sin": "sin",
-            "cos": "cos", "arcsin": "arcsin", "arccos": "arccos"}
+# grammar name -> the math function and its domain, a test of the argument
+# bound to v; outside it ``checked_<name>``, expr's, raises the fault
+_DOMAIN = {"sqrt": ("sqrt", "(v := {}) >= 0"),
+           "sin": ("sin", "-INF < (v := {}) < INF"),
+           "cos": ("cos", "-INF < (v := {}) < INF"),
+           "arcsin": ("asin", "-1 <= (v := {}) <= 1"),
+           "arccos": ("acos", "-1 <= (v := {}) <= 1")}
 _CHILD = {"single": "rec.slots + (d,)",
           "kleene-enter": "rec.slots + ((d,),)",
           "kleene-extend": "rec.slots[:-1] + (rec.slots[-1] + (d,),)"}
@@ -82,11 +99,15 @@ class _Module:
         self.gaps = []
         self.gap_names = {}   # (checks, slot layout) -> gap function name
         self.called = {}      # gap names the current sweep calls, in order
+        self.shared = set()   # state ids two work entries of a sweep add to
         self.names = {}       # id(value) -> namespace name
-        self.ns = {"MatchRecord": MatchRecord, "FAULTS": ex.FAULTS,
-                   "fault": diag.fault, "bisect_left": bisect_left,
-                   "bisect_right": bisect_right}
-        self.ns.update((_CHECKED[k], f) for k, f in ex.CHECKED.items())
+        self.ns = {"MatchRecord": MatchRecord, "NEW": object.__new__,
+                   "FAULTS": ex.FAULTS, "fault": diag.fault,
+                   "bisect_left": bisect_left, "bisect_right": bisect_right,
+                   "power": ex.CHECKED["^"], "INF": math.inf}
+        for name, (fn, _) in _DOMAIN.items():
+            self.ns[fn] = getattr(math, fn)
+            self.ns[f"checked_{name}"] = ex.CHECKED[name]
 
     def bind(self, value, hint: str) -> str:
         """The namespace name of ``value``, new on its first binding."""
@@ -95,6 +116,14 @@ class _Module:
             name = self.names[id(value)] = f"{hint}{len(self.ns)}"
             self.ns[name] = value
         return name
+
+    def work(self, sid: int, units: str) -> str:
+        """The line adding ``units`` to the work entry of state ``sid``: a
+        plain store where no other line of the sweep adds to it."""
+        i = self.bind(sid, "I")
+        if sid in self.shared:
+            return f"work[{i}] = work.get({i}, 0) + {units}"
+        return f"work[{i}] = {units}"
 
 
 class _Slots:
@@ -125,10 +154,12 @@ class _Slots:
         if t is ex.SumAgg:
             return f"sum([el.attrs[{e.attr!r}] for el in s{e.binding}])"
         if t is ex.Func:
-            return f"{_CHECKED[e.name]}({self.num(e.arg)})"
+            fn, test = _DOMAIN[e.name]
+            return (f"({fn}(v) if {test.format(self.num(e.arg))} "
+                    f"else checked_{e.name}(v))")
         a, b = self.num(e.left), self.num(e.right)
-        if e.op in _CHECKED:
-            return f"{_CHECKED[e.op]}({a}, {b})"
+        if e.op == "^" and not _whole(e.right):
+            return f"power({a}, {b})"
         return f"({a} {_INFIX[e.op]} {b})"
 
     def checks(self, out: list, depth: int, checks, subject: str):
@@ -159,6 +190,8 @@ def generate(eng) -> tuple:
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
         head = len(out)
         m.called.clear()
+        ends = [sid for e in edges for sid in (e.from_id, e.to_id)]
+        m.shared = {sid for sid in ends if ends.count(sid) > 1}
         _remember(m, ttype)
         out += ["    attrs = d.attrs", "    work = {}", "    taken = []",
                 "    accept = []"]
@@ -278,10 +311,10 @@ def _key(attrs_of) -> str:
 
 def _start_edge(m: _Module, eng, e, j: int):
     out = m.sweeps
-    frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
+    to = m.bind(e.to_id, "I")
     at = _Slots(m, 0, set())
-    out += [f"    c{j} = []",
-            f"    work[{frm}] = work.get({frm}, 0) + 1", "    passed = 0"]
+    out += [f"    c{j} = []", "    " + m.work(e.from_id, "1"),
+            "    passed = 0"]
     for checks, guards in _groups(e):
         mask = m.bind(sum(eng.bit[pid] for pid, _ in guards), "M")
         pad = "        " if checks else "    "
@@ -292,10 +325,9 @@ def _start_edge(m: _Module, eng, e, j: int):
         out += [pad + f"attrs[{a!r}]  # SAME" for a in sorted(same)]
         out.append(pad + f"passed |= {mask}")
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
-    out += ["    if passed:",
-            f"        c{j}.append(MatchRecord(passed, {slots}, {to}, "
-            "seq, ts, seq))",
-            f"        work[{to}] = work.get({to}, 0) + 1"]
+    out.append("    if passed:")
+    out += _child(2, slots, to, "seq", "ts", "None", j)
+    out.append("        " + m.work(e.to_id, "1"))
 
 
 def _edge(m: _Module, eng, e, j: int):
@@ -306,7 +338,7 @@ def _edge(m: _Module, eng, e, j: int):
                _kleene(src))
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     buffer, buckets = m.bind(src.buffer, "L"), m.bind(src.buckets, "B")
-    frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
+    to = m.bind(e.to_id, "I")
     head = len(out)     # where the key lines go, once the tests are known
     out += [f"    c{j} = []",
             f"    for rec in {buckets}.get(k{j}, ()):",
@@ -360,9 +392,9 @@ def _edge(m: _Module, eng, e, j: int):
                 m.called[gap] = None
                 out += [pad + f"if m & {bit} and {gap}(rec, attrs, seq):",
                         pad + f"    passed |= {bit}"]
-    out += ["        if passed:",
-            f"            c{j}.append(MatchRecord(passed, {_CHILD[e.action]}, "
-            f"{to}, rec.first_seq, rec.first_ts, seq, rec))"]
+    out.append("        if passed:")
+    out += _child(3, _CHILD[e.action], to, "rec.first_seq", "rec.first_ts",
+                  "rec", j)
     if next_mask:
         nxt = m.bind(next_mask, "M")
         out += [f"            if passed & {nxt}:",
@@ -375,10 +407,9 @@ def _edge(m: _Module, eng, e, j: int):
         "    except KeyError:", f"        for rec in {buffer}:",
         f"            if {inside}:", "                raise",
         f"        k{j} = None"]
-    out += [f"    if c{j}:",
-            f"        work[{to}] = work.get({to}, 0) + len(c{j})",
+    out += [f"    if c{j}:", "        " + m.work(e.to_id, f"len(c{j})"),
             f"    if {buffer}:",
-            f"        work[{frm}] = work.get({frm}, 0) + len({buffer})"]
+            "        " + m.work(e.from_id, f"len({buffer})")]
 
 
 def _buffer(m: _Module, eng, e, j: int):
@@ -433,6 +464,26 @@ def _buffer(m: _Module, eng, e, j: int):
             _Slots(m, -1, kleene).checks(out, depth, residual, "attrs")
             test = "if ok: "
         out.append("    " * depth + test + accept)
+
+
+def _child(depth: int, slots: str, to: str, first_seq: str, first_ts: str,
+           parent: str, j: int) -> list:
+    """Lines that append to ``c<j>`` a child record built in place: its
+    slots filled as ``MatchRecord.__init__`` fills them, without that
+    call's frame.  Buffering sets ``bucket_key``."""
+    pad = "    " * depth
+    return [pad + "c = NEW(MatchRecord)", pad + "c.pattern_bits = passed",
+            pad + f"c.slots = {slots}", pad + f"c.state_id = {to}",
+            pad + f"c.first_seq = {first_seq}",
+            pad + f"c.first_ts = {first_ts}", pad + "c.last_seq = seq",
+            pad + f"c.parent = {parent}", pad + "c.alive = True",
+            pad + "c.entry = None", pad + f"c{j}.append(c)"]
+
+
+def _whole(e) -> bool:
+    """Whether ``e`` is a non-negative integral constant: ``x ** e`` then
+    faults only by overflow, as ``expr.CHECKED['^']`` does."""
+    return type(e) is ex.Num and e.value >= 0 and e.value % 1 == 0
 
 
 def _gap(m: _Module, at: _Slots, neg_checks, unpack: str) -> str:

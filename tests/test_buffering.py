@@ -1,8 +1,10 @@
 """Generated sweeps buffer their own children: after every step each
 state's buffer, buckets, live count and deadline slots agree, on the
 inlined path and through ``ExecutionPlan.insert``; a buffer holds
-exactly its state's alive records, whatever removed the others; and the
-match keys a step returns are the keys ``runner.match_key`` rebuilds."""
+exactly its state's alive records, whatever removed the others; every
+record a sweep builds in place holds every slot as the constructor
+would; and the match keys a step returns are the keys
+``runner.match_key`` rebuilds."""
 
 import dataclasses
 import re
@@ -15,8 +17,8 @@ import randgen
 from matchshed import cost, psd, runner, selector
 from matchshed import workloads as wl
 from matchshed.engine import Engine, LatencyMonitor
-from matchshed.model import (ConsumptionPolicy, SelectionPolicy, StepKind,
-                             Window, WindowKind)
+from matchshed.model import (ConsumptionPolicy, MatchRecord,
+                             SelectionPolicy, StepKind, Window, WindowKind)
 from matchshed.parser import format_pattern, parse_pattern
 from matchshed.plan import merge
 from matchshed.runner import RunConfig
@@ -283,3 +285,68 @@ def test_store_holds_exactly_the_alive_records():
     assert min(c.pms_expired, c.pms_policy_dropped, *shed) > 20
     assert c.pms_created == (c.pms_expired + sum(shed)
                              + c.pms_policy_dropped + eng.live_pm_count())
+
+
+def expected_slots(parent, d):
+    """The slot tuples a child of ``parent`` binding ``d`` may hold: from
+    the start, by a single step, entering or extending a Kleene step."""
+    if parent is None:
+        return [(d,), ((d,),)]
+    s = parent.slots
+    out = [s + (d,), s + ((d,),)]
+    if type(s[-1]) is tuple:
+        out.append(s[:-1] + (s[-1] + (d,),))
+    return out
+
+
+def check_complete(plan, rec, d):
+    """Every slot of ``rec``, built by the sweep of ``d``, reads back and
+    holds what ``MatchRecord(...)`` plus buffering would hold."""
+    held = {name: getattr(rec, name) for name in MatchRecord.__slots__}
+    first = first_element(rec)
+    ref = MatchRecord(rec.pattern_bits, rec.slots, rec.state_id,
+                      first.seq_index, first.timestamp, d.seq_index,
+                      rec.parent)
+    state = plan.states[rec.state_id]
+    ref.bucket_key = state.key_of(first)
+    assert held == {name: getattr(ref, name)
+                    for name in MatchRecord.__slots__}, rec
+    assert rec.slots in expected_slots(rec.parent, d), rec
+    assert state.depth == len(rec.slots)
+    if rec.parent is not None:
+        assert rec.pattern_bits & ~rec.parent.pattern_bits == 0
+    assert rec in state.buckets[rec.bucket_key] and rec in state.buffer
+
+
+@pytest.mark.parametrize("p2_window", ["10", "8 ms"])
+def test_sweep_built_records_are_complete(p2_window):
+    """The GENERIC plan has start, single, kleene-enter and kleene-extend
+    edges and a child keyed unlike its parent: every record a sweep
+    builds, buffered or emitted, holds every slot as the constructor
+    would fill it, and after each expiry no state keeps an empty bucket
+    and each buffer's length is its live count."""
+    pats = [parse_pattern(GENERIC[0], pattern_id=0),
+            parse_pattern(GENERIC[1].format(p2_window), pattern_id=1)]
+    plan = merge(pats)
+    assert {e.action for e in plan.edges} == {"single", "kleene-enter",
+                                              "kleene-extend"}
+    eng = Engine(plan)
+    rng = np.random.default_rng(11)
+    stream = uneven_times(rng, randgen.random_stream(rng, 300, "ABCD"))
+    emitted = expired = 0
+    for i, d in enumerate(stream):
+        if i % 3 == 0:
+            expired += eng.expire(d.seq_index, d.timestamp)
+            for s in plan.states:
+                assert all(s.buckets.values()), s
+                assert len(s.buffer) == sum(len(b) for b in
+                                            s.buckets.values())
+                assert len(s.buffer) == sum(r.alive for r in s.buffer)
+        res = eng.step(d)
+        for rec in res.new_pms:
+            check_complete(plan, rec, d)
+        for _, rec in res.complete:
+            check_complete(plan, rec, d)
+            emitted += 1
+    assert emitted and expired
+    assert any(r.parent is None for r in plan.live_records())

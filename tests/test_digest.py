@@ -1,5 +1,7 @@
 """``tools/digest.py``, which output-preserving changes compare before
-and after, prints one stable line per configuration it names."""
+and after, prints one stable line per run of each configuration it
+names, then the ``csv`` lines and one ``faults`` line per
+configuration."""
 
 import importlib.util
 from pathlib import Path
@@ -28,9 +30,12 @@ def test_digest_prints_one_repeatable_line_per_run(capsys):
                 for sel, cons in digest.POLICIES
                 for strategy in strategies]
     lines = runs[0]
-    assert len(lines) == len(expected) + 2 == 58
-    assert [(f[0], f[2], f[3], f[4]) for f in map(str.split, lines[:-2])] \
-        == expected
-    assert all(f[1] == "5" for f in map(str.split, lines[:-2]))
-    assert [line.split()[:2] for line in lines[-2:]] == [["csv", "ds1"],
-                                                          ["csv", "ds2"]]
+    n = len(expected)
+    assert len(lines) == n + 2 + len(digest.CONFIGS) == 65
+    assert [(f[0], f[2], f[3], f[4])
+            for f in map(str.split, lines[:n])] == expected
+    assert all(f[1] == "5" for f in map(str.split, lines[:n]))
+    assert [line.split()[:2] for line in lines[n:n + 2]] == \
+        [["csv", "ds1"], ["csv", "ds2"]]
+    assert [line.split()[:2] for line in lines[n + 2:]] == \
+        [["faults", name] for name in digest.CONFIGS]

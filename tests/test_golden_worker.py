@@ -160,8 +160,9 @@ def test_runs_without_golden_pass_leave_multiprocessing_unloaded():
 def test_missing_attribute_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                             k):
     """``matchshed run`` over a CSV without a column a pattern reads exits
-    with a usage error naming the attribute, with the golden pass in
-    process (one CPU) or in a forked worker (two), and writes nothing."""
+    with a usage error naming the attribute before the run starts, so
+    whether the golden pass would run in process (one CPU) or in a forked
+    worker (two), no worker starts and nothing is written."""
     from matchshed import cli
     cpus(monkeypatch, k)
     started = counting_workers(monkeypatch)
@@ -177,7 +178,7 @@ def test_missing_attribute_is_a_usage_error(tmp_path, capsys, monkeypatch,
         cli.main(["run", "--config", cfg_path, "--input", data_path,
                   "--out-dir", out_dir])
     assert exit_.value.code == 2
-    assert len(started) == k - 1
+    assert started == []
     err = capsys.readouterr().err
     assert "attribute 'ID'" in err and "no such column" in err
     assert "Traceback" not in err

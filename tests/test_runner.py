@@ -505,6 +505,35 @@ def test_bad_pattern_is_a_usage_error(tmp_path, capsys, text, names,
     assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize("text, data, attr", [
+    # no B arrives, so no guard ever reads a.y
+    ("SEQ(A a, B b) WHERE a.y < b.x WITHIN 5", "A,1,2\nA,2,3\n", "y"),
+    ("SEQ(A a, B b) WHERE SAME [ID] WITHIN 5", "A,1,2\nB,2,3\n", "ID"),
+    ("SEQ(A a, B+ b[]) WHERE SUM(b[].z) < a.x WITHIN 5", "A,1,2\n", "z"),
+    ("SEQ(A a, !N n, B b) WHERE n.w > a.x WITHIN 5", "A,1,2\nB,2,3\n",
+     "w"),
+    ("SEQ(A a, B b) WHERE a.y < b.x WITHIN 5", "", "y")])
+def test_unread_missing_attribute_is_a_usage_error(tmp_path, capsys, text,
+                                                   data, attr):
+    """An attribute a pattern reads but the CSV header lacks is a usage
+    error naming it, even where no element ever reaches a guard that
+    reads it: the header is checked against the plan before the run."""
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"patterns": [text]}, f)
+    data_path = os.path.join(tmp_path, "s.csv")
+    with open(data_path, "w") as f:
+        f.write("type,ts,x\n" + data)
+    out_dir = os.path.join(tmp_path, "out")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", cfg_path, "--input", data_path,
+                  "--out-dir", out_dir])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"attribute {attr!r}" in err and "no such column" in err
+    assert not os.path.exists(out_dir)
+
+
 def test_default_bounds_are_1000_ms_each(monkeypatch):
     """``bounds=None`` runs as one bound of 1000 ms per pattern does."""
     seen = []
@@ -567,15 +596,19 @@ def test_cli_report(tmp_path):
 
 @pytest.mark.parametrize("case, names", [
     ("no-dir", "missing: no such directory"),
+    ("no-runs", "missing: no run directory with a run.json"),
     ("bad-json", "r0/run.json: not a run manifest"),
     ("not-a-manifest", "r0/run.json: not a run manifest"),
     ("no-metrics", "r1/metrics.csv")])
 def test_report_bad_input_is_a_usage_error(tmp_path, capsys, case, names):
-    """``matchshed report`` reports a missing ``--in`` directory, a
-    malformed ``run.json`` and a run without ``metrics.csv`` through its
-    parser, naming the path, and writes no summary."""
+    """``matchshed report`` reports a missing ``--in`` directory, one that
+    holds no run, a malformed ``run.json`` and a run without
+    ``metrics.csv`` through its parser, naming the path, and writes no
+    summary."""
     runs = os.path.join(tmp_path, "missing")
-    if case != "no-dir":
+    if case == "no-runs":
+        os.makedirs(os.path.join(runs, "r0"))
+    elif case != "no-dir":
         runs = _cli_runs(tmp_path)
     if case == "bad-json":
         with open(os.path.join(runs, "r0", "run.json"), "w") as f:
@@ -592,3 +625,4 @@ def test_report_bad_input_is_a_usage_error(tmp_path, capsys, case, names):
     err = capsys.readouterr().err
     assert names in err and "Traceback" not in err
     assert not os.path.exists(dest)
+

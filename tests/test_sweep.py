@@ -1,7 +1,7 @@
 """Generated sweep kernels: guards and negation blockers decide and fault
-exactly as the interpreter does, SAME on a start edge as well, and the
-generated source is debuggable and printable, and equal for equal
-plans."""
+exactly as the interpreter does, through each inline math form as well,
+SAME on a start edge too, and the generated source is debuggable and
+printable, and equal for equal plans."""
 
 import gc
 import json
@@ -333,3 +333,74 @@ def test_sweep_source_tool_reports_a_bad_config(tmp_path, case, names):
     assert proc.returncode == 2
     assert names in proc.stderr
     assert proc.stdout == ""
+
+
+def x_of(b):
+    return ex.AttrRef(b, "x")
+
+
+INF, NAN = float("inf"), float("nan")
+# (operation of the value x, x, the fault the interpreter counts); each
+# form the sweep inlines, and the general power it still calls
+INLINE_FAULTS = [
+    ("x / 0.0", lambda x: ex.Bin("/", x, ex.Num(0.0)), 1.0, "div_by_zero"),
+    ("x / -0.0", lambda x: ex.Bin("/", x, ex.Num(-0.0)), 1.0,
+     "div_by_zero"),
+    ("x / 2", lambda x: ex.Bin("/", x, ex.Num(2)), 1.0, None),
+    ("0 ^ -1", lambda x: ex.Bin("^", x, ex.Num(-1)), 0.0, "div_by_zero"),
+    ("1e200 ^ 2", lambda x: ex.Bin("^", x, ex.Num(2)), 1e200, "overflow"),
+    ("-8 ^ 2", lambda x: ex.Bin("^", x, ex.Num(2)), -8.0, None),
+    ("(-8) ^ 0.5", lambda x: ex.Bin("^", x, ex.Num(0.5)), -8.0,
+     "domain_error"),
+    ("sin inf", lambda x: ex.Func("sin", x), INF, "domain_error"),
+    ("sin -inf", lambda x: ex.Func("sin", x), -INF, "domain_error"),
+    ("sin nan", lambda x: ex.Func("sin", x), NAN, "domain_error"),
+    ("sin 1", lambda x: ex.Func("sin", x), 1.0, None),
+    ("cos inf", lambda x: ex.Func("cos", x), INF, "domain_error"),
+    ("cos nan", lambda x: ex.Func("cos", x), NAN, "domain_error"),
+    ("sqrt -1", lambda x: ex.Func("sqrt", x), -1.0, "domain_error"),
+    ("sqrt nan", lambda x: ex.Func("sqrt", x), NAN, "domain_error"),
+    ("sqrt -0.0", lambda x: ex.Func("sqrt", x), -0.0, None),
+    ("arcsin 1.0000001", lambda x: ex.Func("arcsin", x), 1.0000001,
+     "domain_error"),
+    ("arcsin -1", lambda x: ex.Func("arcsin", x), -1.0, None),
+    ("arcsin nan", lambda x: ex.Func("arcsin", x), NAN, "domain_error"),
+    ("arccos 1.0000001", lambda x: ex.Func("arccos", x), 1.0000001,
+     "domain_error"),
+    ("arccos -1", lambda x: ex.Func("arccos", x), -1.0, None),
+    ("arccos nan", lambda x: ex.Func("arccos", x), NAN, "domain_error"),
+]
+
+
+def counted(kind):
+    diag = ex.EvalDiagnostics()
+    if kind is not None:
+        setattr(diag, kind, 1)
+    return diag
+
+
+@pytest.mark.parametrize("op, value, kind",
+                         [case[1:] for case in INLINE_FAULTS],
+                         ids=[case[0] for case in INLINE_FAULTS])
+def test_inline_forms_fault_as_the_interpreter(op, value, kind):
+    """Each inline form through a guard, SEQ(A a, B b) over A(x), B(10),
+    and through a negation blocker, SEQ(A a, !N n, B b) over A(10),
+    N(x), B: the matches and the fault counts, kind by kind, are the
+    interpreter's, which counts ``kind``."""
+    guard = ex.Cmp("<", op(x_of("a")), x_of("b"))
+    stream = [el("A", 0, value), el("B", 1, 10.0)]
+    plan = merge([pattern([("A", "a", SINGLE), ("B", "b", SINGLE)], guard)])
+    got = [r.seq_tuple() for r in golden_run(stream, plan)[0]]
+    ok, diag = interpreted(guard, {"a": stream[0], "b": stream[1]})
+    assert diag == counted(kind)
+    assert (got, plan.diag) == ([(0, 1)] if ok else [], diag)
+
+    blocker = ex.Cmp("<", op(x_of("n")), x_of("a"))
+    stream = [el("A", 0, 10.0), el("N", 1, value), el("B", 2, 0.0)]
+    plan = merge([pattern([("A", "a", SINGLE), ("N", "n", NOT),
+                           ("B", "b", SINGLE)], blocker)])
+    got = [r.seq_tuple() for r in golden_run(stream, plan)[0]]
+    blocked, diag = interpreted(blocker, {"a": stream[0], "n": stream[1],
+                                          "b": stream[2]})
+    assert diag == counted(kind)
+    assert (got, plan.diag) == ([] if blocked else [(0, 2)], diag)

@@ -27,7 +27,12 @@ as in the benchmark.
 After those, one ``csv`` line per dataset hashes what
 ``load_csv(write_csv(...))`` returns for each seed's stream, element by
 element (type tag, seq, attribute names and the bits of the timestamp
-and attribute values), so a change to CSV ingest shows too.
+and attribute values), so a change to CSV ingest shows too.  Last, one
+``faults`` line per configuration hashes the math fault counts
+(``Metrics.eval_faults``) of its runs in the order they ran, so a
+change to how generated guards count faults shows as well.  Every run
+here counts zero faults today, so these lines show a fault a change
+starts to count, not one it stops counting.
 """
 
 from __future__ import annotations
@@ -122,6 +127,7 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[5, 6])
     args = ap.parse_args(argv)
     sizes = {"ds1": args.ds1, "ds2": args.ds2, "late": args.ds2}
+    faults = {name: [] for name in CONFIGS}
     for name, (ds, patterns, fields, strategies) in CONFIGS.items():
         for seed in args.seeds:
             stream = GENERATORS[ds](sizes[ds], seed)
@@ -136,9 +142,14 @@ def main(argv=None):
                                        bounds=bounds), stream))
                     print(name, seed, sel, cons, strategy, digest(m),
                           flush=True)
+                    faults[name].append(m.eval_faults)
     for ds in ("ds1", "ds2"):
         streams = (GENERATORS[ds](sizes[ds], seed) for seed in args.seeds)
         print("csv", ds, csv_digest(streams), flush=True)
+    for name, counts in faults.items():
+        blob = repr(counts).encode()
+        print("faults", name, hashlib.sha256(blob).hexdigest()[:16],
+              flush=True)
 
 
 if __name__ == "__main__":
