@@ -9,9 +9,8 @@ import json
 import os
 import sys
 
-from . import expr as ex
-from . import runner, workloads
-from .runner import RunConfig, keywords, run
+from . import parser, plan, workloads
+from .runner import MissingColumnError, RunConfig, keywords, run
 from .workloads import Drift, GeneratorSpec
 
 
@@ -51,29 +50,20 @@ def _cmd_datagen(args):
     print(f"wrote {spec.count} elements to {args.out}")
 
 
-def _header(path: str) -> list:
-    """The attribute names in the header of the CSV ``path``."""
-    with open(path, newline="") as f:
-        return next(csv.reader(f))[2:]
-
-
 def _cmd_run(args):
     try:
         cfg = RunConfig.from_json(args.config)
         stream = workloads.load_csv(args.input)
-        columns = set(_header(args.input))
-        plan = runner.build_plan(cfg)
-    except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data,
-        args.parser.error(str(e))       # a bad pattern
-    reads = {x.attr for p in plan.patterns for x in ex.nodes(p.predicate)
-             if type(x) in (ex.AttrRef, ex.SumAgg, ex.Same)}
-    missing = sorted(reads - columns)
-    if missing:
-        args.parser.error(f"a pattern reads attribute {missing[0]!r}, but "
-                          f"{args.input} has no such column")
+    except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data
+        args.parser.error(str(e))
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    m = run(cfg, stream)
+    try:
+        m = run(cfg, stream, columns=stream.columns)
+    except (parser.PatternSyntaxError, plan.PlanError) as e:  # a pattern
+        args.parser.error(str(e))
+    except MissingColumnError as e:
+        args.parser.error(f"{args.input}: {e}")
     for i in range(m.n):
         rec = "-" if m.recall is None else f"{m.recall[i]:.4f}"
         print(f"P{i + 1}: matches={len(m.matches[i])} recall={rec} "

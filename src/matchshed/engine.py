@@ -146,7 +146,6 @@ def collector_paused():
 
 # emission order: by element seqs, then pattern; stable on ties
 _emission_order = itemgetter(0, 1)
-_new = object.__new__
 
 
 @dataclass(slots=True)
@@ -239,13 +238,7 @@ class Engine:
         counters = self.counters
         counters.pms_created += len(new_records)
         if not (accept or taken_bits):
-            # most elements end here: the slots filled in place, no frame
-            res = _new(StepResult)
-            res.new_pms = new_records
-            res.complete = []
-            res.work = work
-            res.match_keys = []
-            return res
+            return StepResult(new_records, [], work, [])
 
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken

@@ -36,6 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from . import cost, psd, selector
+from . import expr as ex
 from .engine import (Engine, LatencyMonitor, collector_paused, golden_run,
                      measure)
 from .model import ConsumptionPolicy, SelectionPolicy, WindowKind, is_number
@@ -176,6 +177,23 @@ def build_plan(config: RunConfig):
     return merge(patterns, mode=config.mode)
 
 
+class MissingColumnError(ValueError):
+    """A pattern reads an attribute that the input has no column for."""
+
+
+def check_columns(plan, columns) -> None:
+    """Raise ``MissingColumnError`` for the first attribute, by name, that
+    a pattern of ``plan`` reads (``SAME`` and ``SUM`` included) and
+    ``columns`` lacks."""
+    reads = {x.attr for p in plan.patterns for x in ex.nodes(p.predicate)
+             if type(x) in (ex.AttrRef, ex.SumAgg, ex.Same)}
+    missing = sorted(reads.difference(columns))
+    if missing:
+        raise MissingColumnError(f"a pattern reads attribute "
+                                 f"{missing[0]!r}, but the input has no "
+                                 "such column")
+
+
 def shed_random_state(engine: Engine, rng, ratio: float) -> int:
     """Discard a random fraction of live PMs; returns the count."""
     dropped = 0
@@ -267,7 +285,14 @@ class GoldenWorker:
         self.conn.close()
 
 
-def run(config: RunConfig, stream) -> Metrics:
+def run(config: RunConfig, stream, columns=None) -> Metrics:
+    """Run ``config`` over ``stream``.  With ``columns``, the attribute
+    names every element carries (a CSV header), an attribute a pattern
+    reads and ``columns`` lacks is a ``MissingColumnError`` before the
+    run, even where no guard reading it would run."""
+    plan = build_plan(config)
+    if columns is not None:
+        check_columns(plan, columns)
     stream = list(stream)
     golden = worker = None
     if config.compute_golden and config.strategy != "none":
@@ -276,7 +301,7 @@ def run(config: RunConfig, stream) -> Metrics:
         else:
             golden = golden_matches(config, stream)
     try:
-        m, plan, sketch = _main_loop(config, stream)
+        m, sketch = _main_loop(config, plan, stream)
         if worker is not None:
             golden = worker.result()
     finally:
@@ -293,10 +318,10 @@ def run(config: RunConfig, stream) -> Metrics:
 _NO_CMS = {}        # cm_of of a step that completed no match; never written
 
 
-def _main_loop(config: RunConfig, stream: list):
-    """Expire, reduce, step and measure each element; returns the Metrics
-    without recall, the plan and the sketch."""
-    plan = build_plan(config)
+def _main_loop(config: RunConfig, plan, stream: list):
+    """Expire, reduce, step and measure each element of ``stream`` on
+    ``plan``, new from ``build_plan(config)``; returns the Metrics without
+    recall and the sketch."""
     sel = SelectionPolicy(config.selection)
     cons = ConsumptionPolicy(config.consumption)
     n = plan.n
@@ -420,7 +445,7 @@ def _main_loop(config: RunConfig, stream: list):
                 audits=audits, state_work=dict(sorted(
                     monitor.state_work.items())),
                 eval_faults=asdict(plan.diag))
-    return m, plan, sketch
+    return m, sketch
 
 
 def recall(golden_list, reduced_list) -> float:

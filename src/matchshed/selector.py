@@ -35,25 +35,19 @@ its buffer sizes.  A cluster is read from its states' buffers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from . import sweep
 from .model import pattern_bit, patterns_in, render_bitmap
 from .psd import ClusterIndex
 
 
-@cache
-def _bits(n: int) -> tuple:
-    """``pattern_bit(i, n)`` for each pattern i."""
-    return tuple(pattern_bit(i, n) for i in range(n))
-
-
 def trigger(monitor, bounds) -> int:
     """Overload label: bit i set when l_i >= L_i."""
+    n = monitor.n
     b = 0
-    for lat, bound, bit in zip(monitor.latency_ms, bounds, _bits(monitor.n)):
-        if lat >= bound:
-            b |= bit
+    for i in range(n):
+        if monitor.latency_ms[i] >= bounds[i]:
+            b |= pattern_bit(i, n)
     return b
 
 

@@ -21,8 +21,7 @@ incoming element with the first one, because every element the record
 already holds passed the same check when it was bound.  A child is
 built only once a guard has passed, in place: ``object.__new__`` and a
 store per slot, without ``MatchRecord.__init__``'s frame.  Negation gap
-checks are
-the functions ``gap_<i>``, which read the history lists of the negated
+checks are the functions ``gap_<i>``, which read the history lists of the negated
 type; they come first in the text, and a sweep takes the ones it calls
 as default arguments, ``sweep_<i>(d, seq, ts, gap_<k>=gap_<k>)``.
 
@@ -36,10 +35,7 @@ which stays queued until expiry clears that window's bits from the
 parent; a start edge's child is pushed.  A sweep returns ``(work, new
 records, accepted, skip-till-next takes)``, each filled in the order of
 an edge-by-edge, record-by-record scan, so the work units and what the
-engine emits do not depend on how the guards are grouped.  A work entry
-that one line of the sweep writes is stored; only a state id that two
-lines add to (two edges leave it, or an edge loops on it) reads
-``work.get`` first.  An accepted
+engine emits do not depend on how the guards are grouped.  An accepted
 entry is ``(match key, pattern id, record)``, the key being the element
 seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
 state).  A child is accepted for each pattern whose bit it holds and
@@ -99,7 +95,6 @@ class _Module:
         self.gaps = []
         self.gap_names = {}   # (checks, slot layout) -> gap function name
         self.called = {}      # gap names the current sweep calls, in order
-        self.shared = set()   # state ids two work entries of a sweep add to
         self.names = {}       # id(value) -> namespace name
         self.ns = {"MatchRecord": MatchRecord, "NEW": object.__new__,
                    "FAULTS": ex.FAULTS, "fault": diag.fault,
@@ -116,14 +111,6 @@ class _Module:
             name = self.names[id(value)] = f"{hint}{len(self.ns)}"
             self.ns[name] = value
         return name
-
-    def work(self, sid: int, units: str) -> str:
-        """The line adding ``units`` to the work entry of state ``sid``: a
-        plain store where no other line of the sweep adds to it."""
-        i = self.bind(sid, "I")
-        if sid in self.shared:
-            return f"work[{i}] = work.get({i}, 0) + {units}"
-        return f"work[{i}] = {units}"
 
 
 class _Slots:
@@ -190,8 +177,6 @@ def generate(eng) -> tuple:
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
         head = len(out)
         m.called.clear()
-        ends = [sid for e in edges for sid in (e.from_id, e.to_id)]
-        m.shared = {sid for sid in ends if ends.count(sid) > 1}
         _remember(m, ttype)
         out += ["    attrs = d.attrs", "    work = {}", "    taken = []",
                 "    accept = []"]
@@ -311,10 +296,10 @@ def _key(attrs_of) -> str:
 
 def _start_edge(m: _Module, eng, e, j: int):
     out = m.sweeps
-    to = m.bind(e.to_id, "I")
+    frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     at = _Slots(m, 0, set())
-    out += [f"    c{j} = []", "    " + m.work(e.from_id, "1"),
-            "    passed = 0"]
+    out += [f"    c{j} = []",
+            f"    work[{frm}] = work.get({frm}, 0) + 1", "    passed = 0"]
     for checks, guards in _groups(e):
         mask = m.bind(sum(eng.bit[pid] for pid, _ in guards), "M")
         pad = "        " if checks else "    "
@@ -327,7 +312,7 @@ def _start_edge(m: _Module, eng, e, j: int):
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
     out.append("    if passed:")
     out += _child(2, slots, to, "seq", "ts", "None", j)
-    out.append("        " + m.work(e.to_id, "1"))
+    out.append(f"        work[{to}] = work.get({to}, 0) + 1")
 
 
 def _edge(m: _Module, eng, e, j: int):
@@ -338,7 +323,7 @@ def _edge(m: _Module, eng, e, j: int):
                _kleene(src))
     unpack = "".join(f"s{p}, " for p in range(src.depth)) + "= rec.slots"
     buffer, buckets = m.bind(src.buffer, "L"), m.bind(src.buckets, "B")
-    to = m.bind(e.to_id, "I")
+    frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     head = len(out)     # where the key lines go, once the tests are known
     out += [f"    c{j} = []",
             f"    for rec in {buckets}.get(k{j}, ()):",
@@ -407,9 +392,10 @@ def _edge(m: _Module, eng, e, j: int):
         "    except KeyError:", f"        for rec in {buffer}:",
         f"            if {inside}:", "                raise",
         f"        k{j} = None"]
-    out += [f"    if c{j}:", "        " + m.work(e.to_id, f"len(c{j})"),
+    out += [f"    if c{j}:",
+            f"        work[{to}] = work.get({to}, 0) + len(c{j})",
             f"    if {buffer}:",
-            "        " + m.work(e.from_id, f"len({buffer})")]
+            f"        work[{frm}] = work.get({frm}, 0) + len({buffer})"]
 
 
 def _buffer(m: _Module, eng, e, j: int):

@@ -182,13 +182,21 @@ class CsvFormatError(ValueError):
     pass
 
 
+class CsvStream(list):
+    """The elements of a CSV file, in order; ``columns`` are the attribute
+    names of its header, which every element carries."""
+
+    __slots__ = ("columns",)
+
+
 # rows read, converted and checked per pass: enough to amortise a pass,
 # few enough that a chunk's lists stay small beside the elements
 _CHUNK_ROWS = 4096
 
 
-def load_csv(path: str):
-    """Load ``type,ts,<attrs...>`` rows as one element list.
+def load_csv(path: str) -> CsvStream:
+    """Load ``type,ts,<attrs...>`` rows as one element list, which keeps
+    the header's attribute names as ``columns``.
 
     Attribute names must be unique and non-empty.  Every value must be a
     finite number, and timestamps must be nondecreasing.  A bad file
@@ -215,7 +223,8 @@ def load_csv(path: str):
                 raise CsvFormatError(
                     f"{path}: header column {col} repeats attribute {nm!r}")
         width = len(header)
-        stream = []
+        stream = CsvStream()
+        stream.columns = tuple(names)
         prev_ts = -math.inf
         while True:
             rows = []

@@ -1,7 +1,7 @@
 """``tools/digest.py``, which output-preserving changes compare before
 and after, prints one stable line per run of each configuration it
 names, then the ``csv`` lines and one ``faults`` line per
-configuration."""
+configuration, where the ``faulting`` configuration's guards fault."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +19,8 @@ def load_digest():
 def test_digest_prints_one_repeatable_line_per_run(capsys):
     digest = load_digest()
     assert set(digest.CONFIGS) == {"ds1", "ds1-mixed", "ds2", "mixed",
-                                   "strict", "late", "residual"}
+                                   "strict", "late", "residual",
+                                   "faulting"}
     runs = []
     for _ in range(2):
         digest.main(["--ds1", "600", "--ds2", "300", "--seeds", "5"])
@@ -31,11 +32,16 @@ def test_digest_prints_one_repeatable_line_per_run(capsys):
                 for strategy in strategies]
     lines = runs[0]
     n = len(expected)
-    assert len(lines) == n + 2 + len(digest.CONFIGS) == 65
+    assert len(lines) == n + 2 + len(digest.CONFIGS) == 74
     assert [(f[0], f[2], f[3], f[4])
             for f in map(str.split, lines[:n])] == expected
     assert all(f[1] == "5" for f in map(str.split, lines[:n]))
     assert [line.split()[:2] for line in lines[n:n + 2]] == \
         [["csv", "ds1"], ["csv", "ds2"]]
-    assert [line.split()[:2] for line in lines[n + 2:]] == \
-        [["faults", name] for name in digest.CONFIGS]
+    faults = [line.split() for line in lines[n + 2:]]
+    assert [f[:2] for f in faults] == [["faults", name]
+                                       for name in digest.CONFIGS]
+    # the same number of runs without a fault hash alike; faulting's differ
+    zero = dict(f[1:] for f in faults)["ds2"]
+    assert {f[2] for f in faults if f[1] != "faulting"} == {zero}
+    assert dict(f[1:] for f in faults)["faulting"] != zero

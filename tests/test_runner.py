@@ -339,6 +339,24 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "P1:" in captured and "triggers=0" in captured
 
 
+def test_cli_run_builds_the_plan_once(tmp_path, monkeypatch):
+    """``matchshed run`` checks the CSV header against the plan it runs:
+    without a golden pass, the patterns are parsed and merged once."""
+    calls = []
+    build = runner.build_plan
+    monkeypatch.setattr(runner, "build_plan",
+                        lambda config: calls.append(1) or build(config))
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"patterns": ["SEQ(A a, B b) WHERE a.x < b.x WITHIN 5"],
+                   "strategy": "none"}, f)
+    data = os.path.join(tmp_path, "s.csv")
+    with open(data, "w") as f:
+        f.write("type,ts,x\nA,1,2\nB,2,3\n")
+    assert cli.main(["run", "--config", cfg_path, "--input", data]) == 0
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("text, names", [
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"], "foo": 1, "bar": 2}',
      "unknown RunConfig keys bar, foo"),

@@ -30,9 +30,10 @@ element (type tag, seq, attribute names and the bits of the timestamp
 and attribute values), so a change to CSV ingest shows too.  Last, one
 ``faults`` line per configuration hashes the math fault counts
 (``Metrics.eval_faults``) of its runs in the order they ran, so a
-change to how generated guards count faults shows as well.  Every run
-here counts zero faults today, so these lines show a fault a change
-starts to count, not one it stops counting.
+change to how generated guards count faults shows as well.  The
+``faulting`` configuration's guards and blocker fault by each kind, so
+its line shows a fault a change stops counting or counts as another
+kind; the other configurations count none.
 """
 
 from __future__ import annotations
@@ -76,6 +77,17 @@ RESIDUAL = ("SEQ(A a, B+ b[]) WHERE SAME [ID] AND SUM(b[].x) < a.x "
             "WITHIN 200 ms")
 
 
+# guards and a negation blocker that fault: division by an ID difference
+# (div_by_zero), sqrt, arccos and a general "^" out of their domains and
+# an inline "^ 160" that overflows
+FAULTING = ("SEQ(A a, B b) WHERE a.x / (b.ID - a.ID) < 20 AND "
+            "sqrt(b.x - a.x) < 8 WITHIN 40",
+            "SEQ(A a, !C c, D d) WHERE c.x / (c.ID - a.ID) > 1 AND "
+            "arccos(d.x / 50) < 1 WITHIN 40",
+            "SEQ(A a, B+ b[], E e) WHERE SAME [ID] AND (e.x - a.x) ^ 160 "
+            "< 1e300 AND (e.x - a.x) ^ 0.5 < SUM(b[].x) WITHIN 200 ms")
+
+
 # configuration -> (dataset, patterns, RunConfig fields, strategies)
 CONFIGS = {
     "ds1": ("ds1", [wl.templates(window=500)[k] for k in ("P3", "P4")],
@@ -94,6 +106,7 @@ CONFIGS = {
     "late": ("late", _ds2_patterns(["200 ms"] * 4), {}, STRATEGIES),
     "residual": ("ds2", [RESIDUAL] + _ds2_patterns(["200 ms"] * 2),
                  {}, STRATEGIES),
+    "faulting": ("ds2", list(FAULTING), {}, STRATEGIES),
 }
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
