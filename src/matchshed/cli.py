@@ -26,7 +26,29 @@ def _read_spec(path: str) -> GeneratorSpec:
     return GeneratorSpec(**raw)
 
 
+def _check_out_file(args, path: str):
+    """A usage error unless ``path`` can be written as a file: its
+    directory exists and it is no directory itself."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        args.parser.error(f"--out {path}: no such directory {folder}")
+    if os.path.isdir(path):
+        args.parser.error(f"--out {path}: is a directory")
+
+
+def _check_out_dir(args, path: str):
+    """A usage error unless ``os.makedirs(path)`` can succeed as far as
+    the paths that exist show: the nearest of ``path`` and the
+    directories above it that exists is a directory."""
+    p = os.path.abspath(path)
+    while not os.path.exists(p):
+        p = os.path.dirname(p)
+    if not os.path.isdir(p):
+        args.parser.error(f"out directory {path}: {p} is not a directory")
+
+
 def _cmd_datagen(args):
+    _check_out_file(args, args.out)
     specs = {"ds1": workloads.ds1_spec, "ds2": workloads.ds2_spec}
     try:
         spec = (_read_spec(args.spec) if args.dataset == "custom" else
@@ -53,11 +75,13 @@ def _cmd_datagen(args):
 def _cmd_run(args):
     try:
         cfg = RunConfig.from_json(args.config)
+        if args.out_dir:
+            cfg.out_dir = args.out_dir
+        if cfg.out_dir:
+            _check_out_dir(args, cfg.out_dir)
         stream = workloads.load_csv(args.input)
     except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data
         args.parser.error(str(e))
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
     try:
         m = run(cfg, stream, columns=stream.columns)
     except (parser.PatternSyntaxError, plan.PlanError) as e:  # a pattern
@@ -74,6 +98,7 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
+    _check_out_file(args, args.out)
     if not os.path.isdir(args.in_dir):
         args.parser.error(f"--in {args.in_dir}: no such directory")
     rows = []

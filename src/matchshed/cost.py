@@ -12,6 +12,13 @@ counters measure how productive matches with that key have historically
 been.  Estimates read the counters straight back: contribution is cn,
 overhead is pn.
 
+Each entry also keeps ``rank``, ``-sum(cn)``, the first key by which a
+guided reduction orders a cluster's PMs.  It is set where ``cn``
+changes, and only there: by ``sketch_update`` when it credits a
+complete match, and by ``decay``; so a guided reduction reads one float
+per PM instead of summing its counters.  Code that sets ``cn`` by other
+means must set ``rank`` with it.
+
 Counters halve at every window-length epoch so estimates track recent
 history and recover from distribution drift.  The epoch defaults to the
 largest count window; a plan with only time windows has none, and its
@@ -46,11 +53,12 @@ class CostVectors:
 
 
 class SketchEntry:
-    __slots__ = ("cn", "pn", "key")
+    __slots__ = ("cn", "pn", "rank", "key")
 
     def __init__(self, n: int, key=None):
         self.cn = [0.0] * n
         self.pn = [0.0] * n
+        self.rank = -sum(self.cn)  # set anew wherever cn changes
         self.key = key  # the table key naming it
 
 
@@ -83,7 +91,8 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
     ``cm_pids`` lists the patterns for which the match was emitted
     complete; its pattern_bits say which patterns it serves as a PM.
     Each generator's counters get one ``+= 1`` per credited pattern, in
-    ascending pattern order, so counters stay bit-identical after decays.
+    ascending pattern order, so counters stay bit-identical after decays;
+    a generator credited a complete match has its ``rank`` set anew.
     A generator credited before is credited through its ``entry``; any
     other is looked up once and its ``entry`` set.  Its key is derived
     from its parent's entry when the parent has one, so ``attr_key``
@@ -115,6 +124,7 @@ def sketch_update(sketch: Sketch, new_match: MatchRecord, cm_pids=(),
             cn = entry.cn
             for i in cm_pids:
                 cn[i] += 1
+            entry.rank = -sum(cn)
         rho = rho.parent if gens is None else next(gens, None)
 
 
@@ -129,10 +139,12 @@ def estimate(sketch: Sketch, pm: MatchRecord) -> CostVectors:
 
 
 def decay(sketch: Sketch, factor: float = 0.5):
-    """Epoch roll: scale every counter (halving by default)."""
+    """Epoch roll: scale every counter (halving by default) and set each
+    entry's ``rank`` from its scaled ``cn``."""
     for entry in sketch.table.values():
-        entry.cn = [c * factor for c in entry.cn]
+        entry.cn = cn = [c * factor for c in entry.cn]
         entry.pn = [p * factor for p in entry.pn]
+        entry.rank = -sum(cn)
 
 
 def dump_csv(sketch: Sketch, path: str):

@@ -26,11 +26,15 @@ bits.  ``budgets`` runs its ``budget``, which computes the flags and
 b_OL, walks, and fills B_i: per PM the walk reads the sketch entry the
 record holds (``MatchRecord.entry``, none for a record never
 credited), adds its pn counters, the overhead, to T_i and builds the
-rank tuple; it reads no sketch.  The budgets it returns carry the
-walk, so ``select`` only sorts each cluster's ranks once and drains
-them, discarding in place; every other cluster is counted kept from
-its buffer sizes.  A cluster is read from its states' buffers
-(``psd.ClusterIndex``), which hold exactly the alive PMs."""
+rank tuple from the entry's ``rank`` (``-sum(cn)``, which the sketch
+keeps as cn changes) and the record's first and last element; it reads
+no sketch and sums no counters.  The budgets it returns carry the walk
+and the flags, so ``select`` only sorts each cluster's ranks once and
+drains them, discarding in place; a drained cluster counts its ranks
+kept less the PMs it finds dead or sheds, and every other cluster is
+counted kept from its buffer sizes.  A cluster is read from its
+states' buffers (``psd.ClusterIndex``), which hold exactly the alive
+PMs."""
 
 from __future__ import annotations
 
@@ -58,21 +62,22 @@ def generate(index: ClusterIndex) -> tuple:
 
     * ``walk(b_ol, flags)`` visits the PMs of each cluster meeting
       ``b_ol``, state by state, each state's buffer in order, and
-      returns ``(ranks, totals)``: one list of rows per cluster, ``(-sum
-      of cn, first_ts, first_seq, last_seq, position, pm, pn)``, and per
+      returns ``(ranks, totals)``: one list of rows per cluster, ``(rank,
+      first_ts, first_seq, last_seq, position, pm, pn)``, and per
       pattern i the sum of ``pn_i`` over the PMs with an entry that
       serve i, where ``flags[i]`` says i is budgeted.  A PM's entry is
-      ``pm.entry``; a PM never credited has none, ranks at -0.0 and its
-      pn is ``ZEROS``.
+      ``pm.entry`` and ``rank`` is its ``-sum(cn)``; a PM never credited
+      has none, ranks at -0.0 and its pn is ``ZEROS``.
     * ``budget(lat, bounds, out)`` flags each pattern i with ``l_i >= L_i
       and l_i > 0``, walks once for the b_OL of the flags, fills ``out``
       with ``B_i = (L_i / l_i) * T_i`` in ascending i and returns ``(b_ol,
-      ranks)``.
-    * ``drain(ranks, b_ol, flags, limits)`` counts the clusters missing
+      ranks, flags)``.
+    * ``drain(ranks, b_ol, flags, budgets)`` counts the clusters missing
       ``b_ol`` kept from their buffer sizes, then sorts and drains the
       ranked clusters in descending psd value, discarding a PM
       (``ExecutionPlan.discard``) once a budgeted pattern it serves would
-      pass its limit; it returns ``(kept, discarded, spend)``.
+      pass its limit ``budgets[i] + 1e-12``; it returns ``(kept,
+      discarded, spend)``, spend by budgeted pattern in ascending i.
 
     A cluster of one pattern tests no pattern bits."""
     n = index.n
@@ -121,7 +126,7 @@ def generate(index: ClusterIndex) -> tuple:
         for i in pats[j]:
             body += [f"if {served(i, single)}:",
                      f"    tot{i} += pn[{i}]"]
-        body.append("rows.append((-sum(e.cn)" + row.format("pn") + "))")
+        body.append("rows.append((e.rank" + row.format("pn") + "))")
         out += [pad + line for line in body]
     out += [f"    return ({names('r{}', k)}), ({names('tot{}')})", ""]
 
@@ -134,12 +139,13 @@ def generate(index: ClusterIndex) -> tuple:
     for i in range(n):
         out += [f"    if u{i}:",
                 f"        out[{i}] = (bounds[{i}] / lat[{i}]) * T{i}"]
-    out += ["    return b_ol, ranks", ""]
+    out += [f"    return b_ol, ranks, ({names('u{}')})", ""]
 
-    out += ["def drain(ranks, b_ol, flags, limits):",
-            f"    {names('u{}')} = flags",
-            f"    {names('lim{}')} = limits",
-            f"    {names('r{}', k)} = ranks",
+    out += ["def drain(ranks, b_ol, flags, budgets):",
+            f"    {names('u{}')} = flags"]
+    out += [f"    lim{i} = budgets[{i}] + 1e-12 if u{i} else 0.0"
+            for i in range(n)]
+    out += [f"    {names('r{}', k)} = ranks",
             "    " + " = ".join(map("sp{}".format, range(n))) + " = 0.0",
             "    kept = discarded = 0"]
     for j, (b, states) in enumerate(clusters):
@@ -154,8 +160,10 @@ def generate(index: ClusterIndex) -> tuple:
             for i in pats[j])
         out += [f"    if r{j}:  # c{j} {render_bitmap(b, n)}",
                 f"        r{j}.sort()",
+                f"        kept += len(r{j})",
                 f"        for _, _, _, _, _, pm, pn in r{j}:",
                 "            if not pm.alive:",
+                "                kept -= 1",
                 "                continue"]
         if not single:
             out.append("            bits = pm.pattern_bits")
@@ -168,8 +176,10 @@ def generate(index: ClusterIndex) -> tuple:
         for i in pats[j]:
             out += [f"            if {served(i, single)}:",
                     f"                sp{i} += pn[{i}]"]
-        out.append("            kept += 1")
-    out.append(f"    return kept, discarded, ({names('sp{}')})")
+    out.append("    spend = {}")
+    for i in range(n):
+        out += [f"    if u{i}:", f"        spend[{i}] = sp{i}"]
+    out.append("    return kept - discarded, discarded, spend")
     return "\n".join(out) + "\n", ns
 
 
@@ -185,14 +195,16 @@ def _kernel(index: ClusterIndex) -> tuple:
 
 class Budgets(dict):
     """B_i by overloaded pattern, carrying the walk that summed the T_i
-    (``walk``: the index and b_OL it read, and its ranks) for one
-    ``select`` to drain.
+    (``walk``: the index and b_OL it read, its ranks and the flags of the
+    budgeted patterns) for one ``select`` to drain.
 
     The walk holds only if nothing is inserted into the index and no
     record is credited between ``budgets`` and ``select``: a PM inserted
     in between is left out of the selection, and ranks and overheads
     stay those the entries gave at ``budgets``.  Discards in between are
-    the only change ``select`` allows for."""
+    the only change ``select`` allows for.  A carried walk also trusts
+    the map's keys: ``select`` budgets the patterns the flags name, so
+    the keys must stay those ``budgets`` set."""
 
     __slots__ = ("walk",)
 
@@ -208,8 +220,8 @@ def budgets(index: ClusterIndex, monitor, bounds) -> Budgets:
     kernel's ``budget`` does it all.
     """
     out = Budgets()
-    b_ol, ranks = _kernel(index)[1](monitor.latency_ms, bounds, out)
-    out.walk = (index, b_ol, ranks)
+    b_ol, ranks, flags = _kernel(index)[1](monitor.latency_ms, bounds, out)
+    out.walk = (index, b_ol, ranks, flags)
     return out
 
 
@@ -249,26 +261,23 @@ def select(index: ClusterIndex, b_ol: int, budget_map: dict,
     overhead ``pn_i``.  Returns an audit record with
     kept/discarded counts and per-pattern spend against budget.
 
-    ``budget_map`` from ``budgets`` carries the walk that ranked the PMs,
-    and this call drains it, skipping PMs discarded since; a plain dict,
-    a walk already drained, or one made for another ``b_ol`` or index
-    gets a fresh walk.  A carried walk is trusted as it is
+    ``budget_map`` from ``budgets`` carries the walk that ranked the PMs
+    and the flags of its keys, and this call drains it, skipping PMs
+    discarded since; a plain dict, a walk already drained, or one made
+    for another ``b_ol`` or index gets a fresh walk, flagging the map's
+    keys.  A carried walk is trusted as it is
     otherwise: call ``select`` with no insert into the index and no
     credit since ``budgets`` (see ``Budgets``).
     """
-    n = index.n
     walk, _, drain = _kernel(index)
-    flags = [i in budget_map for i in range(n)]
     carried = getattr(budget_map, "walk", None)
     if carried is not None:
         budget_map.walk = None  # one drain per walk
     if carried is not None and carried[:2] == (index, b_ol):
-        ranks = carried[2]
+        ranks, flags = carried[2:]
     else:
+        flags = [i in budget_map for i in range(index.n)]
         ranks = walk(b_ol, flags)[0]
-    limits = [0.0] * n
-    for i, budget in budget_map.items():
-        limits[i] = budget + 1e-12
-    kept, discarded, spend = drain(ranks, b_ol, flags, limits)
-    return SelectionAudit(now_ts, b_ol, kept, discarded,
-                          {i: spend[i] for i in budget_map}, dict(budget_map))
+    kept, discarded, spend = drain(ranks, b_ol, flags, budget_map)
+    return SelectionAudit(now_ts, b_ol, kept, discarded, spend,
+                          dict(budget_map))

@@ -95,7 +95,7 @@ class _Module:
         self.gaps = []
         self.gap_names = {}   # (checks, slot layout) -> gap function name
         self.called = {}      # gap names the current sweep calls, in order
-        self.names = {}       # id(value) -> namespace name
+        self.names = {}       # (hint, id(value)) -> namespace name
         self.ns = {"MatchRecord": MatchRecord, "NEW": object.__new__,
                    "FAULTS": ex.FAULTS, "fault": diag.fault,
                    "bisect_left": bisect_left, "bisect_right": bisect_right,
@@ -105,10 +105,13 @@ class _Module:
             self.ns[f"checked_{name}"] = ex.CHECKED[name]
 
     def bind(self, value, hint: str) -> str:
-        """The namespace name of ``value``, new on its first binding."""
-        name = self.names.get(id(value))
+        """The namespace name of ``value`` in the role ``hint`` names, new
+        on its first binding in that role: a small int that is both a
+        state id and a mask gets one name per role."""
+        key = (hint, id(value))
+        name = self.names.get(key)
         if name is None:
-            name = self.names[id(value)] = f"{hint}{len(self.ns)}"
+            name = self.names[key] = f"{hint}{len(self.ns)}"
             self.ns[name] = value
         return name
 

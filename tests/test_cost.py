@@ -162,7 +162,8 @@ def ref_sketch_update(sk, new_match, cm_pids=()):
 
 def test_sketch_update_equals_chain_walk_reference():
     """Random chains with interleaved decays leave every counter
-    bit-equal to the reference walk."""
+    bit-equal to the reference walk, and each entry's rank bit-equal to
+    ``-sum(cn)``."""
     rng = np.random.default_rng(41)
     plan = shared_plan()
     for _ in range(30):
@@ -189,3 +190,4 @@ def test_sketch_update_equals_chain_walk_reference():
             want = sk_ref.table[k]
             assert [c.hex() for c in e.cn] == [c.hex() for c in want.cn]
             assert [p.hex() for p in e.pn] == [p.hex() for p in want.pn]
+            assert e.rank.hex() == (-sum(want.cn)).hex()

@@ -463,6 +463,60 @@ def test_bad_spec_or_count_is_a_usage_error(tmp_path, capsys, spec, args,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("cmd", ["datagen", "report"])
+@pytest.mark.parametrize("dest, names", [
+    (os.path.join("missing", "s.csv"), "s.csv: no such directory"),
+    ("sub", "sub: is a directory")])
+def test_out_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
+                                                          cmd, dest, names):
+    """``matchshed datagen --out`` and ``matchshed report --out`` into a
+    directory that does not exist, or onto a directory, are usage errors
+    naming the path, and write nothing."""
+    os.makedirs(os.path.join(tmp_path, "sub"))
+    out = os.path.join(tmp_path, dest)
+    args = (["datagen", "--dataset", "ds2", "--count", "50"]
+            if cmd == "datagen" else ["report", "--in", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*args, "--out", out])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and names in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["sub"]
+    assert os.listdir(os.path.join(tmp_path, "sub")) == []
+
+
+@pytest.mark.parametrize("case", ["flag", "config", "below-a-file"])
+def test_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
+                                                 monkeypatch, case):
+    """``matchshed run`` with an out directory that exists as a file
+    (``--out-dir`` or the config's ``out_dir``), or lies below one, is a
+    usage error naming the path, raised before the stream is read."""
+    blocker = os.path.join(tmp_path, "f")
+    with open(blocker, "w") as f:
+        f.write("keep")
+    out_dir = os.path.join(blocker, "out") if case == "below-a-file" \
+        else blocker
+    config = {"patterns": PATS}
+    if case == "config":
+        config["out_dir"] = out_dir
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(config, f)
+    reads = []
+    monkeypatch.setattr(wl, "load_csv", lambda path: reads.append(path))
+    args = [] if case == "config" else ["--out-dir", out_dir]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", cfg_path, "--input",
+                  os.path.join(tmp_path, "s.csv"), *args])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"out directory {out_dir}: {blocker} is not a directory" in err
+    assert reads == []
+    with open(blocker) as f:
+        assert f.read() == "keep"
+
+
 @pytest.mark.parametrize("config, data, names", [
     (None, "type,ts,x\nA,1,2\n", "/nonexistent.json"),
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"]}', None, "/nonexistent.csv"),

@@ -39,15 +39,22 @@ def two_pattern_setup():
     return plan, index, Sketch(plan)
 
 
+def entry(cn, pn):
+    """A sketch entry holding the counters ``cn`` and ``pn``, its rank
+    set as ``cost.sketch_update`` sets it."""
+    e = cost.SketchEntry(len(cn))
+    e.cn = [float(v) for v in cn]
+    e.pn = [float(v) for v in pn]
+    e.rank = -sum(e.cn)
+    return e
+
+
 def add_pm(plan, index, sketch, cluster_bits, seq, ID, pn, cn=None):
     state = next(s for s in plan.states
                  if s.psd == cluster_bits and s.state_id != plan.start_id)
     pm = rec(state.state_id, seq, cluster_bits, ID)
     plan.insert(pm)
-    e = cost.SketchEntry(2)
-    e.pn = [float(v) for v in pn]
-    e.cn = [float(v) for v in (cn or (0, 0))]
-    sketch.table[attr_key(sketch, pm)] = pm.entry = e
+    sketch.table[attr_key(sketch, pm)] = pm.entry = entry(cn or (0, 0), pn)
     return pm
 
 
@@ -266,9 +273,9 @@ def random_scene(seed):
     for pm in pms:
         k = attr_key(sketch, pm)
         if k not in sketch.table and rng.random() < 0.8:
-            e = sketch.table[k] = cost.SketchEntry(3)
-            e.cn = [float(rng.integers(0, 3)) * 0.3 for _ in range(3)]
-            e.pn = [float(rng.integers(0, 6)) * 0.7 for _ in range(3)]
+            sketch.table[k] = entry(
+                [float(rng.integers(0, 3)) * 0.3 for _ in range(3)],
+                [float(rng.integers(0, 6)) * 0.7 for _ in range(3)])
         pm.entry = sketch.table.get(k)
     for pm in pms:
         if rng.random() < 0.15:

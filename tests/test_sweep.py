@@ -7,6 +7,7 @@ import gc
 import json
 import linecache
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -282,20 +283,25 @@ def test_same_attribute_missing_raises(texts):
         assert got == {p.id: [] for p in pats}
 
 
+def sweep_source(tmp_path, config) -> str:
+    """What ``tools/sweep_source.py`` prints for ``config``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, str(root / "tools" / "sweep_source.py"),
+         "--config", str(path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
     """``tools/sweep_source.py`` on the DS2 templates prints one sweep per
     event type that triggers an edge, headed by that type, and ends with
     the plan's reduction kernel."""
     t = wl.templates(window=200)
     config = {"patterns": [t[k] for k in ("P1", "P2", "P5", "P6")]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, str(root / "tools" / "sweep_source.py"),
-         "--config", str(path)],
-        env=env, capture_output=True, text=True, check=True).stdout
+    out = sweep_source(tmp_path, config)
     types = list(build_plan(RunConfig(**config)).edges_by_trigger)
     assert out.count("def sweep_") == len(types) == 6
     # the sweeps of 'D' and 'E' take the one gap check, printed first
@@ -307,6 +313,19 @@ def test_sweep_source_tool_prints_one_sweep_per_trigger_type(tmp_path):
             assert f"def sweep_{i}(d, seq, ts):  # {ttype!r}\n" in out
     kernel, _ = selector.generate(assess(build_plan(RunConfig(**config))))
     assert out.endswith("\n# reduction kernel\n" + kernel)
+
+
+def test_sweep_source_names_follow_their_role(tmp_path):
+    """In the DS1 P3+P4 sweeps, state ids and masks equal as small ints
+    still print under their own role's names: a state id under an ``I``
+    name, a mask under an ``M`` name."""
+    t = wl.templates(window=500)
+    out = sweep_source(tmp_path, {"patterns": [t["P3"], t["P4"]]})
+    ids = re.findall(r"c\.state_id = (\w+)|\bwork\[(\w+)\]", out)
+    masks = re.findall(r"bits & ([A-Za-z_]\w*)", out)
+    assert ids and masks
+    assert all(name.startswith("I") for pair in ids for name in pair if name)
+    assert all(name.startswith("M") for name in masks)
 
 
 @pytest.mark.parametrize("case, names", [

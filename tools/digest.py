@@ -22,7 +22,9 @@ timestamps.  ``residual`` runs P1 and P2 beside a pattern that ends
 in their shared A-B+ state with a SUM over the Kleene step, which only
 the accepting transition can check (the plan's residual).
 Latency bounds are half of a ``none`` run's mean latency (2x overload),
-as in the benchmark.
+as in the benchmark.  A selection audit is hashed as its timestamp,
+b_OL, kept and discarded counts and the exact ``float.hex()`` of every
+spend and budget, so a spend or budget that moves by an ulp shows.
 
 After those, one ``csv`` line per dataset hashes what
 ``load_csv(write_csv(...))`` returns for each seed's stream, element by
@@ -111,8 +113,17 @@ CONFIGS = {
 POLICIES = (("skip-any", "reuse"), ("skip-next", "consume"))
 
 
+def _audit(a) -> tuple:
+    """A selection audit with its floats exact: the ``%.6g`` of
+    ``SelectionAudit.csv_row`` would hide a spend or budget that moved
+    by an ulp."""
+    return (float(a.ts).hex(), a.b_ol, a.kept, a.discarded,
+            {i: float(v).hex() for i, v in sorted(a.spend.items())},
+            {i: float(v).hex() for i, v in sorted(a.budget.items())})
+
+
 def digest(m) -> str:
-    audits = [a.csv_row(m.n) for a in m.audits]
+    audits = [_audit(a) for a in m.audits]
     blob = repr((m.matches, m.counters, audits, m.latency_mean, m.recall,
                  m.triggers))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
