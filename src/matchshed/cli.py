@@ -10,7 +10,8 @@ import os
 import sys
 
 from . import parser, plan, workloads
-from .runner import MissingColumnError, RunConfig, keywords, run
+from .runner import (MissingColumnError, RunConfig, check_out_dir, keywords,
+                     run)
 from .workloads import Drift, GeneratorSpec
 
 
@@ -34,17 +35,6 @@ def _check_out_file(args, path: str):
         args.parser.error(f"--out {path}: no such directory {folder}")
     if os.path.isdir(path):
         args.parser.error(f"--out {path}: is a directory")
-
-
-def _check_out_dir(args, path: str):
-    """A usage error unless ``os.makedirs(path)`` can succeed as far as
-    the paths that exist show: the nearest of ``path`` and the
-    directories above it that exists is a directory."""
-    p = os.path.abspath(path)
-    while not os.path.exists(p):
-        p = os.path.dirname(p)
-    if not os.path.isdir(p):
-        args.parser.error(f"out directory {path}: {p} is not a directory")
 
 
 def _cmd_datagen(args):
@@ -78,7 +68,7 @@ def _cmd_run(args):
         if args.out_dir:
             cfg.out_dir = args.out_dir
         if cfg.out_dir:
-            _check_out_dir(args, cfg.out_dir)
+            check_out_dir(cfg.out_dir)
         stream = workloads.load_csv(args.input)
     except (OSError, ValueError) as e:  # no file, not JSON or CSV, bad data
         args.parser.error(str(e))

@@ -29,11 +29,14 @@ trigger event type (``sweep``) and compiles it once, in ``__init__``; the
 code depends on the engine's selection policies and binds its objects
 by namespace names, so engines of equal plans and policies generate
 equal text.
-A sweep evaluates the guards and buffers its children.  When it
-accepted no match and took no skip-till-next parent, as for most
-elements, ``step`` returns at once; otherwise it applies skip-till-next,
-then sorts the complete matches, applies consumption and returns them
-with their keys (``StepResult.match_keys``).  ``Engine.source`` is
+A sweep evaluates the guards, buffers its children and counts them
+(``EngineCounters.pms_created``), and sums the step's work units
+(``StepResult.units``) as it charges them.  When it accepted no match
+and took no skip-till-next parent, as for most elements, it returns the
+finished ``StepResult`` itself, which ``step`` passes on; otherwise it
+returns its parts, and ``step`` applies skip-till-next, then sorts the
+complete matches, applies consumption and returns them with their keys
+(``StepResult.match_keys``).  ``Engine.source`` is
 the text, registered with ``linecache`` so that a traceback through a
 sweep shows the generated line.  Patterns whose guards compute the same
 conjuncts share one ``checks`` tuple (``plan.merge``), which a record
@@ -150,10 +153,14 @@ _emission_order = itemgetter(0, 1)
 
 @dataclass(slots=True)
 class StepResult:
+    """What one ``Engine.step`` did.  Most steps are finished by their
+    generated sweep, by ``object.__new__`` and one store per field
+    (``sweep._finished``); a field added here is filled there too."""
     new_pms: list
     complete: list      # (pattern_id, MatchRecord)
     work: dict          # state_id -> units this step
     match_keys: list    # of each complete match: its element seqs
+    units: int          # the step's total work, sum(work.values())
 
 
 @dataclass
@@ -232,14 +239,12 @@ class Engine:
         (call expire first)."""
         kernel = self._sweeps.get(d.type_tag)
         if kernel is None:
-            return StepResult([], [], {}, [])
-        work, new_records, accept, taken_bits = kernel(d, d.seq_index,
-                                                       d.timestamp)
+            return StepResult([], [], {}, [], 0)
+        res = kernel(d, d.seq_index, d.timestamp)
+        if type(res) is StepResult:
+            return res
+        work, new_records, accept, taken_bits, units = res
         counters = self.counters
-        counters.pms_created += len(new_records)
-        if not (accept or taken_bits):
-            return StepResult(new_records, [], work, [])
-
         for rec, taken in taken_bits:
             rec.pattern_bits &= ~taken
             if rec.pattern_bits == 0 and rec.alive:
@@ -257,7 +262,7 @@ class Engine:
                 keys.append(seqs)
             counters.cms_emitted += len(accept)
 
-        return StepResult(new_records, complete, work, keys)
+        return StepResult(new_records, complete, work, keys, units)
 
     def _unconsumed(self, accept: list) -> list:
         """The accepted matches, in order, but those of a consuming

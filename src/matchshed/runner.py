@@ -194,6 +194,18 @@ def check_columns(plan, columns) -> None:
                                  "such column")
 
 
+def check_out_dir(path: str) -> None:
+    """Raise ``ValueError``, naming ``path`` and the file in the way,
+    unless ``os.makedirs(path)`` can succeed as far as the paths that
+    exist show: the nearest of ``path`` and the directories above it
+    that exists is a directory."""
+    p = os.path.abspath(path)
+    while not os.path.exists(p):
+        p = os.path.dirname(p)
+    if not os.path.isdir(p):
+        raise ValueError(f"out directory {path}: {p} is not a directory")
+
+
 def shed_random_state(engine: Engine, rng, ratio: float) -> int:
     """Discard a random fraction of live PMs; returns the count."""
     dropped = 0
@@ -289,7 +301,11 @@ def run(config: RunConfig, stream, columns=None) -> Metrics:
     """Run ``config`` over ``stream``.  With ``columns``, the attribute
     names every element carries (a CSV header), an attribute a pattern
     reads and ``columns`` lacks is a ``MissingColumnError`` before the
-    run, even where no guard reading it would run."""
+    run, even where no guard reading it would run.  An ``out_dir`` that
+    cannot be made (``check_out_dir``) is a ``ValueError`` before the
+    plan is built."""
+    if config.out_dir:
+        check_out_dir(config.out_dir)
     plan = build_plan(config)
     if columns is not None:
         check_columns(plan, columns)
@@ -397,7 +413,7 @@ def _main_loop(config: RunConfig, plan, stream: list):
 
             if synthetic:
                 res = engine.step(d)
-                elapsed = COST_UNIT_MS * sum(res.work.values())
+                elapsed = COST_UNIT_MS * res.units
             else:
                 t0 = perf_counter()
                 res = engine.step(d)

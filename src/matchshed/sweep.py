@@ -32,9 +32,14 @@ which it stores in each child's ``bucket_key``;
 ``ExecutionPlan.insert`` takes a child keyed unlike its parent.  A child
 whose state's patterns have one window joins its parent's deadline slot,
 which stays queued until expiry clears that window's bits from the
-parent; a start edge's child is pushed.  A sweep returns ``(work, new
-records, accepted, skip-till-next takes)``, each filled in the order of
-an edge-by-edge, record-by-record scan, so the work units and what the
+parent; a start edge's child is pushed.  The sweep adds its children
+to ``pms_created`` of the engine's counters (``COUNTERS``, which hold no
+reference to the engine) and sums each work charge into ``units``.  A
+sweep that accepted no match and took no skip-till-next parent returns
+the finished ``engine.StepResult``, built in place; otherwise it returns
+``(work, new records, accepted, skip-till-next takes, units)`` for
+``Engine.step`` to finish.  Each is filled in the order of an
+edge-by-edge, record-by-record scan, so the work units and what the
 engine emits do not depend on how the guards are grouped.  An accepted
 entry is ``(match key, pattern id, record)``, the key being the element
 seqs, read by a slot unpack (``seq_tuple()`` in a Kleene or one-step
@@ -173,26 +178,34 @@ class _Slots:
 def generate(eng) -> tuple:
     """The source of ``eng``'s sweep module and the namespace to run it
     in; it binds ``SWEEPS``, trigger type -> sweep function."""
+    from .engine import StepResult  # engine imports this module
     plan = eng.plan
     m = _Module(plan.diag, eng.history)
+    # the counters hold no reference back to the engine: no cycle
+    m.ns.update(StepResult=StepResult, COUNTERS=eng.counters)
     table = []
     out = m.sweeps
     for i, (ttype, edges) in enumerate(plan.edges_by_trigger.items()):
         head = len(out)
         m.called.clear()
         _remember(m, ttype)
-        out += ["    attrs = d.attrs", "    work = {}", "    taken = []",
-                "    accept = []"]
+        out += ["    attrs = d.attrs", "    work = {}", "    units = 0",
+                "    taken = []", "    accept = []"]
+        emits = False   # whether the sweep can accept or take a parent
         for j, e in enumerate(edges):
             out.append(f"    # {e!r}")
             if e.from_id == plan.start_id:
                 _start_edge(m, eng, e, j)
             else:
-                _edge(m, eng, e, j)
+                emits |= _edge(m, eng, e, j)
         for j, e in enumerate(edges):
-            _buffer(m, eng, e, j)
+            emits |= _buffer(m, eng, e, j)
         new = " + ".join(f"c{j}" for j in range(len(edges)))
-        out.append(f"    return work, {new}, accept, taken")
+        if emits:
+            out += ["    if accept or taken:",
+                    f"        return work, {new}, accept, taken, units"]
+        # both empty here: no match accepted, no parent taken
+        out += _finished(new, "accept", "work", "taken", "units")
         gaps = "".join(f", {g}={g}" for g in m.called)
         out.insert(head, f"def sweep_{i}(d, seq, ts{gaps}):  # {ttype!r}")
         table.append(f"{ttype!r}: sweep_{i}")
@@ -202,7 +215,7 @@ def generate(eng) -> tuple:
         i = len(table)
         out.append(f"def sweep_{i}(d, seq, ts):  # {ttype!r}, history only")
         _remember(m, ttype)
-        out.append("    return {}, [], [], []")
+        out += _finished("[]", "[]", "{}", "[]", "0")
         table.append(f"{ttype!r}: sweep_{i}")
     lines = m.gaps + m.sweeps + ["SWEEPS = {" + ", ".join(table) + "}"]
     return "\n".join(lines) + "\n", m.ns
@@ -235,10 +248,13 @@ def load(source: str, ns: dict, owner, kind: str) -> dict:
 def generate_fold(plan) -> tuple:
     """The source of ``plan``'s latency fold and the namespace to run it
     in; it defines ``fold(monitor, elapsed, work)`` (see
-    ``engine.measure``).  Each pattern's share is a local ``x<i>``; the
-    states whose psd names the same patterns form one group, and the
-    loop over the work dict adds a group's part to each of its patterns'
-    shares, in the dict's order."""
+    ``engine.measure``).  It takes the step's total work first, then
+    makes one pass over the work dict, in the dict's order, that adds
+    each entry to ``state_work`` and, unless the total is zero, its part
+    to the shares.  Each pattern's share is a local ``x<i>``; the states
+    whose psd names the same patterns form one group, and a group's part
+    goes to each of its patterns' shares.  An element without work still
+    adds its entries, zeros included, to ``state_work``."""
     n = plan.n
     groups = {}         # sharer indices -> group number, from 1
     of_state = []       # state id -> its group, 0 for psd 0
@@ -246,19 +262,20 @@ def generate_fold(plan) -> tuple:
         sharers = patterns_in(s.psd, n)
         of_state.append(groups.setdefault(sharers, len(groups) + 1)
                         if sharers else 0)
+    add = "state_work[sid] = state_work.get(sid, 0) + w"
     out = ["def fold(monitor, elapsed, work):",
            "    state_work = monitor.state_work",
-           "    total = 0",
-           "    for sid, w in work.items():",
-           "        state_work[sid] = state_work.get(sid, 0) + w",
-           "        total += w",
            "    lat = monitor.latency_ms",
            "    lat_sum = monitor.lat_sum",
-           "    if total == 0:"]
+           "    total = sum(work.values())",
+           "    if total == 0:",
+           "        for sid, w in work.items():",
+           "            " + add]
     out += [f"        lat_sum[{i}] += lat[{i}]" for i in range(n)]
     out += ["        return",
             "    " + " = ".join(f"x{i}" for i in range(n)) + " = 0.0",
             "    for sid, w in work.items():",
+            "        " + add,
             "        g = GROUP[sid]"]
     for sharers, g in groups.items():
         out.append(f"        {'elif' if g > 1 else 'if'} g == {g}:  # "
@@ -301,8 +318,7 @@ def _start_edge(m: _Module, eng, e, j: int):
     out = m.sweeps
     frm, to = m.bind(e.from_id, "I"), m.bind(e.to_id, "I")
     at = _Slots(m, 0, set())
-    out += [f"    c{j} = []",
-            f"    work[{frm}] = work.get({frm}, 0) + 1", "    passed = 0"]
+    out += [f"    c{j} = []", *_charge(1, frm, "1"), "    passed = 0"]
     for checks, guards in _groups(e):
         mask = m.bind(sum(eng.bit[pid] for pid, _ in guards), "M")
         pad = "        " if checks else "    "
@@ -315,10 +331,12 @@ def _start_edge(m: _Module, eng, e, j: int):
     slots = "((d,),)" if e.action == "kleene-enter" else "(d,)"
     out.append("    if passed:")
     out += _child(2, slots, to, "seq", "ts", "None", j)
-    out.append(f"        work[{to}] = work.get({to}, 0) + 1")
+    out += _charge(2, to, "1")
 
 
-def _edge(m: _Module, eng, e, j: int):
+def _edge(m: _Module, eng, e, j: int) -> bool:
+    """Lines that sweep the bucket the element probes in the source
+    state of edge ``e``; whether they can take a skip-till-next parent."""
     out = m.sweeps
     plan = eng.plan
     src = plan.states[e.from_id]
@@ -395,21 +413,21 @@ def _edge(m: _Module, eng, e, j: int):
         "    except KeyError:", f"        for rec in {buffer}:",
         f"            if {inside}:", "                raise",
         f"        k{j} = None"]
-    out += [f"    if c{j}:",
-            f"        work[{to}] = work.get({to}, 0) + len(c{j})",
-            f"    if {buffer}:",
-            f"        work[{frm}] = work.get({frm}, 0) + len({buffer})"]
+    out += [f"    if c{j}:", *_charge(2, to, f"len(c{j})"),
+            f"    if {buffer}:", *_charge(2, frm, f"len({buffer})")]
+    return bool(next_mask)
 
 
-def _buffer(m: _Module, eng, e, j: int):
-    """Lines that buffer the children ``c<j>`` of edge ``e``, then accept
-    the complete ones (see the module docstring)."""
+def _buffer(m: _Module, eng, e, j: int) -> bool:
+    """Lines that count and buffer the children ``c<j>`` of edge ``e``,
+    then accept the complete ones (see the module docstring); whether
+    they can accept one."""
     out = m.sweeps
     plan = eng.plan
     to = plan.states[e.to_id]
     start = e.from_id == plan.start_id
     queues = [q for q in plan.deadlines if q.mask & to.psd]
-    out.append(f"    if c{j}:")
+    out += [f"    if c{j}:", f"        COUNTERS.pms_created += len(c{j})"]
     if start or to.key_attrs == plan.states[e.from_id].key_attrs:
         buffer, buckets = m.bind(to.buffer, "L"), m.bind(to.buckets, "B")
         key = f"k{j}"
@@ -429,7 +447,7 @@ def _buffer(m: _Module, eng, e, j: int):
         out += [f"        for c in c{j}:",
                 f"            {m.bind(plan.insert, 'insert')}(c)"]
     if not to.accepting_for:
-        return
+        return False
     out.append(f"        for c in c{j}:")
     held = range(to.depth - 1)      # the last slot holds d
     key = "c.seq_tuple()"
@@ -453,6 +471,26 @@ def _buffer(m: _Module, eng, e, j: int):
             _Slots(m, -1, kleene).checks(out, depth, residual, "attrs")
             test = "if ok: "
         out.append("    " * depth + test + accept)
+    return True
+
+
+def _charge(depth: int, sid: str, units: str) -> list:
+    """Lines that charge ``units`` of work to state ``sid``, in ``work``
+    and in the step's total."""
+    pad = "    " * depth
+    return [pad + f"work[{sid}] = work.get({sid}, 0) + {units}",
+            pad + f"units += {units}"]
+
+
+def _finished(new: str, complete: str, work: str, keys: str,
+              units: str) -> list:
+    """Lines that return the step's finished ``StepResult``, built in
+    place: ``object.__new__`` and one store per field, without the
+    dataclass ``__init__``'s frame."""
+    return ["    r = NEW(StepResult)", f"    r.new_pms = {new}",
+            f"    r.complete = {complete}", f"    r.work = {work}",
+            f"    r.match_keys = {keys}", f"    r.units = {units}",
+            "    return r"]
 
 
 def _child(depth: int, slots: str, to: str, first_seq: str, first_ts: str,

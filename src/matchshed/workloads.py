@@ -48,7 +48,8 @@ class GeneratorSpec:
         if (not isinstance(self.alphabet, (list, tuple)) or not self.alphabet
                 or not all(isinstance(t, str) and t for t in self.alphabet)):
             raise ValueError("alphabet must be one or more non-empty strings")
-        if not isinstance(self.attrs, dict):
+        if not (isinstance(self.attrs, dict)
+                and all(isinstance(nm, str) for nm in self.attrs)):
             raise ValueError("attrs must map attribute names to ranges")
         for name, dist in self.attrs.items():
             if not _valid_dist(dist):
@@ -117,14 +118,25 @@ def generate(spec: GeneratorSpec) -> list:
             cols[d.attr][d.offset:][mask] = redraw[mask]
     # column-wise, as load_csv builds its elements: ``tolist`` gives the
     # floats ``float(col[i])`` would
-    names = list(cols)
-    rows = zip(*[col.tolist() for col in cols.values()]) if names \
-        else repeat((), n)
+    attrs = (map(_attrs_maker(list(cols)),
+                 *[col.tolist() for col in cols.values()]) if cols
+             else map(dict, repeat((), n)))
     with collector_paused():
         return list(map(DataElement,
                         map(spec.alphabet.__getitem__, types.tolist()),
-                        range(n), map(float, range(n)),
-                        map(dict, map(zip, repeat(names), rows))))
+                        range(n), map(float, range(n)), attrs))
+
+
+def _attrs_maker(names):
+    """``lambda a0, ..., ak: {names[0]: a0, ...}``, one generated dict
+    display that builds an element's attributes as ``dict(zip(names,
+    values))`` does.  Each name is spliced as ``str.__repr__`` of it, a
+    string literal, so a name is never code; a name that is no string
+    raises ``TypeError``."""
+    params = ", ".join(f"a{i}" for i in range(len(names)))
+    items = ", ".join(f"{str.__repr__(nm)}: a{i}"
+                      for i, nm in enumerate(names))
+    return eval(f"lambda {params}: {{{items}}}", {"__builtins__": {}})
 
 
 def ds1_spec(n: int, seed: int, drifts=None) -> GeneratorSpec:
@@ -223,6 +235,7 @@ def load_csv(path: str) -> CsvStream:
                 raise CsvFormatError(
                     f"{path}: header column {col} repeats attribute {nm!r}")
         width = len(header)
+        make_attrs = _attrs_maker(names)
         stream = CsvStream()
         stream.columns = tuple(names)
         prev_ts = -math.inf
@@ -242,9 +255,10 @@ def load_csv(path: str) -> CsvStream:
                 _check_rows(path, rows, len(stream) + 2, width, prev_ts)
             types, ts, vals = cols
             n = len(stream)
-            rows_vals = zip(*vals) if vals else repeat((), len(ts))
+            attrs = (map(make_attrs, *vals) if vals
+                     else map(dict, repeat((), len(ts))))
             stream.extend(map(DataElement, types, range(n, n + len(ts)), ts,
-                              map(dict, map(zip, repeat(names), rows_vals))))
+                              attrs))
             prev_ts = ts[-1]
 
 

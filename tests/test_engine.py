@@ -397,14 +397,16 @@ def test_negated_type_without_an_edge_still_blocks(text):
 
 def test_step_result_fields():
     """``StepResult`` is a slotted dataclass; perfbench reads ``work`` and
-    ``new_pms`` by name."""
+    ``new_pms`` by name.  ``units`` is the step's total work, whether the
+    sweep finished the step or ``Engine.step`` did."""
     assert [f.name for f in dataclasses.fields(StepResult)] == \
-        ["new_pms", "complete", "work", "match_keys"]
+        ["new_pms", "complete", "work", "match_keys", "units"]
     eng = Engine(compile_pattern(P("SEQ(A a, B b) WITHIN 5")))
     res = eng.step(el("A", 0))
     assert not hasattr(res, "__dict__")
     assert (len(res.new_pms), res.complete, res.match_keys) == (1, [], [])
-    assert sum(res.work.values()) == 2
+    assert res.units == sum(res.work.values()) == 2
     res = eng.step(el("B", 1))
     assert [r.seq_tuple() for _, r in res.complete] == res.match_keys == \
         [(0, 1)]
+    assert res.units == sum(res.work.values()) == 2

@@ -152,13 +152,18 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
         alive = {s.state_id: sum(1 for r in s.buffer if r.alive)
                  for s in eng.plan.states}
         assert alive == {s.state_id: len(s.buffer) for s in eng.plan.states}
+        created = eng.counters.pms_created
         res = step(eng, d)
         assert res.work == scan_work(eng.plan, d, alive, res.new_pms)
+        assert res.units == sum(res.work.values())
+        assert eng.counters.pms_created - created == len(res.new_pms)
         checked.append(res)
         return res
 
     monkeypatch.setattr(Engine, "step", checked_step)
     stream = wl.gen_ds2(1200, 4)
+    # G triggers no edge and no gap check: an empty step
+    stream[5] = DataElement("G", 5, stream[5].timestamp, stream[5].attrs)
     texts = [wl.templates(window=60)[k] for k in ("P1", "P2", "P5", "P6")]
     base = dict(patterns=texts, selection=sel, consumption=cons, seed=2)
     calib = run(RunConfig(**base), stream)
@@ -168,6 +173,8 @@ def test_work_units_count_every_alive_record(monkeypatch, sel, cons):
                           compute_golden=False), stream)
         assert m.triggers > 0 and m.accounting_closes()
     assert len(checked) > 3 * len(stream)
+    empty = [res for res in checked if not res.work]
+    assert empty and all(res.units == 0 for res in empty)
 
 
 def test_cluster_index_stays_within_twice_live(monkeypatch):

@@ -517,6 +517,33 @@ def test_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
         assert f.read() == "keep"
 
 
+@pytest.mark.parametrize("below", [False, True])
+def test_run_with_out_dir_that_is_a_file_steps_nothing(tmp_path, monkeypatch,
+                                                       below):
+    """``runner.run`` with an ``out_dir`` that exists as a file, or lies
+    below one, raises ``ValueError`` naming the path and the file before
+    it builds the plan, forks a golden worker or steps an element (it
+    ran the whole stream, then ``os.makedirs`` raised), and writes
+    nothing."""
+    blocker = os.path.join(tmp_path, "f")
+    with open(blocker, "w") as f:
+        f.write("keep")
+    out_dir = os.path.join(blocker, "out") if below else blocker
+    calls = []
+    monkeypatch.setattr(runner, "build_plan", calls.append)
+    monkeypatch.setattr(runner, "GoldenWorker", calls.append)
+    monkeypatch.setattr(Engine, "step", calls.append)
+    with pytest.raises(ValueError) as err:
+        run(cfg(strategy="guided", bounds=[0.01, 0.01], out_dir=out_dir),
+            small_stream(n=300))
+    assert str(err.value) == \
+        f"out directory {out_dir}: {blocker} is not a directory"
+    assert calls == []
+    assert os.listdir(tmp_path) == ["f"]
+    with open(blocker) as f:
+        assert f.read() == "keep"
+
+
 @pytest.mark.parametrize("config, data, names", [
     (None, "type,ts,x\nA,1,2\n", "/nonexistent.json"),
     ('{"patterns": ["SEQ(A a, B b) WITHIN 5"]}', None, "/nonexistent.csv"),

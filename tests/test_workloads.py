@@ -279,6 +279,35 @@ def test_header_only_and_no_attributes(tmp_path):
     assert element_bits(wl.load_csv(p)) == element_bits(row_loop_load(p))
 
 
+ODD_NAMES = ["class", "a b", "x'y", "é", "__import__('os')"]
+
+
+@pytest.mark.parametrize("names", [ODD_NAMES, [f"c{i}" for i in range(300)]],
+                         ids=["odd-names", "300-columns"])
+def test_header_names_are_never_code(tmp_path, names):
+    """Each row's attributes come from one dict display generated per
+    header; a keyword, a space, a quote, a non-ASCII letter or a call in
+    a name is only a key, and 300 columns make one display too: the
+    elements equal those ``dict(zip(names, row))`` builds."""
+    p = os.path.join(tmp_path, "n.csv")
+    with open(p, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["type", "ts"] + names)
+        w.writerows([["A", i] + [i * 0.5 + j for j in range(len(names))]
+                     for i in range(30)])
+    got = wl.load_csv(p)
+    assert [list(d.attrs) for d in got] == [names] * 30
+    assert element_bits(got) == element_bits(row_loop_load(p))
+
+
+def test_spec_attribute_names_are_strings():
+    """A generator spec names its attributes by strings, as a CSV header
+    does: the generated display splices each name as a string literal."""
+    with pytest.raises(ValueError, match="attrs must map attribute names"):
+        wl.GeneratorSpec(alphabet=("A",), attrs={1: (0.0, 1.0)}, count=5,
+                         seed=0)
+
+
 @pytest.mark.parametrize("header,msg", [
     ("type,ts,ID,ID", r"column 4 repeats attribute 'ID'"),
     ("type,ts,,x", r"column 3 has no attribute name"),
@@ -350,8 +379,11 @@ def row_loop_generate(spec):
     wl.ds2_spec(2000, seed=8, drifts=[wl.Drift(0, "x", -1.0, 1.0,
                                                type_tag="B")]),
     wl.ds2_spec(0, seed=1),
-    wl.GeneratorSpec(alphabet=("A", "B"), attrs={}, count=50, seed=2)],
-    ids=["ds1-drifts", "ds2-typed-drift", "empty", "no-attributes"])
+    wl.GeneratorSpec(alphabet=("A", "B"), attrs={}, count=50, seed=2),
+    wl.GeneratorSpec(alphabet=("A",), count=50, seed=3,
+                     attrs={nm: (0.0, 1.0) for nm in ODD_NAMES})],
+    ids=["ds1-drifts", "ds2-typed-drift", "empty", "no-attributes",
+         "odd-names"])
 def test_generate_matches_row_loop(spec):
     """The column-wise build gives the row loop's elements bit for bit,
     drifted columns, seq and type of every value included."""
